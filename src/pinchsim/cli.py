@@ -19,7 +19,6 @@ import sys
 from . import experiments
 from .config import (ConfigError, RunConfig, apply_overrides, load_run_config,
                      run_config_from_dict)
-from .scenario import generate_scenario
 
 USAGE_ERROR = 1
 CONFIG_ERROR = 2
@@ -53,7 +52,8 @@ def _build_parser():
             p.add_argument("--realizations", type=int, default=None,
                            help="override the configured realization count")
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for realizations (0 = auto)")
+                           help="accepted for compatibility and ignored; "
+                                "realizations always run serially")
             p.add_argument("--override", action="append", default=[],
                            metavar="KEY=VALUE",
                            help="config override, repeatable; dotted keys "
@@ -111,24 +111,10 @@ def _cmd_validate(args):
 
 
 def _cmd_optimize(args):
+    """A one-point sweep-eps at the configured error bound."""
     run, doc = _load_effective_config(args)
-    settings = run.experiments
-    seeds = experiments.realization_seeds(args.seed, settings.realizations)
-    records = []
-
-    def one_realization(r):
-        scenario = generate_scenario(run.system, seeds[r])
-        return [experiments.run_scheme(s, scenario, run.system, run.pso, seeds[r],
-                                       sweep_var="csi_eps",
-                                       sweep_value=run.system.csi_eps,
-                                       record_runtime=settings.record_runtime,
-                                       score_mode=settings.score_mode)
-                for s in experiments.SCHEMES]
-
-    nested = experiments.map_realizations(one_realization, settings.realizations,
-                                          args.threads)
-    for group in nested:
-        records.extend(group)
+    settings = dataclasses.replace(run.experiments, eps_grid=(run.system.csi_eps,))
+    records = experiments.sweep_epsilon(run.system, run.pso, settings, args.seed)
     _emit(args.out, experiments.records_to_csv_text(records), doc)
     _summarize(records)
     return 0
@@ -138,7 +124,7 @@ def _cmd_sweep(args, which):
     run, doc = _load_effective_config(args)
     fn = experiments.sweep_epsilon if which == "eps" else experiments.sweep_users
     records = fn(run.system, run.pso, run.experiments, args.seed,
-                 threads=args.threads, progress=_progress)
+                 progress=_progress)
     _emit(args.out, experiments.records_to_csv_text(records), doc)
     _summarize(records)
     return 0
@@ -148,8 +134,7 @@ def _cmd_converge(args):
     run, doc = _load_effective_config(args)
     traces = experiments.convergence_trace(run.system, run.pso,
                                            run.experiments.realizations,
-                                           args.seed, threads=args.threads,
-                                           progress=_progress)
+                                           args.seed, progress=_progress)
     _emit(args.out, experiments.convergence_to_csv_text(traces), doc)
     for scheme in traces.fitness:
         final = traces.rescored_min_sinr[scheme][-1]

@@ -4,11 +4,13 @@ Three parameter groups drive a run: the physical system (``SystemConfig``),
 the swarm optimizer (``PsoParams``) and the Monte-Carlo harness
 (``ExperimentSettings``).  All three are frozen dataclasses validated on
 construction, so an instance that exists is feasible by construction and can
-be shared read-only across worker threads.
+be shared read-only by every realization of a run.
 """
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -17,6 +19,23 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 class ConfigError(ValueError):
     """Raised when a configuration violates one of its invariants."""
+
+
+def _is_finite_number(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_field_types(instance):
+    """Integer fields take integers (not bools or floats); float fields take
+    finite numbers.  Runs before the range checks, which assume both."""
+    for field in dataclasses.fields(instance):
+        value = getattr(instance, field.name)
+        if field.type is int and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+        if field.type is float and not _is_finite_number(value):
+            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +77,7 @@ class SystemConfig:
         self.validate()
 
     def validate(self):
+        _check_field_types(self)
         if self.num_users < 1:
             raise ConfigError(f"num_users must be >= 1, got {self.num_users}")
         if self.num_pas < 1:
@@ -100,7 +120,12 @@ class SystemConfig:
             raise ConfigError(f"penalty_mu must be > 0, got {self.penalty_mu}")
         if self.obstacle_count < 0:
             raise ConfigError(f"obstacle_count must be >= 0, got {self.obstacle_count}")
-        lo, hi = self.obstacle_radius_range
+        radii = self.obstacle_radius_range
+        if (not isinstance(radii, tuple) or len(radii) != 2
+                or not all(_is_finite_number(r) for r in radii)):
+            raise ConfigError("obstacle_radius_range must be two numbers [lo, hi], "
+                              f"got {radii!r}")
+        lo, hi = radii
         if not 0 < lo <= hi:
             raise ConfigError("obstacle_radius_range must satisfy 0 < lo <= hi, got "
                               f"{self.obstacle_radius_range}")
@@ -128,6 +153,7 @@ class PsoParams:
     velocity_clamp: float = 0.2   # per-dimension bound as a fraction of the dimension range
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.num_particles < 1:
             raise ConfigError(f"num_particles must be >= 1, got {self.num_particles}")
         if self.max_iters < 1:
@@ -164,6 +190,7 @@ class ExperimentSettings:
             object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
         if isinstance(self.k_grid, list):
             object.__setattr__(self, "k_grid", tuple(self.k_grid))
+        _check_field_types(self)
         if self.realizations < 1:
             raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
         if any(not 0 <= e < 1 for e in self.eps_grid):

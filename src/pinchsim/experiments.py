@@ -7,17 +7,16 @@ candidate is scored with the same evaluation so curves are comparable; by
 default that is the worst-case (conservative) min-SINR at the configured
 error bound.
 
-Realizations are embarrassingly parallel: each derives its own seeds from
-the master seed, so results are independent of the worker count, and rows
-are gathered in a fixed order.  The CSV schema is one row per (sweep point,
-realization, scheme) with linear and dB min-SINR.
+Realizations run serially in seed order: each derives its own seeds from
+the master seed, so a sweep's rows depend only on the config and the master
+seed.  The CSV schema is one row per (sweep point, realization, scheme) with
+linear and dB min-SINR.
 """
 
 import dataclasses
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,49 +128,27 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
                        runtime_ms=runtime_ms)
 
 
-def map_realizations(task, count, threads):
-    """Apply an index-keyed task over realizations, in order, on a thread pool.
-
-    threads=1 runs inline; threads=0 sizes the pool from the CPU count.  The
-    output order is fixed regardless of schedule.
-    """
-    if threads == 1 or count <= 1:
-        return [task(i) for i in range(count)]
-    workers = threads if threads > 0 else min(32, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(count)))
-
-
 def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
-           make_config, num_realizations, master_seed, threads,
-           settings: ExperimentSettings, progress=None):
-    seeds = realization_seeds(master_seed, num_realizations)
-
-    def one_point(point_value):
-        point_config = make_config(point_value)
-
-        def one_realization(r):
-            scenario = generate_scenario(point_config, seeds[r])
-            return [run_scheme(s, scenario, point_config, pso_params, seeds[r],
-                               sweep_var=sweep_var, sweep_value=point_value,
-                               record_runtime=settings.record_runtime,
-                               score_mode=settings.score_mode)
-                    for s in SCHEMES]
-
-        nested = map_realizations(one_realization, num_realizations, threads)
-        return [rec for group in nested for rec in group]
-
+           make_config, master_seed, settings: ExperimentSettings,
+           progress=None):
+    seeds = realization_seeds(master_seed, settings.realizations)
     records = []
     for value in grid:
-        records.extend(one_point(value))
+        point_config = make_config(value)
+        for seed in seeds:
+            scenario = generate_scenario(point_config, seed)
+            records.extend(run_scheme(s, scenario, point_config, pso_params, seed,
+                                      sweep_var=sweep_var, sweep_value=value,
+                                      record_runtime=settings.record_runtime,
+                                      score_mode=settings.score_mode)
+                           for s in SCHEMES)
         if progress is not None:
             progress(f"{sweep_var}={value} done")
     return records
 
 
 def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
-                  settings: ExperimentSettings, master_seed, threads=1,
-                  progress=None):
+                  settings: ExperimentSettings, master_seed, progress=None):
     """All schemes across the estimate-error grid.
 
     The scenario draw does not depend on the error bound, so each
@@ -180,22 +157,19 @@ def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
     """
     return _sweep(config, pso_params, "csi_eps", settings.eps_grid,
                   lambda e: dataclasses.replace(config, csi_eps=float(e)),
-                  settings.realizations, master_seed, threads, settings,
-                  progress)
+                  master_seed, settings, progress)
 
 
 def sweep_users(config: SystemConfig, pso_params: PsoParams,
-                settings: ExperimentSettings, master_seed, threads=1,
-                progress=None):
+                settings: ExperimentSettings, master_seed, progress=None):
     """All schemes across the user-count grid."""
     return _sweep(config, pso_params, "num_users", settings.k_grid,
                   lambda k: dataclasses.replace(config, num_users=int(k)),
-                  settings.realizations, master_seed, threads, settings,
-                  progress)
+                  master_seed, settings, progress)
 
 
 def convergence_trace(config: SystemConfig, pso_params: PsoParams,
-                      num_realizations, master_seed, threads=1,
+                      num_realizations, master_seed,
                       progress=None) -> ConvergenceTraces:
     """Mean optimizer traces for the robust and non-robust search modes.
 
@@ -203,34 +177,27 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     the running global best are aggregated; the latter is what makes the two
     modes comparable at the configured error bound.
     """
-    seeds = realization_seeds(master_seed, num_realizations)
     schemes = ("RobustPSO", "NonRobustPSO")
-
-    def one_realization(r):
-        scenario = generate_scenario(config, seeds[r])
-        out = {}
+    traces = {scheme: [] for scheme in schemes}
+    rescored_traces = {scheme: [] for scheme in schemes}
+    for r, seed in enumerate(realization_seeds(master_seed, num_realizations)):
+        scenario = generate_scenario(config, seed)
         for scheme in schemes:
-            result = pso.optimize(scenario, config, pso_params, seeds[r],
+            result = pso.optimize(scenario, config, pso_params, seed,
                                   robust=(scheme == "RobustPSO"))
             xs, alphas = pso.split_theta(result.gbest_thetas, config.num_pas)
             _, rescored, _ = kernels.swarm_fitness(xs, alphas, scenario, config)
-            out[scheme] = (result.trace, rescored)
+            traces[scheme].append(result.trace)
+            rescored_traces[scheme].append(rescored)
         if progress is not None:
             progress(f"realization {r + 1}/{num_realizations} done")
-        return out
-
-    per_real = map_realizations(one_realization, num_realizations, threads)
-    iters = np.arange(pso_params.max_iters + 1)
-    fitness, rescored, stacks = {}, {}, {}
-    for scheme in schemes:
-        f = np.stack([res[scheme][0] for res in per_real])
-        g = np.stack([res[scheme][1] for res in per_real])
-        fitness[scheme] = f.mean(axis=0)
-        rescored[scheme] = g.mean(axis=0)
-        stacks[scheme] = f
-    return ConvergenceTraces(iterations=iters, fitness=fitness,
-                             rescored_min_sinr=rescored,
-                             per_realization_fitness=stacks)
+    stacks = {scheme: np.stack(traces[scheme]) for scheme in schemes}
+    return ConvergenceTraces(
+        iterations=np.arange(pso_params.max_iters + 1),
+        fitness={scheme: stacks[scheme].mean(axis=0) for scheme in schemes},
+        rescored_min_sinr={scheme: np.stack(rescored_traces[scheme]).mean(axis=0)
+                           for scheme in schemes},
+        per_realization_fitness=stacks)
 
 
 def _fmt(value):

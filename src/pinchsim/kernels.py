@@ -12,7 +12,6 @@ Set ``PINCHSIM_NUMBA=0`` in the environment to force the numpy path; when
 numba is not installed the numpy path is used automatically.  The two
 backends agree to floating round-off (see tests) but are not bit-identical,
 so a given backend choice is part of a run's reproducibility envelope.
-``benchmarks/bench_kernels.py`` compares their throughput.
 """
 
 import math

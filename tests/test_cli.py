@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from pinchsim import SystemConfig
 from pinchsim.cli import main
 
 FAST_SECTIONS = {
@@ -117,3 +120,30 @@ def test_threads_do_not_change_output(tmp_path):
                  "--threads", "8"]) == 0
     with open(out1, "rb") as f1, open(out8, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_optimize_is_one_point_eps_sweep(tmp_path):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    opt, eps = str(tmp_path / "opt.csv"), str(tmp_path / "eps.csv")
+    csi_eps = SystemConfig().csi_eps
+    assert main(["optimize", "--config", cfg, "--seed", "7", "--out", opt]) == 0
+    assert main(["sweep-eps", "--config", cfg, "--seed", "7", "--out", eps,
+                 "--override", f"experiments.eps_grid=[{csi_eps!r}]"]) == 0
+    with open(opt, "rb") as f1, open(eps, "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+@pytest.mark.parametrize("override,field", [
+    ("num_users=3.0", "num_users"),
+    ("num_users=true", "num_users"),
+    ("obstacle_radius_range=[0.3]", "obstacle_radius_range"),
+    ("waveguide_len=NaN", "waveguide_len"),
+    ("pa_height=Infinity", "pa_height"),
+])
+def test_bad_override_is_config_error(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    out = tmp_path / "bad.csv"
+    assert main(["optimize", "--config", cfg, "--seed", "1", "--out", str(out),
+                 "--override", override]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()

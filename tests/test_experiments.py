@@ -66,13 +66,6 @@ def test_sweep_epsilon_record_grid():
         assert r.runtime_ms == 0.0  # timing capture off by default
 
 
-def test_sweep_epsilon_thread_invariant():
-    records_serial = sweep_epsilon(CFG, FAST_PSO, FAST_SETTINGS, master_seed=5, threads=1)
-    records_pool = sweep_epsilon(CFG, FAST_PSO, FAST_SETTINGS, master_seed=5, threads=4)
-    assert records_serial == records_pool
-    assert records_to_csv_text(records_serial) == records_to_csv_text(records_pool)
-
-
 def test_sweep_users_varies_k():
     records = sweep_users(CFG, FAST_PSO, FAST_SETTINGS, master_seed=6)
     ks = sorted({r.sweep_value for r in records})
