@@ -20,8 +20,8 @@ from .kernels import active_backend, swarm_fitness
 from .noma import (DecodingOrder, RobustGains, conservative_order,
                    conservative_sinr, min_sinr, order_violations,
                    robust_gains, sic_decode_sinr, true_sinr)
-from .pso import (PsoResult, Swarm, draw_theta, optimize, penalized_fitness,
-                  project_positions, project_simplex, pso_step, split_theta)
+from .pso import (PsoResult, draw_theta, optimize, project_positions,
+                  project_simplex, split_theta)
 from .scenario import Scenario, generate_scenario, uniform_layout
 
 __version__ = "0.1.0"
@@ -29,15 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSet", "ConfigError", "ConvergenceTraces", "DecodingOrder",
     "ExperimentSettings", "PsoParams", "PsoResult", "RobustGains",
-    "RunConfig", "SCHEMES", "Scenario", "SweepRecord", "Swarm",
-    "SystemConfig", "active_backend", "aggregate_mean_db", "apply_csi_error",
+    "RunConfig", "SCHEMES", "Scenario", "SweepRecord", "SystemConfig",
+    "active_backend", "aggregate_mean_db", "apply_csi_error",
     "blockage_factor", "compute_channels", "conservative_order",
     "conservative_sinr", "convergence_trace", "draw_theta",
     "effective_channel", "generate_scenario", "link_gains",
     "load_run_config", "min_obstacle_distance", "min_sinr", "optimize",
-    "order_violations", "penalized_fitness", "project_positions",
-    "project_simplex", "pso_step", "robust_gains", "run_config_from_dict",
-    "run_scheme", "score_candidate", "sic_decode_sinr", "split_theta",
-    "swarm_fitness", "sweep_epsilon", "sweep_users", "true_sinr",
-    "uniform_layout", "waveguide_attenuation",
+    "order_violations", "project_positions", "project_simplex",
+    "robust_gains", "run_config_from_dict", "run_scheme", "score_candidate",
+    "sic_decode_sinr", "split_theta", "swarm_fitness", "sweep_epsilon",
+    "sweep_users", "true_sinr", "uniform_layout", "waveguide_attenuation",
 ]

@@ -25,7 +25,6 @@ class ChannelSet:
 
     h: np.ndarray       # (K,) complex effective channels
     h_hat: np.ndarray   # (K,) complex estimates, |h_hat - h| <= eps * |h|
-    gains: np.ndarray   # (K, N) complex per-link channels (no in-guide phase)
 
 
 def waveguide_attenuation(x, loss_db_per_m):
@@ -115,16 +114,10 @@ def apply_csi_error(h, eps, rng):
 
 def compute_channels(x_pos, scenario: Scenario, config: SystemConfig, rng=None):
     """Channels of every user for one layout; estimates are exact when rng is None."""
-    k = scenario.users.shape[0]
-    x_pos = np.asarray(x_pos, dtype=float)
-    gains = np.empty((k, x_pos.shape[0]), dtype=complex)
-    h = np.empty(k, dtype=complex)
-    for i in range(k):
-        gains[i] = link_gains(x_pos, scenario.users[i], scenario, config)
-        guide_phase = np.exp(-1j * 2.0 * np.pi / config.guide_wavelength * x_pos)
-        h[i] = np.sum(gains[i] * guide_phase)
+    h = np.array([effective_channel(x_pos, user, scenario, config)
+                  for user in scenario.users], dtype=complex)
     if rng is None:
         h_hat = h.copy()
     else:
-        h_hat = np.array([apply_csi_error(h[i], config.csi_eps, rng) for i in range(k)])
-    return ChannelSet(h=h, h_hat=h_hat, gains=gains)
+        h_hat = np.array([apply_csi_error(v, config.csi_eps, rng) for v in h])
+    return ChannelSet(h=h, h_hat=h_hat)

@@ -64,17 +64,12 @@ def _build_parser():
 def _load_effective_config(args) -> tuple[RunConfig, dict]:
     run = load_run_config(args.config)
     doc = run.to_dict()
-    overrides = getattr(args, "override", [])
+    overrides = list(getattr(args, "override", []))
+    if getattr(args, "realizations", None) is not None:
+        overrides.append(f"experiments.realizations={args.realizations}")
     if overrides:
         doc = apply_overrides(doc, overrides)
         run = run_config_from_dict(doc)
-        doc = run.to_dict()
-    if getattr(args, "realizations", None) is not None:
-        if args.realizations < 1:
-            raise ConfigError(f"realizations must be >= 1, got {args.realizations}")
-        run = RunConfig(system=run.system, pso=run.pso,
-                        experiments=dataclasses.replace(
-                            run.experiments, realizations=args.realizations))
         doc = run.to_dict()
     return run, doc
 

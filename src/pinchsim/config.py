@@ -26,16 +26,30 @@ def _is_finite_number(value):
             and math.isfinite(value))
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_field_types(instance):
-    """Integer fields take integers (not bools or floats); float fields take
-    finite numbers.  Runs before the range checks, which assume both."""
+    """Integer fields take integers (not bools or floats), float fields take
+    finite numbers and bool fields take bools.  Runs before the range checks,
+    which assume all three."""
     for field in dataclasses.fields(instance):
         value = getattr(instance, field.name)
-        if field.type is int and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
+        if field.type is int and not _is_integer(value):
             raise ConfigError(f"{field.name} must be an integer, got {value!r}")
         if field.type is float and not _is_finite_number(value):
             raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
+        if field.type is bool and not isinstance(value, bool):
+            raise ConfigError(f"{field.name} must be true or false, got {value!r}")
+
+
+def _grid(name, values, is_item, kind):
+    """A sweep grid as a tuple; it must be a non-empty list of ``kind``."""
+    if (not isinstance(values, (list, tuple)) or not values
+            or not all(is_item(v) for v in values)):
+        raise ConfigError(f"{name} must be a non-empty list of {kind}, got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -186,16 +200,16 @@ class ExperimentSettings:
     score_mode: str = "conservative"
 
     def __post_init__(self):
-        if isinstance(self.eps_grid, list):
-            object.__setattr__(self, "eps_grid", tuple(self.eps_grid))
-        if isinstance(self.k_grid, list):
-            object.__setattr__(self, "k_grid", tuple(self.k_grid))
+        object.__setattr__(self, "eps_grid", _grid("eps_grid", self.eps_grid,
+                                                   _is_finite_number, "finite numbers"))
+        object.__setattr__(self, "k_grid", _grid("k_grid", self.k_grid,
+                                                 _is_integer, "integers"))
         _check_field_types(self)
         if self.realizations < 1:
             raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
         if any(not 0 <= e < 1 for e in self.eps_grid):
             raise ConfigError(f"eps_grid values must be in [0, 1), got {self.eps_grid}")
-        if any(int(k) != k or k < 1 for k in self.k_grid):
+        if any(k < 1 for k in self.k_grid):
             raise ConfigError(f"k_grid values must be positive integers, got {self.k_grid}")
         if self.score_mode not in ("conservative", "true_sampled"):
             raise ConfigError("score_mode must be 'conservative' or 'true_sampled', "

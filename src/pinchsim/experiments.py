@@ -83,9 +83,9 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
     the true channels in that order.
     """
     if mode == "conservative":
-        _, gmin, _ = pso.penalized_fitness(np.concatenate([x_pos, alpha]),
-                                           scenario, config)
-        return gmin
+        _, gmin, _ = kernels.swarm_fitness(np.asarray(x_pos)[None, :],
+                                           np.asarray(alpha)[None, :], scenario, config)
+        return float(gmin[0])
     rng = np.random.default_rng((int(seed), _CSI_SAMPLE_STREAM))
     chans = channel.compute_channels(x_pos, scenario, config, rng=rng)
     order = noma.conservative_order(chans.h_hat, config.csi_eps).order

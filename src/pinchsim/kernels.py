@@ -247,7 +247,9 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
     xs is (P, N) antenna positions, alphas is (P, K) per-user power
     fractions; both must already be feasible.  eps/eta_r default to the
     config values; passing eps=0, eta_r=0 gives the nominal (perfect-CSI)
-    evaluation used by the non-robust optimizer mode.
+    evaluation used by the non-robust optimizer mode.  The estimate used for
+    ordering is the nominal channel itself; estimate uncertainty enters
+    through the eps-dependent ordering margin and SINR weighting only.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     alphas = np.ascontiguousarray(alphas, dtype=np.float64)

@@ -8,8 +8,12 @@ clipped nonnegative and, if their sum exceeds the budget, projected onto the
 unit simplex.  Fitness is the worst-case minimum SINR minus a penalty on
 decoding-order ambiguity, evaluated by the batched kernels.
 
-Determinism: every particle owns an independent RNG stream spawned from the
-master seed, so a run is reproducible regardless of evaluation schedule.
+Velocity follows the constriction update (Clerc and Kennedy, IEEE TEC 2002)
+with a per-dimension clamp.  Determinism: every particle owns an independent
+RNG stream spawned from the master seed.  Right after its initial draw, each
+particle draws all of its cognitive/social multipliers from that stream as one
+(T, 2) block, which consumes the stream exactly as two scalar draws per
+iteration would, so a run is reproducible regardless of evaluation schedule.
 """
 
 from dataclasses import dataclass, field
@@ -94,33 +98,6 @@ def draw_theta(config: SystemConfig, rng):
     return project_theta_batch(theta[None, :], config)[0]
 
 
-def penalized_fitness(theta, scenario: Scenario, config: SystemConfig,
-                      eps=None, eta_r=None):
-    """Fitness of a single feasible candidate.
-
-    Returns (fitness, min_sinr, violation_sum): the worst-case minimum SINR,
-    the penalty-free objective, and the total decoding-order shortfall.  The
-    estimate used for ordering is the nominal channel itself; estimate
-    uncertainty enters through the eps-dependent ordering margin and SINR
-    weighting only.
-    """
-    theta = np.asarray(theta, dtype=float)
-    xs, alphas = split_theta(theta[None, :], config.num_pas)
-    f, gmin, viol = kernels.swarm_fitness(xs, alphas, scenario, config,
-                                          eps=eps, eta_r=eta_r)
-    return float(f[0]), float(gmin[0]), float(viol[0])
-
-
-@dataclass
-class Swarm:
-    """State of the particle population (struct-of-arrays)."""
-
-    theta: np.ndarray         # (P, N+K) current positions
-    velocity: np.ndarray      # (P, N+K)
-    best_theta: np.ndarray    # (P, N+K) personal bests
-    best_fitness: np.ndarray  # (P,)
-
-
 @dataclass
 class PsoResult:
     """Outcome of one optimizer run."""
@@ -132,37 +109,6 @@ class PsoResult:
     best_min_sinr: float         # worst-case min-SINR of the solution at the configured error bound
     trace: np.ndarray            # (T+1,) global-best fitness after init and each iteration
     gbest_thetas: np.ndarray = field(repr=False, default=None)  # (T+1, N+K)
-
-
-def _velocity_bound(config: SystemConfig, params: PsoParams):
-    span = np.concatenate([np.full(config.num_pas, config.waveguide_len),
-                           np.ones(config.num_users)])
-    return params.velocity_clamp * span
-
-
-def pso_step(swarm: Swarm, gbest_theta, params: PsoParams, config: SystemConfig,
-             evaluate, rngs):
-    """One synchronous swarm update against a fixed global best.
-
-    Per particle: draw fresh cognitive/social multipliers from its own
-    stream, update and clamp the velocity, move, project back to
-    feasibility, re-evaluate, and keep the personal best on strict
-    improvement.
-    """
-    r1 = np.array([rng.random() for rng in rngs])
-    r2 = np.array([rng.random() for rng in rngs])
-    vel = (params.inertia * swarm.velocity
-           + params.cognitive * r1[:, None] * (swarm.best_theta - swarm.theta)
-           + params.social * r2[:, None] * (gbest_theta[None, :] - swarm.theta))
-    bound = _velocity_bound(config, params)
-    np.clip(vel, -bound, bound, out=vel)
-    swarm.velocity = vel
-    swarm.theta = project_theta_batch(swarm.theta + vel, config)
-    fitness, _, _ = evaluate(swarm.theta)
-    improved = fitness > swarm.best_fitness
-    swarm.best_theta[improved] = swarm.theta[improved]
-    swarm.best_fitness[improved] = fitness[improved]
-    return swarm
 
 
 def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
@@ -178,34 +124,39 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
     n = config.num_pas
     rngs = [np.random.default_rng((int(seed), i)) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
+    # (P, T, 2): iteration t's cognitive/social multipliers, in stream order
+    draws = np.stack([rng.random((params.max_iters, 2)) for rng in rngs])
+    bound = params.velocity_clamp * np.concatenate(
+        [np.full(n, config.waveguide_len), np.ones(config.num_users)])
     eval_eps = config.csi_eps if robust else 0.0
     eval_eta_r = config.eta_r if robust else 0.0
 
-    def evaluate(thetas):
-        xs, alphas = split_theta(thetas, n)
-        return kernels.swarm_fitness(xs, alphas, scenario, config,
-                                     eps=eval_eps, eta_r=eval_eta_r)
-
-    fitness, _, _ = evaluate(theta)
-    swarm = Swarm(theta=theta, velocity=np.zeros_like(theta),
-                  best_theta=theta.copy(), best_fitness=fitness.copy())
-
+    velocity = np.zeros_like(theta)
+    best_theta = theta.copy()
+    best_fitness = np.full(params.num_particles, -np.inf)
     trace = np.empty(params.max_iters + 1)
     gbest_thetas = np.empty((params.max_iters + 1, theta.shape[1]))
-    gi = int(np.argmax(swarm.best_fitness))
-    gbest = swarm.best_theta[gi].copy()
-    trace[0] = swarm.best_fitness[gi]
-    gbest_thetas[0] = gbest
+    for t in range(params.max_iters + 1):
+        if t > 0:
+            r1, r2 = draws[:, t - 1, :1], draws[:, t - 1, 1:]
+            velocity = (params.inertia * velocity
+                        + params.cognitive * r1 * (best_theta - theta)
+                        + params.social * r2 * (gbest_thetas[t - 1] - theta))
+            np.clip(velocity, -bound, bound, out=velocity)
+            theta = project_theta_batch(theta + velocity, config)
+        fitness, _, _ = kernels.swarm_fitness(*split_theta(theta, n), scenario, config,
+                                              eps=eval_eps, eta_r=eval_eta_r)
+        # a particle's first evaluation is its personal best; later ones must beat it
+        improved = (fitness > best_fitness) | (t == 0)
+        best_theta[improved] = theta[improved]
+        best_fitness[improved] = fitness[improved]
+        gi = int(np.argmax(best_fitness))
+        trace[t] = best_fitness[gi]
+        gbest_thetas[t] = best_theta[gi]
 
-    for t in range(1, params.max_iters + 1):
-        pso_step(swarm, gbest, params, config, evaluate, rngs)
-        gi = int(np.argmax(swarm.best_fitness))
-        gbest = swarm.best_theta[gi].copy()
-        trace[t] = swarm.best_fitness[gi]
-        gbest_thetas[t] = gbest
-
-    xs, alphas = split_theta(gbest[None, :], n)
-    _, robust_gmin, _ = kernels.swarm_fitness(xs, alphas, scenario, config)
+    gbest = gbest_thetas[-1].copy()
+    _, robust_gmin, _ = kernels.swarm_fitness(*split_theta(gbest[None, :], n),
+                                              scenario, config)
     return PsoResult(best_theta=gbest,
                      best_x=gbest[:n].copy(),
                      best_alpha=gbest[n:].copy(),

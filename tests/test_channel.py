@@ -178,7 +178,6 @@ def test_compute_channels_consistency():
     sc = generate_scenario(cfg, 5)
     x = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
     chans = compute_channels(x, sc, cfg, rng=np.random.default_rng(1))
-    guide = np.exp(-1j * 2 * np.pi / cfg.guide_wavelength * x)
-    # effective channel is the guide-phase-weighted sum of per-link gains
-    assert np.allclose(chans.h, (chans.gains * guide[None, :]).sum(axis=1), rtol=1e-12)
+    # every user's channel is exactly its single-user effective channel
+    assert np.array_equal(chans.h, [effective_channel(x, u, sc, cfg) for u in sc.users])
     assert np.all(np.abs(chans.h_hat - chans.h) <= cfg.csi_eps * np.abs(chans.h) * (1 + 1e-12))

@@ -139,6 +139,13 @@ def test_optimize_is_one_point_eps_sweep(tmp_path):
     ("obstacle_radius_range=[0.3]", "obstacle_radius_range"),
     ("waveguide_len=NaN", "waveguide_len"),
     ("pa_height=Infinity", "pa_height"),
+    ("experiments.eps_grid=0.1", "eps_grid"),
+    ('experiments.eps_grid=["x"]', "eps_grid"),
+    ("experiments.eps_grid=[]", "eps_grid"),
+    ('experiments.k_grid=["a"]', "k_grid"),
+    ("experiments.k_grid=[true]", "k_grid"),
+    ("experiments.k_grid=[2.5]", "k_grid"),
+    ('experiments.record_runtime="no"', "record_runtime"),
 ])
 def test_bad_override_is_config_error(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, dict(FAST_SECTIONS))

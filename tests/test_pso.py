@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pinchsim import (PsoParams, SystemConfig, generate_scenario, optimize,
-                      penalized_fitness)
-from pinchsim.pso import Swarm, draw_theta, project_theta_batch, pso_step
+from pinchsim import (PsoParams, SystemConfig, generate_scenario, kernels,
+                      optimize, swarm_fitness)
+from pinchsim.pso import draw_theta, project_theta_batch, split_theta
 
 CFG = SystemConfig()
 SCENARIO = generate_scenario(CFG, 42)
@@ -21,47 +21,110 @@ def feasible(thetas, config):
             and np.all(alphas.sum(axis=-1) <= 1 + 1e-12))
 
 
-def make_swarm(seed, n_particles=8):
-    rngs = [np.random.default_rng((seed, i)) for i in range(n_particles)]
-    theta = np.stack([draw_theta(CFG, rng) for rng in rngs])
-    f = np.array([penalized_fitness(t, SCENARIO, CFG)[0] for t in theta])
-    swarm = Swarm(theta=theta, velocity=np.zeros_like(theta),
-                  best_theta=theta.copy(), best_fitness=f.copy())
-    return swarm, rngs
+def one_row(theta):
+    """(xs, alphas) of a single candidate as a one-row batch."""
+    return split_theta(np.asarray(theta)[None, :], CFG.num_pas)
 
 
-def batch_eval(thetas):
-    out = np.array([penalized_fitness(t, SCENARIO, CFG) for t in thetas])
-    return out[:, 0], out[:, 1], out[:, 2]
+def reference_optimize(scenario, config, params, seed, robust=True):
+    """Independent swarm loop: per-iteration scalar multiplier draws.
+
+    Each step draws r1 for every particle from its own stream, then r2 for
+    every particle, moves the whole swarm against the global best of the
+    previous step, projects, re-evaluates, and keeps personal bests on strict
+    improvement.  Returns the global-best fitness trace and thetas.
+    """
+    n = config.num_pas
+    rngs = [np.random.default_rng((seed, i)) for i in range(params.num_particles)]
+    eps, eta_r = (config.csi_eps, config.eta_r) if robust else (0.0, 0.0)
+
+    def evaluate(thetas):
+        return swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
+                             eps=eps, eta_r=eta_r)[0]
+
+    theta = np.stack([draw_theta(config, rng) for rng in rngs])
+    velocity = np.zeros_like(theta)
+    best_theta, best_fitness = theta.copy(), evaluate(theta).copy()
+    bound = params.velocity_clamp * np.concatenate(
+        [np.full(n, config.waveguide_len), np.ones(config.num_users)])
+    gi = int(np.argmax(best_fitness))
+    trace, gbests = [best_fitness[gi]], [best_theta[gi].copy()]
+    for _ in range(params.max_iters):
+        r1 = np.array([rng.random() for rng in rngs])
+        r2 = np.array([rng.random() for rng in rngs])
+        velocity = (params.inertia * velocity
+                    + params.cognitive * r1[:, None] * (best_theta - theta)
+                    + params.social * r2[:, None] * (gbests[-1][None, :] - theta))
+        np.clip(velocity, -bound, bound, out=velocity)
+        theta = project_theta_batch(theta + velocity, config)
+        fitness = evaluate(theta)
+        improved = fitness > best_fitness
+        best_theta[improved] = theta[improved]
+        best_fitness[improved] = fitness[improved]
+        gi = int(np.argmax(best_fitness))
+        trace.append(best_fitness[gi])
+        gbests.append(best_theta[gi].copy())
+    return np.array(trace), np.stack(gbests)
 
 
-def test_frozen_dynamics_leave_swarm_in_place():
-    swarm, rngs = make_swarm(0)
-    before = swarm.theta.copy()
-    f_before = swarm.best_fitness.copy()
-    params = PsoParams(num_particles=8, max_iters=1, inertia=0.0,
+def recorded_swarms(monkeypatch):
+    """Record every candidate batch optimize hands to the fitness kernel."""
+    swarms = []
+
+    def recording(xs, alphas, *args, **kwargs):
+        swarms.append(np.hstack([xs, alphas]))
+        return swarm_fitness(xs, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "swarm_fitness", recording)
+    return swarms
+
+
+@pytest.mark.parametrize("config,params,seed,robust", [
+    (CFG, SMALL, 0, True),
+    (CFG, SMALL, 1, False),
+    (CFG, PsoParams(num_particles=1, max_iters=15), 2, True),
+    (CFG, PsoParams(num_particles=7, max_iters=10, inertia=0.0,
+                    cognitive=0.0, social=0.0), 3, True),
+    (SystemConfig(num_users=1, num_pas=1, obstacle_count=0),
+     PsoParams(num_particles=5, max_iters=12), 4, True),
+    (SystemConfig(num_users=5, num_pas=2, obstacle_count=6, csi_eps=0.3),
+     PsoParams(num_particles=9, max_iters=20), 5, True),
+])
+def test_optimize_matches_reference_loop_bitwise(config, params, seed, robust):
+    scenario = generate_scenario(config, seed + 100)
+    trace, gbests = reference_optimize(scenario, config, params, seed, robust)
+    res = optimize(scenario, config, params, seed=seed, robust=robust)
+    assert np.array_equal(res.trace, trace)
+    assert np.array_equal(res.gbest_thetas, gbests)
+    assert np.array_equal(res.best_theta, gbests[-1])
+
+
+def test_frozen_dynamics_leave_swarm_in_place(monkeypatch):
+    swarms = recorded_swarms(monkeypatch)
+    params = PsoParams(num_particles=8, max_iters=3, inertia=0.0,
                        cognitive=0.0, social=0.0)
-    gbest = swarm.best_theta[np.argmax(swarm.best_fitness)].copy()
-    pso_step(swarm, gbest, params, CFG, batch_eval, rngs)
-    assert np.allclose(swarm.theta, before, rtol=1e-12)
-    assert np.allclose(swarm.best_fitness, f_before, rtol=1e-12)
+    res = optimize(SCENARIO, CFG, params, seed=0)
+    steps = swarms[:-1]  # the last call re-scores the solution
+    assert len(steps) == params.max_iters + 1
+    for swarm in steps[1:]:
+        assert np.allclose(swarm, steps[0], rtol=1e-12)
+    assert np.allclose(res.trace, res.trace[0], rtol=1e-12)
 
 
-def test_single_particle_at_gbest_is_fixed_point():
-    swarm, rngs = make_swarm(1, n_particles=1)
-    gbest = swarm.best_theta[0].copy()
-    for _ in range(5):
-        pso_step(swarm, gbest, SMALL, CFG, batch_eval, rngs)
-    assert np.allclose(swarm.theta[0], gbest, rtol=1e-12)
+def test_single_particle_at_gbest_is_fixed_point(monkeypatch):
+    swarms = recorded_swarms(monkeypatch)
+    res = optimize(SCENARIO, CFG, PsoParams(num_particles=1, max_iters=5), seed=1)
+    for swarm in swarms:
+        assert np.allclose(swarm, swarms[0], rtol=1e-12)
+    assert np.allclose(res.gbest_thetas, res.gbest_thetas[0], rtol=1e-12)
 
 
-def test_particles_feasible_after_every_step():
-    swarm, rngs = make_swarm(2, n_particles=10)
-    params = PsoParams(num_particles=10, max_iters=1)
-    for _ in range(20):
-        gbest = swarm.best_theta[np.argmax(swarm.best_fitness)].copy()
-        pso_step(swarm, gbest, params, CFG, batch_eval, rngs)
-        assert feasible(swarm.theta, CFG)
+def test_particles_feasible_after_every_step(monkeypatch):
+    swarms = recorded_swarms(monkeypatch)
+    optimize(SCENARIO, CFG, PsoParams(num_particles=10, max_iters=20), seed=2)
+    assert len(swarms) == 20 + 2
+    for swarm in swarms:
+        assert feasible(swarm, CFG)
 
 
 def test_no_search_returns_initial_fitness():
@@ -69,7 +132,7 @@ def test_no_search_returns_initial_fitness():
     res = optimize(SCENARIO, CFG, params, seed=3)
     init = project_theta_batch(
         draw_theta(CFG, np.random.default_rng((3, 0)))[None, :], CFG)[0]
-    f0, _, _ = penalized_fitness(init, SCENARIO, CFG)
+    f0 = swarm_fitness(*one_row(init), SCENARIO, CFG)[0][0]
     assert res.best_fitness == pytest.approx(f0, rel=1e-12)
     assert np.allclose(res.trace, f0, rtol=1e-12)
 
@@ -107,17 +170,17 @@ def test_robust_and_nominal_agree_at_zero_eps():
 
 def test_nonrobust_rescored_under_worst_case():
     res = optimize(SCENARIO, CFG, SMALL, seed=6, robust=False)
-    _, rescored, _ = penalized_fitness(res.best_theta, SCENARIO, CFG)
-    assert res.best_min_sinr == pytest.approx(rescored, rel=1e-12)
+    _, rescored, _ = swarm_fitness(*one_row(res.best_theta), SCENARIO, CFG)
+    assert res.best_min_sinr == pytest.approx(rescored[0], rel=1e-12)
     # the nominal objective the search saw is not what gets reported
-    f_nominal, _, _ = penalized_fitness(res.best_theta, SCENARIO, CFG,
-                                        eps=0.0, eta_r=0.0)
-    assert res.best_fitness == pytest.approx(f_nominal, rel=1e-9)
+    f_nominal, _, _ = swarm_fitness(*one_row(res.best_theta), SCENARIO, CFG,
+                                    eps=0.0, eta_r=0.0)
+    assert res.best_fitness == pytest.approx(f_nominal[0], rel=1e-9)
 
 
 def test_penalized_fitness_decomposition():
     theta = draw_theta(CFG, np.random.default_rng(12))
-    f, gamma, v = penalized_fitness(theta, SCENARIO, CFG)
+    f, gamma, v = (a[0] for a in swarm_fitness(*one_row(theta), SCENARIO, CFG))
     assert f == pytest.approx(gamma - CFG.penalty_mu * v, rel=1e-12)
     if v == 0.0:
         assert f == gamma
