@@ -33,6 +33,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _seed(text):
+    """--seed value: an unsigned 64-bit integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _build_parser():
     parser = _ArgumentParser(prog="pinchsim",
                              description="Fairness-oriented design of a "
@@ -48,7 +59,8 @@ def _build_parser():
         p.add_argument("--config", required=True, help="JSON config file")
         if name != "validate-config":
             p.add_argument("--out", default=f"{name}.csv", help="output CSV path")
-            p.add_argument("--seed", type=int, default=1234, help="master seed")
+            p.add_argument("--seed", type=_seed, default=1234,
+                           help="master seed, in [0, 2**64)")
             p.add_argument("--realizations", type=int, default=None,
                            help="override the configured realization count")
             p.add_argument("--threads", type=int, default=1,

@@ -7,6 +7,13 @@ candidate is scored with the same evaluation so curves are comparable; by
 default that is the worst-case (conservative) min-SINR at the configured
 error bound.
 
+A PSO scheme searches at (csi_eps, eta_r) when it is RobustPSO and the
+bound is positive, and at the perfect-estimate point (0, 0) otherwise.  The
+scenario does not depend on the bound, so a sweep collects, per
+realization, the search points of every grid point that shares its scenario
+(all of them in an error-bound sweep) and searches each distinct point once,
+all in lockstep (``pso.optimize_points``).
+
 Realizations run serially in seed order: each derives its own seeds from
 the master seed, so a sweep's rows depend only on the config and the master
 seed.  The CSV schema is one row per (sweep point, realization, scheme) with
@@ -26,6 +33,7 @@ from .config import ExperimentSettings, PsoParams, SystemConfig
 from .scenario import Scenario, generate_scenario, uniform_layout
 
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
+_SEARCH_SCHEMES = SCHEMES[:2]
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,seed,min_sinr_linear,min_sinr_db,runtime_ms"
 
@@ -36,7 +44,13 @@ _CSI_SAMPLE_STREAM = 2 ** 32 + 1
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One scored scheme on one realization of one sweep point."""
+    """One scored scheme on one realization of one sweep point.
+
+    ``runtime_ms`` is 0 unless runtime is recorded.  In a sweep a PSO
+    scheme's search runs in lockstep with the other searches of its
+    realization, so its runtime is that search's wall time divided by the
+    number of distinct searches, plus its own scoring time.
+    """
 
     sweep_var: str
     sweep_value: float
@@ -95,20 +109,20 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
     return noma.min_sinr(sinrs)
 
 
-def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
-               pso_params: PsoParams, seed, sweep_var="csi_eps",
-               sweep_value=None, record_runtime=False,
-               score_mode="conservative") -> SweepRecord:
-    """Run one scheme on one realization and return its scored record."""
-    if sweep_value is None:
-        sweep_value = config.csi_eps
-    t0 = time.perf_counter()
-    if scheme == "RobustPSO":
-        result = pso.optimize(scenario, config, pso_params, seed, robust=True)
-        x_pos, alpha = result.best_x, result.best_alpha
-    elif scheme == "NonRobustPSO":
-        result = pso.optimize(scenario, config, pso_params, seed, robust=False)
-        x_pos, alpha = result.best_x, result.best_alpha
+def _search_point(scheme, config: SystemConfig):
+    return pso.search_point(config, robust=(scheme == "RobustPSO"))
+
+
+def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
+            sweep_var, sweep_value, score_mode, started, search_ms=0.0):
+    """Score one scheme's candidate; a PSO scheme's comes from its ``search``.
+
+    ``started`` is the perf_counter time the scheme's own work began, or None
+    when runtime is not recorded; ``search_ms`` is its share of a search
+    that ran before it.
+    """
+    if scheme in _SEARCH_SCHEMES:
+        x_pos, alpha = search.best_x, search.best_alpha
     elif scheme == "Random":
         rng = np.random.default_rng((int(seed), _RANDOM_SCHEME_STREAM))
         theta = pso.draw_theta(config, rng)
@@ -120,7 +134,8 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
         raise ValueError(f"unknown scheme {scheme!r}")
     gmin = score_candidate(x_pos, alpha, scenario, config,
                            mode=score_mode, seed=seed)
-    runtime_ms = (time.perf_counter() - t0) * 1e3 if record_runtime else 0.0
+    runtime_ms = (search_ms + (time.perf_counter() - started) * 1e3
+                  if started is not None else 0.0)
     return SweepRecord(sweep_var=sweep_var, sweep_value=float(sweep_value),
                        scheme=scheme, seed=int(seed),
                        min_sinr_linear=float(gmin),
@@ -128,23 +143,63 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
                        runtime_ms=runtime_ms)
 
 
+def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
+               pso_params: PsoParams, seed, sweep_var="csi_eps",
+               sweep_value=None, record_runtime=False,
+               score_mode="conservative") -> SweepRecord:
+    """Run one scheme on one realization, its own search included, and score it."""
+    if sweep_value is None:
+        sweep_value = config.csi_eps
+    t0 = time.perf_counter()
+    search = (pso.optimize(scenario, config, pso_params, seed,
+                           robust=(scheme == "RobustPSO"))
+              if scheme in _SEARCH_SCHEMES else None)
+    return _record(scheme, search, scenario, config, seed, sweep_var, sweep_value,
+                   score_mode, t0 if record_runtime else None)
+
+
 def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
            make_config, master_seed, settings: ExperimentSettings,
            progress=None):
+    """Records in (grid point, realization, scheme) order.
+
+    Grid points whose configs differ only in the error bound share each
+    realization's scenario, so their PSO schemes run as one
+    ``pso.optimize_points`` call per realization, which searches each
+    distinct evaluation point once.
+    """
     seeds = realization_seeds(master_seed, settings.realizations)
-    records = []
-    for value in grid:
-        point_config = make_config(value)
-        for seed in seeds:
-            scenario = generate_scenario(point_config, seed)
-            records.extend(run_scheme(s, scenario, point_config, pso_params, seed,
-                                      sweep_var=sweep_var, sweep_value=value,
-                                      record_runtime=settings.record_runtime,
-                                      score_mode=settings.score_mode)
-                           for s in SCHEMES)
+    configs = [make_config(value) for value in grid]
+    groups = {}
+    for i, point_config in enumerate(configs):
+        groups.setdefault(dataclasses.replace(point_config, csi_eps=0.0), []).append(i)
+    rows = {}
+    for members in groups.values():
+        group_config = configs[members[0]]
+        for j, seed in enumerate(seeds):
+            scenario = generate_scenario(group_config, seed)
+            points = [_search_point(scheme, configs[i])
+                      for i in members for scheme in _SEARCH_SCHEMES]
+            t0 = time.perf_counter()
+            found = dict(zip(points, pso.optimize_points(
+                scenario, group_config, pso_params, seed, points)))
+            search_ms = (time.perf_counter() - t0) * 1e3 / len(found)
+            for i in members:
+                rows[i, j] = []
+                for scheme in SCHEMES:
+                    started = time.perf_counter() if settings.record_runtime else None
+                    search, share_ms = None, 0.0
+                    if scheme in _SEARCH_SCHEMES:
+                        search = found[_search_point(scheme, configs[i])]
+                        share_ms = search_ms
+                    rows[i, j].append(_record(
+                        scheme, search, scenario, configs[i], seed, sweep_var,
+                        grid[i], settings.score_mode, started, share_ms))
         if progress is not None:
-            progress(f"{sweep_var}={value} done")
-    return records
+            for i in members:
+                progress(f"{sweep_var}={grid[i]} done")
+    return [record for i in range(len(grid)) for j in range(len(seeds))
+            for record in rows[i, j]]
 
 
 def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
@@ -177,14 +232,14 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     the running global best are aggregated; the latter is what makes the two
     modes comparable at the configured error bound.
     """
-    schemes = ("RobustPSO", "NonRobustPSO")
+    schemes = _SEARCH_SCHEMES
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
+    points = [_search_point(scheme, config) for scheme in schemes]
     for r, seed in enumerate(realization_seeds(master_seed, num_realizations)):
         scenario = generate_scenario(config, seed)
-        for scheme in schemes:
-            result = pso.optimize(scenario, config, pso_params, seed,
-                                  robust=(scheme == "RobustPSO"))
+        results = pso.optimize_points(scenario, config, pso_params, seed, points)
+        for scheme, result in zip(schemes, results):
             xs, alphas = pso.split_theta(result.gbest_thetas, config.num_pas)
             _, rescored, _ = kernels.swarm_fitness(xs, alphas, scenario, config)
             traces[scheme].append(result.trace)

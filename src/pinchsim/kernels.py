@@ -2,8 +2,9 @@
 
 Every optimizer iteration evaluates the full candidate pipeline (per-link
 channels -> effective channels -> safe decoding order -> worst-case SINRs ->
-penalized fitness) for the whole swarm.  Two interchangeable backends
-implement it:
+penalized fitness) for the whole swarm, or for several swarms stacked into
+one batch, each row at its own (eps, eta_r) evaluation point.  Two
+interchangeable backends implement it:
 
 * a numba ``@njit`` scalar-loop kernel (default when numba is importable),
 * a broadcast pure-numpy kernel.
@@ -45,23 +46,26 @@ def _fitness_loop(xs, alphas, users, obst_c, obst_r,
                   beta, block_rate, tx_power, noise_power,
                   eps, eta_i, eta_r, mu,
                   fitness, gamma_min, viol_sum):
-    """Scalar-loop pipeline over a batch of candidates (numba-compilable body)."""
+    """Scalar-loop pipeline over a batch of candidates (numba-compilable body).
+
+    eps and eta_r are (P,) arrays: row p is evaluated at (eps[p], eta_r[p]).
+    """
     n_part, n_pas = xs.shape
     n_users = users.shape[0]
     n_obst = obst_c.shape[0]
     k_free = 2.0 * math.pi / wavelength
     k_guide = 2.0 * math.pi / guide_wavelength
     amp0 = wavelength / (4.0 * math.pi)
-    g_s = (1.0 - eps) ** 2
-    g_i = (1.0 + eta_i * eps) ** 2
-    g_r = eta_r * eps
-    ratio = (1.0 + eps) / (1.0 - eps)
 
     h_sq = np.empty(n_users)
     mags = np.empty(n_users)
     order = np.empty(n_users, np.int64)
 
     for p in range(n_part):
+        g_s = (1.0 - eps[p]) ** 2
+        g_i = (1.0 + eta_i * eps[p]) ** 2
+        g_r = eta_r[p] * eps[p]
+        ratio = (1.0 + eps[p]) / (1.0 - eps[p])
         for k in range(n_users):
             ux = users[k, 0]
             uy = users[k, 1]
@@ -151,11 +155,39 @@ else:
     _fitness_loop_jit = None
 
 
+def _point_gains(eps, eta_i, eta_r):
+    """Ordering ratio and SINR weights (ratio, g_s, g_i, g_r) of one point."""
+    return ((1.0 + eps) / (1.0 - eps), (1.0 - eps) ** 2,
+            (1.0 + eta_i * eps) ** 2, eta_r * eps)
+
+
+def _row_gains(eps, eta_i, eta_r, n_rows):
+    """_point_gains of every row, as four (P, 1) columns.
+
+    Each run of rows that share one (eps, eta_r) point gets its gains from
+    Python float arithmetic, so a row's weights do not depend on the batch
+    it is in: numpy's array power differs from Python's ``**`` in the last
+    bit for some eps.
+    """
+    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (n_rows,))
+    eta_r = np.broadcast_to(np.asarray(eta_r, dtype=np.float64), (n_rows,))
+    new_point = np.ones(n_rows, dtype=bool)
+    new_point[1:] = (eps[1:] != eps[:-1]) | (eta_r[1:] != eta_r[:-1])
+    starts = np.flatnonzero(new_point)
+    gains = np.array([_point_gains(e, eta_i, r) for e, r in
+                      zip(eps[starts].tolist(), eta_r[starts].tolist())]).reshape(-1, 4)
+    rows = np.repeat(gains, np.diff(np.append(starts, n_rows)), axis=0)
+    return tuple(rows.T[:, :, None])
+
+
 def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
                         wavelength, guide_wavelength, wg_loss_db, pa_height,
                         beta, block_rate, tx_power, noise_power,
                         eps, eta_i, eta_r, mu):
-    """Broadcast pure-numpy implementation of the batched fitness pipeline."""
+    """Broadcast pure-numpy implementation of the batched fitness pipeline.
+
+    eps and eta_r are scalars or (P,) per-row arrays.
+    """
     n_part, n_pas = xs.shape
     n_users = users.shape[0]
     n_obst = obst_c.shape[0]
@@ -195,15 +227,12 @@ def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
     h_ord = np.take_along_axis(h_sq, order, axis=1)
     a_ord = np.take_along_axis(alphas, order, axis=1)
 
-    ratio = (1.0 + eps) / (1.0 - eps)
+    ratio, g_s, g_i, g_r = _row_gains(eps, eta_i, eta_r, n_part)
     v = np.maximum(ratio * m_ord[:, :-1] - m_ord[:, 1:], 0.0)
     v_total = v.sum(axis=1) if n_users > 1 else np.zeros(n_part)
 
     a_before = np.cumsum(a_ord, axis=1) - a_ord
     a_after = a_ord.sum(axis=1, keepdims=True) - a_before - a_ord
-    g_s = (1.0 - eps) ** 2
-    g_i = (1.0 + eta_i * eps) ** 2
-    g_r = eta_r * eps
     den = (g_i * tx_power * h_ord * a_after
            + g_r * tx_power * h_ord * a_before
            + noise_power)
@@ -220,6 +249,9 @@ def swarm_fitness_numba(xs, alphas, users, obst_c, obst_r,
     if _fitness_loop_jit is None:
         raise RuntimeError("numba backend requested but numba is not installed")
     n_part = xs.shape[0]
+    eps, eta_r = (np.ascontiguousarray(np.broadcast_to(np.asarray(v, dtype=np.float64),
+                                                        (n_part,)))
+                  for v in (eps, eta_r))
     fitness = np.empty(n_part)
     gamma_min = np.empty(n_part)
     viol_sum = np.empty(n_part)
@@ -247,7 +279,10 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
     xs is (P, N) antenna positions, alphas is (P, K) per-user power
     fractions; both must already be feasible.  eps/eta_r default to the
     config values; passing eps=0, eta_r=0 gives the nominal (perfect-CSI)
-    evaluation used by the non-robust optimizer mode.  The estimate used for
+    evaluation used by the non-robust optimizer mode.  Either may also be a
+    (P,) array that gives each row its own evaluation point, so swarms
+    searching at different points share one call; a row's result does not
+    depend on the other rows of its batch.  The estimate used for
     ordering is the nominal channel itself; estimate uncertainty enters
     through the eps-dependent ordering margin and SINR weighting only.
     """
@@ -265,4 +300,4 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
                  config.wg_loss, config.pa_height,
                  config.blockage_beta, config.blockage_alpha,
                  config.tx_power, config.noise_power,
-                 float(eps), config.eta_i, float(eta_r), config.penalty_mu)
+                 eps, config.eta_i, eta_r, config.penalty_mu)

@@ -14,6 +14,13 @@ RNG stream spawned from the master seed.  Right after its initial draw, each
 particle draws all of its cognitive/social multipliers from that stream as one
 (T, 2) block, which consumes the stream exactly as two scalar draws per
 iteration would, so a run is reproducible regardless of evaluation schedule.
+
+Because the streams depend only on the seed, searches of one seed at
+different (eps, eta_r) evaluation points start from the same particles and
+use the same multipliers.  ``optimize_points`` therefore draws them once and
+steps all of its searches in lockstep, one projection call and one kernel
+call per iteration for the stacked swarms; ``optimize`` is its one-point
+case.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +30,13 @@ import numpy as np
 from . import kernels
 from .config import ConfigError, PsoParams, SystemConfig
 from .scenario import Scenario
+
+# Largest kernel batch, in rows x users x antennas x max(obstacles, 1), up to
+# which optimize_points stacks swarms into one call.  Stacking saves per-call
+# overhead on small swarms.  A swarm of 240 x 8 x 16 x 8 (about 2^18) gains
+# nothing from it, and stacking two such swarms raised peak memory from 52 to
+# 67 MB on the numpy kernel.
+LOCKSTEP_BUDGET = 2 ** 16
 
 
 def project_positions(x, waveguide_len, min_spacing):
@@ -111,6 +125,18 @@ class PsoResult:
     gbest_thetas: np.ndarray = field(repr=False, default=None)  # (T+1, N+K)
 
 
+def search_point(config: SystemConfig, robust: bool):
+    """The (eps, eta_r) at which a search evaluates its fitness.
+
+    A robust search uses the configured bound and leakage; a non-robust
+    search, and a robust one at a zero bound, use the perfect-estimate point
+    (0, 0), where the leakage level has no effect.
+    """
+    if robust and config.csi_eps > 0:
+        return (float(config.csi_eps), float(config.eta_r))
+    return (0.0, 0.0)
+
+
 def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
              seed: int, robust: bool = True) -> PsoResult:
     """Joint search over antenna positions and power fractions.
@@ -121,46 +147,82 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
     the worst-case evaluation at the configured bound, so modes are
     comparable.  Deterministic given (scenario, config, params, seed).
     """
-    n = config.num_pas
+    point = search_point(config, robust)
+    return optimize_points(scenario, config, params, seed, [point])[0]
+
+
+def optimize_points(scenario: Scenario, config: SystemConfig, params: PsoParams,
+                    seed: int, points) -> list:
+    """One search per (eps, eta_r) evaluation point, stepped in lockstep.
+
+    Returns one ``PsoResult`` per entry of ``points``, each bit-identical to
+    a separate search at that point (``best_min_sinr`` is re-scored at the
+    configured bound).  The particle streams depend only on the seed, so
+    every search starts from the same particles with the same multipliers:
+    they are drawn once and shared.  A repeated point is searched once and
+    its entries share one result.  The distinct points are stacked into one
+    (S, P, D) swarm, split where a kernel batch would exceed
+    ``LOCKSTEP_BUDGET``.
+    """
     rngs = [np.random.default_rng((int(seed), i)) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
     # (P, T, 2): iteration t's cognitive/social multipliers, in stream order
     draws = np.stack([rng.random((params.max_iters, 2)) for rng in rngs])
+    distinct = list(dict.fromkeys(points))
+    tests_per_swarm = (params.num_particles * scenario.users.shape[0] * config.num_pas
+                       * max(scenario.obstacle_centers.shape[0], 1))
+    per_call = max(1, LOCKSTEP_BUDGET // tests_per_swarm)
+    found = {}
+    for i in range(0, len(distinct), per_call):
+        chunk = distinct[i:i + per_call]
+        found.update(zip(chunk, _lockstep(scenario, config, params, theta, draws, chunk)))
+    return [found[point] for point in points]
+
+
+def _lockstep(scenario, config, params, theta0, draws, points):
+    """Search at every point of ``points`` from the shared particles and draws."""
+    n = config.num_pas
+    s = len(points)
+    p, d = theta0.shape
+    eps = np.repeat([e for e, _ in points], p)
+    eta_r = np.repeat([r for _, r in points], p)
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])
-    eval_eps = config.csi_eps if robust else 0.0
-    eval_eta_r = config.eta_r if robust else 0.0
 
+    theta = np.broadcast_to(theta0, (s, p, d)).copy()
     velocity = np.zeros_like(theta)
     best_theta = theta.copy()
-    best_fitness = np.full(params.num_particles, -np.inf)
-    trace = np.empty(params.max_iters + 1)
-    gbest_thetas = np.empty((params.max_iters + 1, theta.shape[1]))
+    best_fitness = np.full((s, p), -np.inf)
+    trace = np.empty((s, params.max_iters + 1))
+    gbest_thetas = np.empty((s, params.max_iters + 1, d))
+    swarms = np.arange(s)
     for t in range(params.max_iters + 1):
         if t > 0:
             r1, r2 = draws[:, t - 1, :1], draws[:, t - 1, 1:]
             velocity = (params.inertia * velocity
                         + params.cognitive * r1 * (best_theta - theta)
-                        + params.social * r2 * (gbest_thetas[t - 1] - theta))
+                        + params.social * r2 * (gbest_thetas[:, t - 1, None] - theta))
             np.clip(velocity, -bound, bound, out=velocity)
-            theta = project_theta_batch(theta + velocity, config)
-        fitness, _, _ = kernels.swarm_fitness(*split_theta(theta, n), scenario, config,
-                                              eps=eval_eps, eta_r=eval_eta_r)
+            theta = project_theta_batch((theta + velocity).reshape(s * p, d),
+                                        config).reshape(s, p, d)
+        fitness, _, _ = kernels.swarm_fitness(*split_theta(theta.reshape(s * p, d), n),
+                                              scenario, config, eps=eps, eta_r=eta_r)
+        fitness = fitness.reshape(s, p)
         # a particle's first evaluation is its personal best; later ones must beat it
         improved = (fitness > best_fitness) | (t == 0)
         best_theta[improved] = theta[improved]
         best_fitness[improved] = fitness[improved]
-        gi = int(np.argmax(best_fitness))
-        trace[t] = best_fitness[gi]
-        gbest_thetas[t] = best_theta[gi]
+        gi = np.argmax(best_fitness, axis=1)
+        trace[:, t] = best_fitness[swarms, gi]
+        gbest_thetas[:, t] = best_theta[swarms, gi]
 
-    gbest = gbest_thetas[-1].copy()
-    _, robust_gmin, _ = kernels.swarm_fitness(*split_theta(gbest[None, :], n),
-                                              scenario, config)
-    return PsoResult(best_theta=gbest,
-                     best_x=gbest[:n].copy(),
-                     best_alpha=gbest[n:].copy(),
-                     best_fitness=float(trace[-1]),
-                     best_min_sinr=float(robust_gmin[0]),
-                     trace=trace,
-                     gbest_thetas=gbest_thetas)
+    gbests = gbest_thetas[:, -1].copy()
+    _, robust_gmin, _ = kernels.swarm_fitness(*split_theta(gbests, n), scenario, config)
+    return [PsoResult(best_theta=gbest,
+                      best_x=gbest[:n].copy(),
+                      best_alpha=gbest[n:].copy(),
+                      best_fitness=float(tr[-1]),
+                      best_min_sinr=float(gmin),
+                      trace=tr,
+                      gbest_thetas=gt)
+            for gbest, tr, gt, gmin in zip(gbests, trace, gbest_thetas, robust_gmin)]

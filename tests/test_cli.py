@@ -133,6 +133,23 @@ def test_optimize_is_one_point_eps_sweep(tmp_path):
         assert f1.read() == f2.read()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "seven"])
+def test_bad_seed_is_usage_error(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    out = tmp_path / "bad.csv"
+    assert main(["optimize", "--config", cfg, "--seed", seed, "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_accepted(tmp_path):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    out = tmp_path / "top.csv"
+    assert main(["optimize", "--config", cfg, "--seed", str(2 ** 64 - 1),
+                 "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("override,field", [
     ("num_users=3.0", "num_users"),
     ("num_users=true", "num_users"),

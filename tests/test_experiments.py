@@ -5,9 +5,9 @@ import pytest
 
 from pinchsim import (ExperimentSettings, PsoParams, SCHEMES, SystemConfig,
                       aggregate_mean_db, convergence_trace, effective_channel,
-                      generate_scenario, robust_gains, run_scheme,
-                      score_candidate, sweep_epsilon, sweep_users,
-                      uniform_layout)
+                      generate_scenario, optimize, robust_gains, run_scheme,
+                      score_candidate, split_theta, swarm_fitness,
+                      sweep_epsilon, sweep_users, uniform_layout)
 from pinchsim.experiments import (records_to_csv_text, realization_seeds,
                                   write_text_atomic)
 
@@ -89,6 +89,56 @@ def test_runtime_recorded_when_enabled():
     scenario = generate_scenario(CFG, 4)
     rec = run_scheme("Uniform", scenario, CFG, FAST_PSO, 4, record_runtime=True)
     assert rec.runtime_ms > 0
+
+
+def test_sweep_runtime_recorded_for_every_scheme():
+    settings = dataclasses.replace(FAST_SETTINGS, realizations=1, record_runtime=True)
+    for sweep in (sweep_epsilon, sweep_users):
+        records = sweep(CFG, FAST_PSO, settings, master_seed=4)
+        assert {r.scheme for r in records} == set(SCHEMES)
+        assert all(r.runtime_ms > 0 for r in records)
+
+
+def reference_sweep(config, params, settings, master_seed, sweep_var, grid):
+    """Each scheme of each (grid point, realization) run on its own."""
+    records = []
+    for value in grid:
+        point = dataclasses.replace(config, **{sweep_var: value})
+        for seed in realization_seeds(master_seed, settings.realizations):
+            scenario = generate_scenario(point, seed)
+            records.extend(run_scheme(scheme, scenario, point, params, seed,
+                                      sweep_var=sweep_var, sweep_value=value,
+                                      score_mode=settings.score_mode)
+                           for scheme in SCHEMES)
+    return records
+
+
+@pytest.mark.parametrize("score_mode", ["conservative", "true_sampled"])
+def test_sweeps_match_one_search_per_scheme(score_mode):
+    settings = ExperimentSettings(realizations=2, eps_grid=(0.1, 0.0, 0.2, 0.1),
+                                  k_grid=(3, 2, 3), score_mode=score_mode)
+    assert (sweep_epsilon(CFG, FAST_PSO, settings, master_seed=12)
+            == reference_sweep(CFG, FAST_PSO, settings, 12, "csi_eps", settings.eps_grid))
+    assert (sweep_users(CFG, FAST_PSO, settings, master_seed=13)
+            == reference_sweep(CFG, FAST_PSO, settings, 13, "num_users", settings.k_grid))
+
+
+@pytest.mark.parametrize("csi_eps", [0.1, 0.0])
+def test_convergence_trace_matches_one_search_per_scheme(csi_eps):
+    config = dataclasses.replace(CFG, csi_eps=csi_eps)
+    traces = convergence_trace(config, FAST_PSO, num_realizations=2, master_seed=14)
+    for scheme in ("RobustPSO", "NonRobustPSO"):
+        fitness, rescored = [], []
+        for seed in realization_seeds(14, 2):
+            scenario = generate_scenario(config, seed)
+            res = optimize(scenario, config, FAST_PSO, seed, robust=(scheme == "RobustPSO"))
+            fitness.append(res.trace)
+            rescored.append(swarm_fitness(*split_theta(res.gbest_thetas, config.num_pas),
+                                          scenario, config)[1])
+        assert np.array_equal(traces.per_realization_fitness[scheme], np.stack(fitness))
+        assert np.array_equal(traces.fitness[scheme], np.stack(fitness).mean(axis=0))
+        assert np.array_equal(traces.rescored_min_sinr[scheme],
+                              np.stack(rescored).mean(axis=0))
 
 
 def test_true_sampled_score_mode():

@@ -5,7 +5,8 @@ import pytest
 
 from pinchsim import (PsoParams, SystemConfig, generate_scenario, kernels,
                       optimize, swarm_fitness)
-from pinchsim.pso import draw_theta, project_theta_batch, split_theta
+from pinchsim.pso import (draw_theta, optimize_points, project_theta_batch,
+                          search_point, split_theta)
 
 CFG = SystemConfig()
 SCENARIO = generate_scenario(CFG, 42)
@@ -97,6 +98,44 @@ def test_optimize_matches_reference_loop_bitwise(config, params, seed, robust):
     assert np.array_equal(res.trace, trace)
     assert np.array_equal(res.gbest_thetas, gbests)
     assert np.array_equal(res.best_theta, gbests[-1])
+
+
+# 70 particles x 8 users x 8 antennas x 8 obstacles is over half the budget,
+# so each search of that shape runs in a call of its own
+WIDE = SystemConfig(num_users=8, num_pas=8, obstacle_count=8, min_spacing=0.2)
+WIDE_PSO = PsoParams(num_particles=70, max_iters=4)
+
+
+@pytest.mark.parametrize("config,params,points,stacked_rows", [
+    (CFG, SMALL, [(0.1, 0.2), (0.0, 0.0), (0.2, 0.2), (0.1, 0.2), (0.0, 0.0)], 3 * 12),
+    (CFG, PsoParams(num_particles=1, max_iters=15), [(0.3, 0.5), (0.0, 0.0)], 2),
+    (SystemConfig(num_users=1, num_pas=1, obstacle_count=0),
+     PsoParams(num_particles=5, max_iters=12), [(0.0, 0.0), (0.4, 0.1), (0.2, 0.0)], 3 * 5),
+    (WIDE, WIDE_PSO, [(0.1, 0.2), (0.0, 0.0), (0.05, 0.2)], 70),
+])
+def test_optimize_points_matches_one_search_per_point(monkeypatch, config, params,
+                                                      points, stacked_rows):
+    scenario = generate_scenario(config, 8)
+    swarms = recorded_swarms(monkeypatch)
+    results = optimize_points(scenario, config, params, 9, points)
+    monkeypatch.undo()
+    # distinct points share a kernel call unless the budget splits them
+    assert max(len(swarm) for swarm in swarms) == stacked_rows
+    assert len(results) == len(points)
+    for point, res in zip(points, results):
+        alone = optimize(scenario, dataclasses.replace(config, csi_eps=point[0],
+                                                       eta_r=point[1]),
+                         params, seed=9, robust=True)
+        assert np.array_equal(res.trace, alone.trace)
+        assert np.array_equal(res.gbest_thetas, alone.gbest_thetas)
+        assert np.array_equal(res.best_theta, alone.best_theta)
+
+
+def test_search_point_of_each_mode():
+    assert search_point(CFG, robust=True) == (CFG.csi_eps, CFG.eta_r)
+    assert search_point(CFG, robust=False) == (0.0, 0.0)
+    # at a zero bound the leakage level has no effect, so both modes coincide
+    assert search_point(dataclasses.replace(CFG, csi_eps=0.0), robust=True) == (0.0, 0.0)
 
 
 def test_frozen_dynamics_leave_swarm_in_place(monkeypatch):
