@@ -109,10 +109,6 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
     return noma.min_sinr(sinrs)
 
 
-def _search_point(scheme, config: SystemConfig):
-    return pso.search_point(config, robust=(scheme == "RobustPSO"))
-
-
 def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
             sweep_var, sweep_value, score_mode, started, search_ms=0.0):
     """Score one scheme's candidate; a PSO scheme's comes from its ``search``.
@@ -178,7 +174,7 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
         group_config = configs[members[0]]
         for j, seed in enumerate(seeds):
             scenario = generate_scenario(group_config, seed)
-            points = [_search_point(scheme, configs[i])
+            points = [pso.search_point(configs[i], scheme == "RobustPSO")
                       for i in members for scheme in _SEARCH_SCHEMES]
             t0 = time.perf_counter()
             found = dict(zip(points, pso.optimize_points(
@@ -190,7 +186,7 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
                     started = time.perf_counter() if settings.record_runtime else None
                     search, share_ms = None, 0.0
                     if scheme in _SEARCH_SCHEMES:
-                        search = found[_search_point(scheme, configs[i])]
+                        search = found[pso.search_point(configs[i], scheme == "RobustPSO")]
                         share_ms = search_ms
                     rows[i, j].append(_record(
                         scheme, search, scenario, configs[i], seed, sweep_var,
@@ -235,7 +231,7 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     schemes = _SEARCH_SCHEMES
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
-    points = [_search_point(scheme, config) for scheme in schemes]
+    points = [pso.search_point(config, scheme == "RobustPSO") for scheme in schemes]
     for r, seed in enumerate(realization_seeds(master_seed, num_realizations)):
         scenario = generate_scenario(config, seed)
         results = pso.optimize_points(scenario, config, pso_params, seed, points)

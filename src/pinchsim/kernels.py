@@ -9,7 +9,8 @@ interchangeable backends implement it:
 * a numba ``@njit`` scalar-loop kernel (default when numba is importable),
 * a broadcast pure-numpy kernel.
 
-Set ``PINCHSIM_NUMBA=0`` in the environment to force the numpy path; when
+Both get the same per-row weights, built once from Python floats by
+``swarm_fitness``.  Set ``PINCHSIM_NUMBA=0`` to force the numpy path; when
 numba is not installed the numpy path is used automatically.  The two
 backends agree to floating round-off (see tests) but are not bit-identical,
 so a given backend choice is part of a run's reproducibility envelope.
@@ -44,11 +45,11 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 def _fitness_loop(xs, alphas, users, obst_c, obst_r,
                   wavelength, guide_wavelength, wg_loss_db, pa_height,
                   beta, block_rate, tx_power, noise_power,
-                  eps, eta_i, eta_r, mu,
+                  ratio, g_s, g_i, g_r, mu,
                   fitness, gamma_min, viol_sum):
     """Scalar-loop pipeline over a batch of candidates (numba-compilable body).
 
-    eps and eta_r are (P,) arrays: row p is evaluated at (eps[p], eta_r[p]).
+    ratio, g_s, g_i and g_r are the (P,) per-row weights of ``_row_gains``.
     """
     n_part, n_pas = xs.shape
     n_users = users.shape[0]
@@ -62,10 +63,6 @@ def _fitness_loop(xs, alphas, users, obst_c, obst_r,
     order = np.empty(n_users, np.int64)
 
     for p in range(n_part):
-        g_s = (1.0 - eps[p]) ** 2
-        g_i = (1.0 + eta_i * eps[p]) ** 2
-        g_r = eta_r[p] * eps[p]
-        ratio = (1.0 + eps[p]) / (1.0 - eps[p])
         for k in range(n_users):
             ux = users[k, 0]
             uy = users[k, 1]
@@ -124,7 +121,7 @@ def _fitness_loop(xs, alphas, users, obst_c, obst_r,
 
         v_total = 0.0
         for k in range(n_users - 1):
-            v = ratio * mags[order[k]] - mags[order[k + 1]]
+            v = ratio[p] * mags[order[k]] - mags[order[k + 1]]
             if v > 0.0:
                 v_total += v
 
@@ -137,10 +134,10 @@ def _fitness_loop(xs, alphas, users, obst_c, obst_r,
             a_k = alphas[p, order[k]]
             hv = h_sq[order[k]]
             a_after = a_total - a_before - a_k
-            den = (g_i * tx_power * hv * a_after
-                   + g_r * tx_power * hv * a_before
+            den = (g_i[p] * tx_power * hv * a_after
+                   + g_r[p] * tx_power * hv * a_before
                    + noise_power)
-            s = g_s * a_k * tx_power * hv / den
+            s = g_s[p] * a_k * tx_power * hv / den
             if s < gmin:
                 gmin = s
             a_before += a_k
@@ -162,7 +159,7 @@ def _point_gains(eps, eta_i, eta_r):
 
 
 def _row_gains(eps, eta_i, eta_r, n_rows):
-    """_point_gains of every row, as four (P, 1) columns.
+    """_point_gains of every row, as four contiguous (P,) arrays.
 
     Each run of rows that share one (eps, eta_r) point gets its gains from
     Python float arithmetic, so a row's weights do not depend on the batch
@@ -177,31 +174,29 @@ def _row_gains(eps, eta_i, eta_r, n_rows):
     gains = np.array([_point_gains(e, eta_i, r) for e, r in
                       zip(eps[starts].tolist(), eta_r[starts].tolist())]).reshape(-1, 4)
     rows = np.repeat(gains, np.diff(np.append(starts, n_rows)), axis=0)
-    return tuple(rows.T[:, :, None])
+    return tuple(np.ascontiguousarray(rows.T))
 
 
 def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
                         wavelength, guide_wavelength, wg_loss_db, pa_height,
                         beta, block_rate, tx_power, noise_power,
-                        eps, eta_i, eta_r, mu):
+                        ratio, g_s, g_i, g_r, mu):
     """Broadcast pure-numpy implementation of the batched fitness pipeline.
 
-    eps and eta_r are scalars or (P,) per-row arrays.
+    ratio, g_s, g_i and g_r are the (P,) per-row weights of ``_row_gains``.
     """
-    n_part, n_pas = xs.shape
-    n_users = users.shape[0]
     n_obst = obst_c.shape[0]
 
     vx = users[:, 0][None, :, None] - xs[:, None, :]          # (P, K, N)
-    vy = users[:, 1][None, :, None] * np.ones_like(vx)
-    vz = (users[:, 2][None, :, None] - pa_height) * np.ones_like(vx)
+    vy = users[:, 1][None, :, None]
+    vz = users[:, 2][None, :, None] - pa_height
     rsq = vx * vx + vy * vy + vz * vz
     r = np.sqrt(rsq)
 
     if n_obst:
         wx = obst_c[:, 0][None, None, :] - xs[:, :, None]     # (P, N, O)
-        wy = obst_c[:, 1][None, None, :] * np.ones_like(wx)
-        wz = (obst_c[:, 2][None, None, :] - pa_height) * np.ones_like(wx)
+        wy = obst_c[:, 1][None, None, :]
+        wz = obst_c[:, 2][None, None, :] - pa_height
         # (P, K, N, O) dot products of obstacle offsets with segment directions
         wv = (wx[:, None] * vx[..., None] + wy[:, None] * vy[..., None]
               + wz[:, None] * vz[..., None])
@@ -227,16 +222,14 @@ def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
     h_ord = np.take_along_axis(h_sq, order, axis=1)
     a_ord = np.take_along_axis(alphas, order, axis=1)
 
-    ratio, g_s, g_i, g_r = _row_gains(eps, eta_i, eta_r, n_part)
-    v = np.maximum(ratio * m_ord[:, :-1] - m_ord[:, 1:], 0.0)
-    v_total = v.sum(axis=1) if n_users > 1 else np.zeros(n_part)
+    v_total = np.maximum(ratio[:, None] * m_ord[:, :-1] - m_ord[:, 1:], 0.0).sum(axis=1)
 
     a_before = np.cumsum(a_ord, axis=1) - a_ord
     a_after = a_ord.sum(axis=1, keepdims=True) - a_before - a_ord
-    den = (g_i * tx_power * h_ord * a_after
-           + g_r * tx_power * h_ord * a_before
+    den = (g_i[:, None] * tx_power * h_ord * a_after
+           + g_r[:, None] * tx_power * h_ord * a_before
            + noise_power)
-    sinr = g_s * a_ord * tx_power * h_ord / den
+    sinr = g_s[:, None] * a_ord * tx_power * h_ord / den
     gamma_min = sinr.min(axis=1)
     return gamma_min - mu * v_total, gamma_min, v_total
 
@@ -244,21 +237,18 @@ def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
 def swarm_fitness_numba(xs, alphas, users, obst_c, obst_r,
                         wavelength, guide_wavelength, wg_loss_db, pa_height,
                         beta, block_rate, tx_power, noise_power,
-                        eps, eta_i, eta_r, mu):
+                        ratio, g_s, g_i, g_r, mu):
     """Numba-compiled implementation; raises if numba is unavailable."""
     if _fitness_loop_jit is None:
         raise RuntimeError("numba backend requested but numba is not installed")
     n_part = xs.shape[0]
-    eps, eta_r = (np.ascontiguousarray(np.broadcast_to(np.asarray(v, dtype=np.float64),
-                                                        (n_part,)))
-                  for v in (eps, eta_r))
     fitness = np.empty(n_part)
     gamma_min = np.empty(n_part)
     viol_sum = np.empty(n_part)
     _fitness_loop_jit(xs, alphas, users, obst_c, obst_r,
                       wavelength, guide_wavelength, wg_loss_db, pa_height,
                       beta, block_rate, tx_power, noise_power,
-                      eps, eta_i, eta_r, mu,
+                      ratio, g_s, g_i, g_r, mu,
                       fitness, gamma_min, viol_sum)
     return fitness, gamma_min, viol_sum
 
@@ -300,4 +290,5 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
                  config.wg_loss, config.pa_height,
                  config.blockage_beta, config.blockage_alpha,
                  config.tx_power, config.noise_power,
-                 eps, config.eta_i, eta_r, config.penalty_mu)
+                 *_row_gains(eps, config.eta_i, eta_r, xs.shape[0]),
+                 config.penalty_mu)

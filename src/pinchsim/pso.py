@@ -120,7 +120,6 @@ class PsoResult:
     best_x: np.ndarray
     best_alpha: np.ndarray
     best_fitness: float          # final penalized fitness (internal objective)
-    best_min_sinr: float         # worst-case min-SINR of the solution at the configured error bound
     trace: np.ndarray            # (T+1,) global-best fitness after init and each iteration
     gbest_thetas: np.ndarray = field(repr=False, default=None)  # (T+1, N+K)
 
@@ -143,9 +142,9 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
 
     robust=True evaluates fitness at the configured estimate-error bound;
     robust=False evaluates at a zero bound (perfect estimates, no leakage).
-    Either way the returned solution's ``best_min_sinr`` is re-scored under
-    the worst-case evaluation at the configured bound, so modes are
-    comparable.  Deterministic given (scenario, config, params, seed).
+    The result is not re-scored: ``experiments.score_candidate`` puts every
+    scheme's solution on one scale.  Deterministic given (scenario, config,
+    params, seed).
     """
     point = search_point(config, robust)
     return optimize_points(scenario, config, params, seed, [point])[0]
@@ -156,13 +155,13 @@ def optimize_points(scenario: Scenario, config: SystemConfig, params: PsoParams,
     """One search per (eps, eta_r) evaluation point, stepped in lockstep.
 
     Returns one ``PsoResult`` per entry of ``points``, each bit-identical to
-    a separate search at that point (``best_min_sinr`` is re-scored at the
-    configured bound).  The particle streams depend only on the seed, so
-    every search starts from the same particles with the same multipliers:
-    they are drawn once and shared.  A repeated point is searched once and
-    its entries share one result.  The distinct points are stacked into one
-    (S, P, D) swarm, split where a kernel batch would exceed
-    ``LOCKSTEP_BUDGET``.
+    a separate search at that point.  The evaluation points come from
+    ``points`` alone; ``config`` supplies geometry and constants.  The
+    particle streams depend only on the seed, so every search starts from
+    the same particles with the same multipliers: they are drawn once and
+    shared.  A repeated point is searched once and its entries share one
+    result.  The distinct points are stacked into one (S, P, D) swarm, split
+    where a kernel batch would exceed ``LOCKSTEP_BUDGET``.
     """
     rngs = [np.random.default_rng((int(seed), i)) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
@@ -216,13 +215,10 @@ def _lockstep(scenario, config, params, theta0, draws, points):
         trace[:, t] = best_fitness[swarms, gi]
         gbest_thetas[:, t] = best_theta[swarms, gi]
 
-    gbests = gbest_thetas[:, -1].copy()
-    _, robust_gmin, _ = kernels.swarm_fitness(*split_theta(gbests, n), scenario, config)
-    return [PsoResult(best_theta=gbest,
-                      best_x=gbest[:n].copy(),
-                      best_alpha=gbest[n:].copy(),
+    return [PsoResult(best_theta=gt[-1].copy(),
+                      best_x=gt[-1, :n].copy(),
+                      best_alpha=gt[-1, n:].copy(),
                       best_fitness=float(tr[-1]),
-                      best_min_sinr=float(gmin),
                       trace=tr,
                       gbest_thetas=gt)
-            for gbest, tr, gt, gmin in zip(gbests, trace, gbest_thetas, robust_gmin)]
+            for tr, gt in zip(trace, gbest_thetas)]

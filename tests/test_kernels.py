@@ -45,8 +45,8 @@ def kernel_args(thetas, scenario, config, eps, eta_r):
             scenario.users, scenario.obstacle_centers, scenario.obstacle_radii,
             config.wavelength, config.guide_wavelength, config.wg_loss,
             config.pa_height, config.blockage_beta, config.blockage_alpha,
-            config.tx_power, config.noise_power, eps, config.eta_i, eta_r,
-            config.penalty_mu)
+            config.tx_power, config.noise_power,
+            *_row_gains(eps, config.eta_i, eta_r, thetas.shape[0]), config.penalty_mu)
 
 
 @pytest.mark.parametrize("eps,eta_r", [(0.1, 0.2), (0.0, 0.0), (0.3, 0.5)])
@@ -176,7 +176,7 @@ def test_row_weights_equal_scalar_robust_gains():
     rng = np.random.default_rng(5)
     eps = np.repeat(rng.uniform(0.0, 0.99, 20_000), 2)
     eta_r = np.repeat(rng.uniform(0.0, 1.0, 20_000), 2)
-    ratio, g_s, g_i, g_r = (c[:, 0] for c in _row_gains(eps, 0.5, eta_r, eps.size))
+    ratio, g_s, g_i, g_r = _row_gains(eps, 0.5, eta_r, eps.size)
     for i in range(eps.size):
         e = float(eps[i])
         want = robust_gains(e, 0.5, float(eta_r[i]))
