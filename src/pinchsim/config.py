@@ -128,6 +128,11 @@ class SystemConfig:
             raise ConfigError(f"csi_eps must be in [0, 1), got {self.csi_eps}")
         if self.eta_i <= 0:
             raise ConfigError(f"eta_i must be > 0, got {self.eta_i}")
+        try:  # bounds the interference weight (1 + eta_i * eps)**2, as eps < 1
+            (1.0 + self.eta_i) ** 2
+        except OverflowError:
+            raise ConfigError("eta_i must keep (1 + eta_i)**2 a finite float, "
+                              f"got {self.eta_i}") from None
         if self.eta_r < 0:
             raise ConfigError(f"eta_r must be >= 0, got {self.eta_r}")
         if self.penalty_mu <= 0:

@@ -21,6 +21,7 @@ linear and dB min-SINR.
 """
 
 import dataclasses
+import math
 import os
 import tempfile
 import time
@@ -29,17 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, kernels, noma, pso
-from .config import ExperimentSettings, PsoParams, SystemConfig
-from .scenario import Scenario, generate_scenario, uniform_layout
+from .config import ConfigError, ExperimentSettings, PsoParams, SystemConfig
+from .scenario import Scenario, generate_scenario, stream, uniform_layout
 
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
 _SEARCH_SCHEMES = SCHEMES[:2]
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,seed,min_sinr_linear,min_sinr_db,runtime_ms"
-
-# RNG stream tags, outside the per-particle stream range used by the optimizer
-_RANDOM_SCHEME_STREAM = 2 ** 32
-_CSI_SAMPLE_STREAM = 2 ** 32 + 1
 
 
 @dataclass(frozen=True)
@@ -100,13 +97,25 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
         _, gmin, _ = kernels.swarm_fitness(np.asarray(x_pos)[None, :],
                                            np.asarray(alpha)[None, :], scenario, config)
         return float(gmin[0])
-    rng = np.random.default_rng((int(seed), _CSI_SAMPLE_STREAM))
+    rng = stream(seed, "csi_sample")
     chans = channel.compute_channels(x_pos, scenario, config, rng=rng)
     order = noma.conservative_order(chans.h_hat, config.csi_eps).order
     h_sq = np.abs(chans.h[order]) ** 2
     sinrs = noma.true_sinr(h_sq, np.asarray(alpha)[order],
                            config.tx_power, config.noise_power)
     return noma.min_sinr(sinrs)
+
+
+def _require_reportable(where, column, value, positive=True):
+    """Refuse a result the CSV cannot report, before anything is written.
+
+    A min-SINR must be finite and positive, so that its dB value is finite
+    too; a fitness must be finite.  Such a result comes from a config whose
+    link budget over- or underflows, so the ConfigError names ``where``.
+    """
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        kind = "a finite positive" if positive else "a finite"
+        raise ConfigError(f"{where}: {column} is {value!r}, not {kind} number")
 
 
 def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
@@ -120,7 +129,7 @@ def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
     if scheme in _SEARCH_SCHEMES:
         x_pos, alpha = search.best_x, search.best_alpha
     elif scheme == "Random":
-        rng = np.random.default_rng((int(seed), _RANDOM_SCHEME_STREAM))
+        rng = stream(seed, "random_scheme")
         theta = pso.draw_theta(config, rng)
         x_pos, alpha = pso.split_theta(theta, config.num_pas)
     elif scheme == "Uniform":
@@ -128,13 +137,15 @@ def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
         alpha = np.full(config.num_users, 1.0 / config.num_users)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    gmin = score_candidate(x_pos, alpha, scenario, config,
-                           mode=score_mode, seed=seed)
+    gmin = float(score_candidate(x_pos, alpha, scenario, config,
+                                 mode=score_mode, seed=seed))
+    _require_reportable(f"{sweep_var}={sweep_value:.9g} scheme={scheme} seed={seed}",
+                        "min_sinr_linear", gmin)
     runtime_ms = (search_ms + (time.perf_counter() - started) * 1e3
                   if started is not None else 0.0)
     return SweepRecord(sweep_var=sweep_var, sweep_value=float(sweep_value),
                        scheme=scheme, seed=int(seed),
-                       min_sinr_linear=float(gmin),
+                       min_sinr_linear=gmin,
                        min_sinr_db=float(to_db(gmin)),
                        runtime_ms=runtime_ms)
 
@@ -243,12 +254,17 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
         if progress is not None:
             progress(f"realization {r + 1}/{num_realizations} done")
     stacks = {scheme: np.stack(traces[scheme]) for scheme in schemes}
-    return ConvergenceTraces(
-        iterations=np.arange(pso_params.max_iters + 1),
-        fitness={scheme: stacks[scheme].mean(axis=0) for scheme in schemes},
-        rescored_min_sinr={scheme: np.stack(rescored_traces[scheme]).mean(axis=0)
-                           for scheme in schemes},
-        per_realization_fitness=stacks)
+    fitness = {scheme: stacks[scheme].mean(axis=0) for scheme in schemes}
+    rescored = {scheme: np.stack(rescored_traces[scheme]).mean(axis=0)
+                for scheme in schemes}
+    for scheme in schemes:
+        for t, (f, g) in enumerate(zip(fitness[scheme].tolist(), rescored[scheme].tolist())):
+            where = f"converge scheme={scheme} iteration={t}"
+            _require_reportable(where, "mean_gbest_fitness", f, positive=False)
+            _require_reportable(where, "mean_min_sinr_linear", g)
+    return ConvergenceTraces(iterations=np.arange(pso_params.max_iters + 1),
+                             fitness=fitness, rescored_min_sinr=rescored,
+                             per_realization_fitness=stacks)
 
 
 def _fmt(value):

@@ -10,10 +10,11 @@ decoding-order ambiguity, evaluated by the batched kernels.
 
 Velocity follows the constriction update (Clerc and Kennedy, IEEE TEC 2002)
 with a per-dimension clamp.  Determinism: every particle owns an independent
-RNG stream spawned from the master seed.  Right after its initial draw, each
-particle draws all of its cognitive/social multipliers from that stream as one
-(T, 2) block, which consumes the stream exactly as two scalar draws per
-iteration would, so a run is reproducible regardless of evaluation schedule.
+RNG stream of the seed, apart from the scenario's and the schemes' streams
+(``scenario.STREAMS``).  Right after its initial draw, each particle draws
+all of its cognitive/social multipliers from that stream as one (T, 2)
+block, which consumes the stream exactly as two scalar draws per iteration
+would, so a run is reproducible regardless of evaluation schedule.
 
 Because the streams depend only on the seed, searches of one seed at
 different (eps, eta_r) evaluation points start from the same particles and
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .config import ConfigError, PsoParams, SystemConfig
-from .scenario import Scenario
+from .scenario import Scenario, stream
 
 # Largest kernel batch, in rows x users x antennas x max(obstacles, 1), up to
 # which optimize_points stacks swarms into one call.  Stacking saves per-call
@@ -142,9 +143,9 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
 
     robust=True evaluates fitness at the configured estimate-error bound;
     robust=False evaluates at a zero bound (perfect estimates, no leakage).
-    The result is not re-scored: ``experiments.score_candidate`` puts every
-    scheme's solution on one scale.  Deterministic given (scenario, config,
-    params, seed).
+    ``best_fitness`` is the objective at the search's own point;
+    ``experiments.score_candidate`` scores a solution on the scale that all
+    schemes share.  Deterministic given (scenario, config, params, seed).
     """
     point = search_point(config, robust)
     return optimize_points(scenario, config, params, seed, [point])[0]
@@ -163,7 +164,7 @@ def optimize_points(scenario: Scenario, config: SystemConfig, params: PsoParams,
     result.  The distinct points are stacked into one (S, P, D) swarm, split
     where a kernel batch would exceed ``LOCKSTEP_BUDGET``.
     """
-    rngs = [np.random.default_rng((int(seed), i)) for i in range(params.num_particles)]
+    rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
     # (P, T, 2): iteration t's cognitive/social multipliers, in stream order
     draws = np.stack([rng.random((params.max_iters, 2)) for rng in rngs])

@@ -13,6 +13,19 @@ import numpy as np
 
 from .config import ConfigError, SystemConfig
 
+# Tag of every random stream of a realization: stream ``name`` of realization
+# seed s is default_rng((s, STREAMS[name], *index)), and only the particles
+# use an index (the particle's number).  Compare streams by their draws, not
+# their tags: SeedSequence pads short entropy with zeros, so (s, 0) and (s,)
+# are one stream.
+STREAMS = {"users": 0, "obstacles": 1, "random_scheme": 2 ** 32,
+           "csi_sample": 2 ** 32 + 1, "particles": 2 ** 32 + 2}
+
+
+def stream(seed, name, *index):
+    """The generator of random stream ``name`` of a realization seed."""
+    return np.random.default_rng((int(seed), STREAMS[name], *index))
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -45,12 +58,12 @@ def generate_scenario(config: SystemConfig, seed: int) -> Scenario:
     the first k users identical across grid points (paired comparison).
     """
     config.validate()
-    user_rng = np.random.default_rng((int(seed), 0))
+    user_rng = stream(seed, "users")
     k = config.num_users
     users = np.zeros((k, 3))
     users[:, :2] = _open_unit(user_rng, (k, 2)) * [config.area_x, config.area_y]
 
-    obst_rng = np.random.default_rng((int(seed), 1))
+    obst_rng = stream(seed, "obstacles")
     o = config.obstacle_count
     centers = _open_unit(obst_rng, (o, 3)) * [config.area_x, config.area_y,
                                               config.pa_height]

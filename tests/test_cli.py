@@ -156,6 +156,7 @@ def test_largest_seed_accepted(tmp_path):
     ("obstacle_radius_range=[0.3]", "obstacle_radius_range"),
     ("waveguide_len=NaN", "waveguide_len"),
     ("pa_height=Infinity", "pa_height"),
+    ("eta_i=1e308", "eta_i"),
     ("experiments.eps_grid=0.1", "eps_grid"),
     ('experiments.eps_grid=["x"]', "eps_grid"),
     ("experiments.eps_grid=[]", "eps_grid"),
@@ -171,3 +172,21 @@ def test_bad_override_is_config_error(tmp_path, capsys, override, field):
                  "--override", override]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,where", [("optimize", "scheme=RobustPSO seed="),
+                                           ("converge", "scheme=RobustPSO iteration=0")])
+@pytest.mark.parametrize("override,reason", [
+    ("carrier_freq=1e-300", "is nan"),        # infinite wavelength: nan channels
+    ("tx_power=1e-320", "min_sinr_linear is 0.0"),  # every SINR underflows to 0
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_result_is_config_error(tmp_path, capsys, command, where,
+                                          override, reason):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    out = tmp_path / "bad.csv"
+    assert main([command, "--config", cfg, "--seed", "3", "--out", str(out),
+                 "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and where in err and reason in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]

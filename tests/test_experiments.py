@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -139,6 +140,33 @@ def test_convergence_trace_matches_one_search_per_scheme(csi_eps):
         assert np.array_equal(traces.fitness[scheme], np.stack(fitness).mean(axis=0))
         assert np.array_equal(traces.rescored_min_sinr[scheme],
                               np.stack(rescored).mean(axis=0))
+
+
+def test_random_streams_of_a_realization_are_distinct(monkeypatch):
+    # every generator a realization creates (users, obstacles, each particle,
+    # the Random scheme, the sampled estimate error) starts with draws of its
+    # own: on the default geometry (guide length equal to area_x), a particle
+    # sharing the users' stream would start with its antennas at their x and y
+    first_draws = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        rng = default_rng(seed)
+        first_draws.append(tuple(copy.deepcopy(rng).random(4)))
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    params = PsoParams(num_particles=6, max_iters=1)
+    equal_split = np.full(CFG.num_users, 1.0 / CFG.num_users)
+    for seed in [0, 5, *realization_seeds(7, 3)]:
+        first_draws.clear()
+        scenario = generate_scenario(CFG, seed)
+        optimize(scenario, CFG, params, seed)
+        run_scheme("Random", scenario, CFG, params, seed)
+        score_candidate(uniform_layout(CFG), equal_split, scenario, CFG,
+                        mode="true_sampled", seed=seed)
+        assert len(first_draws) == 2 + params.num_particles + 1 + 1
+        assert len(set(first_draws)) == len(first_draws)
 
 
 def test_true_sampled_score_mode():

@@ -7,6 +7,7 @@ from pinchsim import (PsoParams, SystemConfig, generate_scenario, kernels,
                       optimize, swarm_fitness)
 from pinchsim.pso import (draw_theta, optimize_points, project_theta_batch,
                           search_point, split_theta)
+from pinchsim.scenario import STREAMS
 
 CFG = SystemConfig()
 SCENARIO = generate_scenario(CFG, 42)
@@ -36,7 +37,8 @@ def reference_optimize(scenario, config, params, seed, robust=True):
     improvement.  Returns the global-best fitness trace and thetas.
     """
     n = config.num_pas
-    rngs = [np.random.default_rng((seed, i)) for i in range(params.num_particles)]
+    rngs = [np.random.default_rng((seed, STREAMS["particles"], i))
+            for i in range(params.num_particles)]
     eps, eta_r = (config.csi_eps, config.eta_r) if robust else (0.0, 0.0)
 
     def evaluate(thetas):
@@ -168,8 +170,8 @@ def test_particles_feasible_after_every_step(monkeypatch):
 def test_no_search_returns_initial_fitness():
     params = PsoParams(num_particles=1, max_iters=1)
     res = optimize(SCENARIO, CFG, params, seed=3)
-    init = project_theta_batch(
-        draw_theta(CFG, np.random.default_rng((3, 0)))[None, :], CFG)[0]
+    rng = np.random.default_rng((3, STREAMS["particles"], 0))
+    init = project_theta_batch(draw_theta(CFG, rng)[None, :], CFG)[0]
     f0 = swarm_fitness(*one_row(init), SCENARIO, CFG)[0][0]
     assert res.best_fitness == pytest.approx(f0, rel=1e-12)
     assert np.allclose(res.trace, f0, rtol=1e-12)
