@@ -112,8 +112,14 @@ def apply_csi_error(h, eps, rng):
     return h + rho * eps * abs(h) * np.exp(1j * phi)
 
 
+@np.errstate(all="ignore")
 def compute_channels(x_pos, scenario: Scenario, config: SystemConfig, rng=None):
-    """Channels of every user for one layout; estimates are exact when rng is None."""
+    """Channels of every user for one layout; estimates are exact when rng is None.
+
+    Floating-point warnings are silenced, as in the fitness kernel: a config
+    whose link budget overflows yields non-finite channels, which the
+    harness refuses to report.
+    """
     h = np.array([effective_channel(x_pos, user, scenario, config)
                   for user in scenario.users], dtype=complex)
     if rng is None:

@@ -114,6 +114,12 @@ class SystemConfig:
             raise ConfigError(f"carrier_freq must be > 0, got {self.carrier_freq}")
         if self.guide_index < 1:
             raise ConfigError(f"guide_index must be >= 1, got {self.guide_index}")
+        wavelengths = (self.wavelength, self.guide_wavelength)
+        if not all(math.isfinite(w) and w > 0 for w in wavelengths):
+            raise ConfigError(
+                f"carrier_freq = {self.carrier_freq} with guide_index = {self.guide_index} "
+                "must give a finite positive wavelength and guide wavelength, got "
+                f"{wavelengths[0]} and {wavelengths[1]}")
         if self.wg_loss < 0:
             raise ConfigError(f"wg_loss must be >= 0, got {self.wg_loss}")
         if self.tx_power <= 0:

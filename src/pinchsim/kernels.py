@@ -1,155 +1,33 @@
-"""Batched fitness kernels: the hot inner loop of the swarm search.
+"""Batched fitness kernel: the hot inner loop of the swarm search.
 
 Every optimizer iteration evaluates the full candidate pipeline (per-link
 channels -> effective channels -> safe decoding order -> worst-case SINRs ->
 penalized fitness) for the whole swarm, or for several swarms stacked into
-one batch, each row at its own (eps, eta_r) evaluation point.  Two
-interchangeable backends implement it:
+one batch, each row at its own (eps, eta_r) evaluation point.
 
-* a numba ``@njit`` scalar-loop kernel (default when numba is importable),
-* a broadcast pure-numpy kernel.
-
-Both get the same per-row weights, built once from Python floats by
-``swarm_fitness``.  Set ``PINCHSIM_NUMBA=0`` to force the numpy path; when
-numba is not installed the numpy path is used automatically.  The two
-backends agree to floating round-off (see tests) but are not bit-identical,
-so a given backend choice is part of a run's reproducibility envelope.
+The kernel is broadcast numpy.  Each axis it reduces comes first in memory:
+the obstacle-clearance block is (O, N, P, K) and the link block is
+(N, P, K), so the min over obstacles and the sum over antennas are
+elementwise passes over contiguous planes, not strided reductions over a
+short last axis.  The per-row weights are built once from Python floats by
+``row_gains``.  ``tests/test_kernels.py`` keeps a scalar-loop oracle of the
+same pipeline.
 """
 
 import math
-import os
-import sys
 
 import numpy as np
 
 from .config import SystemConfig
 from .scenario import Scenario
 
-
-def _numba_requested():
-    flag = os.environ.get("PINCHSIM_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+# There is one backend; perfbench/run.py records both names in its env line.
+NUMBA_AVAILABLE = False
 
 
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_AVAILABLE = False
-    njit = None
-    if _numba_requested() and os.environ.get("PINCHSIM_NUMBA"):
-        print("pinchsim: numba requested but not importable, using numpy kernels",
-              file=sys.stderr)
-
-
-def _fitness_loop(xs, alphas, users, obst_c, obst_r,
-                  wavelength, guide_wavelength, wg_loss_db, pa_height,
-                  beta, block_rate, tx_power, noise_power,
-                  ratio, g_s, g_i, g_r, mu,
-                  fitness, gamma_min, viol_sum):
-    """Scalar-loop pipeline over a batch of candidates (numba-compilable body).
-
-    ratio, g_s, g_i and g_r are the (P,) per-row weights of ``_row_gains``.
-    """
-    n_part, n_pas = xs.shape
-    n_users = users.shape[0]
-    n_obst = obst_c.shape[0]
-    k_free = 2.0 * math.pi / wavelength
-    k_guide = 2.0 * math.pi / guide_wavelength
-    amp0 = wavelength / (4.0 * math.pi)
-
-    h_sq = np.empty(n_users)
-    mags = np.empty(n_users)
-    order = np.empty(n_users, np.int64)
-
-    for p in range(n_part):
-        for k in range(n_users):
-            ux = users[k, 0]
-            uy = users[k, 1]
-            uz = users[k, 2]
-            re = 0.0
-            im = 0.0
-            for n in range(n_pas):
-                x = xs[p, n]
-                vx = ux - x
-                vy = uy
-                vz = uz - pa_height
-                rsq = vx * vx + vy * vy + vz * vz
-                r = math.sqrt(rsq)
-                # clearance of the antenna-user segment from the obstacles
-                dmin = np.inf
-                for o in range(n_obst):
-                    wx = obst_c[o, 0] - x
-                    wy = obst_c[o, 1]
-                    wz = obst_c[o, 2] - pa_height
-                    t = (wx * vx + wy * vy + wz * vz) / rsq
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                    ex = wx - t * vx
-                    ey = wy - t * vy
-                    ez = wz - t * vz
-                    d = math.sqrt(ex * ex + ey * ey + ez * ez) - obst_r[o]
-                    if d < 0.0:
-                        d = 0.0
-                    if d < dmin:
-                        dmin = d
-                if n_obst == 0:
-                    b = 1.0
-                else:
-                    b = beta + (1.0 - beta) * (1.0 - math.exp(-block_rate * dmin))
-                amp = b * math.sqrt(10.0 ** (-wg_loss_db * x / 10.0)) * amp0 / r
-                phase = -k_free * r - k_guide * x
-                re += amp * math.cos(phase)
-                im += amp * math.sin(phase)
-            hv = re * re + im * im
-            h_sq[k] = hv
-            mags[k] = math.sqrt(hv)
-
-        # stable insertion argsort, ascending magnitude with index tie-break
-        for k in range(n_users):
-            order[k] = k
-        for i in range(1, n_users):
-            oi = order[i]
-            key = mags[oi]
-            j = i - 1
-            while j >= 0 and mags[order[j]] > key:
-                order[j + 1] = order[j]
-                j -= 1
-            order[j + 1] = oi
-
-        v_total = 0.0
-        for k in range(n_users - 1):
-            v = ratio[p] * mags[order[k]] - mags[order[k + 1]]
-            if v > 0.0:
-                v_total += v
-
-        a_total = 0.0
-        for k in range(n_users):
-            a_total += alphas[p, order[k]]
-        gmin = np.inf
-        a_before = 0.0
-        for k in range(n_users):
-            a_k = alphas[p, order[k]]
-            hv = h_sq[order[k]]
-            a_after = a_total - a_before - a_k
-            den = (g_i[p] * tx_power * hv * a_after
-                   + g_r[p] * tx_power * hv * a_before
-                   + noise_power)
-            s = g_s[p] * a_k * tx_power * hv / den
-            if s < gmin:
-                gmin = s
-            a_before += a_k
-        fitness[p] = gmin - mu * v_total
-        gamma_min[p] = gmin
-        viol_sum[p] = v_total
-
-
-if NUMBA_AVAILABLE:
-    _fitness_loop_jit = njit(cache=True, nogil=True)(_fitness_loop)
-else:
-    _fitness_loop_jit = None
+def active_backend():
+    """Name of the kernel backend: always 'numpy'."""
+    return "numpy"
 
 
 def _point_gains(eps, eta_i, eta_r):
@@ -158,7 +36,7 @@ def _point_gains(eps, eta_i, eta_r):
             (1.0 + eta_i * eps) ** 2, eta_r * eps)
 
 
-def _row_gains(eps, eta_i, eta_r, n_rows):
+def row_gains(eps, eta_i, eta_r, n_rows):
     """_point_gains of every row, as four contiguous (P,) arrays.
 
     Each run of rows that share one (eps, eta_r) point gets its gains from
@@ -177,93 +55,80 @@ def _row_gains(eps, eta_i, eta_r, n_rows):
     return tuple(np.ascontiguousarray(rows.T))
 
 
+@np.errstate(all="ignore")
 def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
                         wavelength, guide_wavelength, wg_loss_db, pa_height,
                         beta, block_rate, tx_power, noise_power,
                         ratio, g_s, g_i, g_r, mu):
-    """Broadcast pure-numpy implementation of the batched fitness pipeline.
+    """Broadcast numpy implementation of the batched fitness pipeline.
 
-    ratio, g_s, g_i and g_r are the (P,) per-row weights of ``_row_gains``.
+    ratio, g_s, g_i and g_r are the (P,) per-row weights of ``row_gains``.
+    Floating-point warnings are silenced: a config whose channels overflow
+    yields non-finite results, which the harness refuses to report.
     """
-    n_obst = obst_c.shape[0]
-
-    vx = users[:, 0][None, :, None] - xs[:, None, :]          # (P, K, N)
-    vy = users[:, 1][None, :, None]
-    vz = users[:, 2][None, :, None] - pa_height
-    rsq = vx * vx + vy * vy + vz * vz
+    x = np.ascontiguousarray(xs.T)                 # (N, P)
+    users = users[:, :, None]
+    ux, uy, uz = users[:, 0], users[:, 1], users[:, 2] - pa_height    # (K, 1)
+    vx = ux - x[:, None, :]                        # (N, K, P) antenna -> user
+    rsq = vx * vx
+    rsq += uy * uy + uz * uz
     r = np.sqrt(rsq)
 
-    if n_obst:
-        wx = obst_c[:, 0][None, None, :] - xs[:, :, None]     # (P, N, O)
-        wy = obst_c[:, 1][None, None, :]
-        wz = obst_c[:, 2][None, None, :] - pa_height
-        # (P, K, N, O) dot products of obstacle offsets with segment directions
-        wv = (wx[:, None] * vx[..., None] + wy[:, None] * vy[..., None]
-              + wz[:, None] * vz[..., None])
-        t = np.clip(wv / rsq[..., None], 0.0, 1.0)
-        ex = wx[:, None] - t * vx[..., None]
-        ey = wy[:, None] - t * vy[..., None]
-        ez = wz[:, None] - t * vz[..., None]
-        d = np.sqrt(ex * ex + ey * ey + ez * ez) - obst_r[None, None, None, :]
-        dmin = np.maximum(d, 0.0).min(axis=3)
-        b = beta + (1.0 - beta) * (1.0 - np.exp(-block_rate * dmin))
-    else:
-        b = np.ones_like(r)
+    amp = (10.0 ** (-wg_loss_db / 20.0 * x) * (wavelength / (4.0 * math.pi)))[:, None, :] / r
+    if obst_c.shape[0]:
+        obst_c = obst_c[:, :, None, None]
+        ox, oy, oz = obst_c[:, 0], obst_c[:, 1], obst_c[:, 2] - pa_height  # (O, 1, 1)
+        wx = ox - x                                # (O, N, P) antenna -> centre
+        w_sq = wx * wx
+        w_sq += oy * oy + oz * oz
+        # w.v = wx * vx + c_ko, with c_ko = oy * uy + oz * uz per (obstacle, user)
+        wv = wx[:, :, None, :] * vx                # (O, N, K, P)
+        wv += (oy * uy + oz * uz)[:, None]          # (O, 1, K, 1)
+        t = wv / rsq
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        # squared distance from the centre to the segment's closest point,
+        # |w|^2 - t (2 w.v - t |v|^2), then its clearance from the sphere
+        gap = t * rsq
+        gap -= 2.0 * wv
+        gap *= t
+        gap += w_sq[:, :, None, :]
+        np.maximum(gap, 0.0, out=gap)
+        np.sqrt(gap, out=gap)
+        gap -= obst_r[:, None, None, None]
+        dmin = np.minimum.reduce(gap, axis=0)      # (N, K, P)
+        np.maximum(dmin, 0.0, out=dmin)
+        amp *= beta + (1.0 - beta) * (1.0 - np.exp(-block_rate * dmin))
 
-    amp = (b * np.sqrt(10.0 ** (-wg_loss_db * xs[:, None, :] / 10.0))
-           * (wavelength / (4.0 * math.pi)) / r)
-    phase = -(2.0 * math.pi / wavelength) * r - (2.0 * math.pi / guide_wavelength) * xs[:, None, :]
-    h = np.sum(amp * np.exp(1j * phase), axis=2)              # (P, K)
-    h_sq = h.real ** 2 + h.imag ** 2
+    # phase in whole cycles, reduced to [-1/2, 1/2] before the trig functions;
+    # its sign is dropped, as only |h|^2 is used
+    angle = r / wavelength
+    angle += (x / guide_wavelength)[:, None, :]
+    angle -= np.rint(angle)
+    angle *= 2.0 * math.pi
+    re = np.add.reduce(amp * np.cos(angle), axis=0)     # (K, P)
+    im = np.add.reduce(amp * np.sin(angle), axis=0)
+    h_sq = re * re + im * im
     mags = np.sqrt(h_sq)
 
-    order = np.argsort(mags, axis=1, kind="stable")
-    m_ord = np.take_along_axis(mags, order, axis=1)
-    h_ord = np.take_along_axis(h_sq, order, axis=1)
-    a_ord = np.take_along_axis(alphas, order, axis=1)
+    # users in ascending channel magnitude, ties in index order
+    order = np.argsort(mags, axis=0, kind="stable")
+    rows = np.arange(xs.shape[0])
+    m_ord = mags[order, rows]
+    h_ord = tx_power * h_sq[order, rows]
+    a_ord = alphas.T[order, rows]
 
-    v_total = np.maximum(ratio[:, None] * m_ord[:, :-1] - m_ord[:, 1:], 0.0).sum(axis=1)
+    v_total = np.add.reduce(np.maximum(ratio * m_ord[:-1] - m_ord[1:], 0.0), axis=0)
 
-    a_before = np.cumsum(a_ord, axis=1) - a_ord
-    a_after = a_ord.sum(axis=1, keepdims=True) - a_before - a_ord
-    den = (g_i[:, None] * tx_power * h_ord * a_after
-           + g_r[:, None] * tx_power * h_ord * a_before
-           + noise_power)
-    sinr = g_s[:, None] * a_ord * tx_power * h_ord / den
-    gamma_min = sinr.min(axis=1)
+    a_cum = np.add.accumulate(a_ord, axis=0)
+    a_before = a_cum - a_ord                       # power of the weaker users
+    a_after = a_cum[-1] - a_cum                    # power of the stronger users
+    den = g_i * h_ord * a_after + g_r * h_ord * a_before + noise_power
+    gamma_min = np.minimum.reduce(g_s * a_ord * h_ord / den, axis=0)
     return gamma_min - mu * v_total, gamma_min, v_total
 
 
-def swarm_fitness_numba(xs, alphas, users, obst_c, obst_r,
-                        wavelength, guide_wavelength, wg_loss_db, pa_height,
-                        beta, block_rate, tx_power, noise_power,
-                        ratio, g_s, g_i, g_r, mu):
-    """Numba-compiled implementation; raises if numba is unavailable."""
-    if _fitness_loop_jit is None:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    n_part = xs.shape[0]
-    fitness = np.empty(n_part)
-    gamma_min = np.empty(n_part)
-    viol_sum = np.empty(n_part)
-    _fitness_loop_jit(xs, alphas, users, obst_c, obst_r,
-                      wavelength, guide_wavelength, wg_loss_db, pa_height,
-                      beta, block_rate, tx_power, noise_power,
-                      ratio, g_s, g_i, g_r, mu,
-                      fitness, gamma_min, viol_sum)
-    return fitness, gamma_min, viol_sum
-
-
-USE_NUMBA = NUMBA_AVAILABLE and _numba_requested()
-_IMPL = swarm_fitness_numba if USE_NUMBA else swarm_fitness_numpy
-
-
-def active_backend():
-    """Name of the backend selected at import time: 'numba' or 'numpy'."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
 def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
-                  eps=None, eta_r=None):
+                  eps=None, eta_r=None, gains=None):
     """Penalized fitness, worst-case min-SINR, and violation sum per candidate.
 
     xs is (P, N) antenna positions, alphas is (P, K) per-user power
@@ -272,23 +137,23 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
     evaluation used by the non-robust optimizer mode.  Either may also be a
     (P,) array that gives each row its own evaluation point, so swarms
     searching at different points share one call; a row's result does not
-    depend on the other rows of its batch.  The estimate used for
-    ordering is the nominal channel itself; estimate uncertainty enters
-    through the eps-dependent ordering margin and SINR weighting only.
+    depend on the other rows of its batch.  A caller that evaluates the
+    same rows' points many times passes their ``row_gains`` as ``gains``
+    instead of eps/eta_r.  The estimate used for ordering is the nominal
+    channel itself; estimate uncertainty enters through the eps-dependent
+    ordering margin and SINR weighting only.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    users = np.ascontiguousarray(scenario.users, dtype=np.float64)
-    obst_c = np.ascontiguousarray(scenario.obstacle_centers, dtype=np.float64)
-    obst_r = np.ascontiguousarray(scenario.obstacle_radii, dtype=np.float64)
-    if eps is None:
-        eps = config.csi_eps
-    if eta_r is None:
-        eta_r = config.eta_r
-    return _IMPL(xs, alphas, users, obst_c, obst_r,
-                 config.wavelength, config.guide_wavelength,
-                 config.wg_loss, config.pa_height,
-                 config.blockage_beta, config.blockage_alpha,
-                 config.tx_power, config.noise_power,
-                 *_row_gains(eps, config.eta_i, eta_r, xs.shape[0]),
-                 config.penalty_mu)
+    if gains is None:
+        gains = row_gains(config.csi_eps if eps is None else eps, config.eta_i,
+                          config.eta_r if eta_r is None else eta_r, xs.shape[0])
+    return swarm_fitness_numpy(xs, alphas,
+                               np.asarray(scenario.users, dtype=np.float64),
+                               np.asarray(scenario.obstacle_centers, dtype=np.float64),
+                               np.asarray(scenario.obstacle_radii, dtype=np.float64),
+                               config.wavelength, config.guide_wavelength,
+                               config.wg_loss, config.pa_height,
+                               config.blockage_beta, config.blockage_alpha,
+                               config.tx_power, config.noise_power,
+                               *gains, config.penalty_mu)

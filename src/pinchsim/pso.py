@@ -184,8 +184,9 @@ def _lockstep(scenario, config, params, theta0, draws, points):
     n = config.num_pas
     s = len(points)
     p, d = theta0.shape
-    eps = np.repeat([e for e, _ in points], p)
-    eta_r = np.repeat([r for _, r in points], p)
+    # each row's (ratio, g_s, g_i, g_r), fixed for the whole search
+    gains = kernels.row_gains(np.repeat([e for e, _ in points], p), config.eta_i,
+                              np.repeat([r for _, r in points], p), s * p)
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])
 
@@ -206,7 +207,7 @@ def _lockstep(scenario, config, params, theta0, draws, points):
             theta = project_theta_batch((theta + velocity).reshape(s * p, d),
                                         config).reshape(s, p, d)
         fitness, _, _ = kernels.swarm_fitness(*split_theta(theta.reshape(s * p, d), n),
-                                              scenario, config, eps=eps, eta_r=eta_r)
+                                              scenario, config, gains=gains)
         fitness = fitness.reshape(s, p)
         # a particle's first evaluation is its personal best; later ones must beat it
         improved = (fitness > best_fitness) | (t == 0)

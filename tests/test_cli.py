@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -29,6 +30,12 @@ def test_validate_config_infeasible_spacing(tmp_path, capsys):
     assert main(["validate-config", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "min_spacing" in err and "waveguide_len" in err
+
+
+def test_validate_config_refuses_infinite_wavelength(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"carrier_freq": 1e-300})
+    assert main(["validate-config", "--config", cfg]) == 2
+    assert "config error: carrier_freq" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -156,6 +163,7 @@ def test_largest_seed_accepted(tmp_path):
     ("obstacle_radius_range=[0.3]", "obstacle_radius_range"),
     ("waveguide_len=NaN", "waveguide_len"),
     ("pa_height=Infinity", "pa_height"),
+    ("carrier_freq=1e-300", "carrier_freq"),  # infinite wavelength
     ("eta_i=1e308", "eta_i"),
     ("experiments.eps_grid=0.1", "eps_grid"),
     ('experiments.eps_grid=["x"]', "eps_grid"),
@@ -177,16 +185,17 @@ def test_bad_override_is_config_error(tmp_path, capsys, override, field):
 @pytest.mark.parametrize("command,where", [("optimize", "scheme=RobustPSO seed="),
                                            ("converge", "scheme=RobustPSO iteration=0")])
 @pytest.mark.parametrize("override,reason", [
-    ("carrier_freq=1e-300", "is nan"),        # infinite wavelength: nan channels
+    ("waveguide_len=1e308", "is nan"),        # guide phases overflow: nan channels
     ("tx_power=1e-320", "min_sinr_linear is 0.0"),  # every SINR underflows to 0
 ])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_result_is_config_error(tmp_path, capsys, command, where,
                                           override, reason):
     cfg = write_config(tmp_path, dict(FAST_SECTIONS))
     out = tmp_path / "bad.csv"
     assert main([command, "--config", cfg, "--seed", "3", "--out", str(out),
                  "--override", override]) == 2
-    err = capsys.readouterr().err
-    assert "config error: " in err and where in err and reason in err
+    *progress, err = capsys.readouterr().err.splitlines()
+    # no numpy warning reaches stderr: only converge's progress lines come first
+    assert all(re.fullmatch(r"realization \d+/\d+ done", line) for line in progress)
+    assert err.startswith("config error: ") and where in err and reason in err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]

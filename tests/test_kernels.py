@@ -1,6 +1,7 @@
-"""Backend agreement: numba kernel vs numpy kernel vs composed module ops."""
+"""The numpy fitness kernel against a scalar-loop oracle and the composed module ops."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +10,117 @@ from hypothesis import strategies as st
 
 from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
                       effective_channel, generate_scenario, robust_gains)
-from pinchsim.kernels import (NUMBA_AVAILABLE, _fitness_loop, _row_gains,
-                              swarm_fitness, swarm_fitness_numba,
-                              swarm_fitness_numpy)
+from pinchsim.kernels import row_gains, swarm_fitness, swarm_fitness_numpy
 from pinchsim.pso import draw_theta, split_theta
 from pinchsim.scenario import Scenario
+
+
+def fitness_loop(xs, alphas, users, obst_c, obst_r,
+                 wavelength, guide_wavelength, wg_loss_db, pa_height,
+                 beta, block_rate, tx_power, noise_power,
+                 ratio, g_s, g_i, g_r, mu,
+                 fitness, gamma_min, viol_sum):
+    """Scalar-loop oracle of the kernel pipeline, one candidate at a time.
+
+    It keeps the textbook formulas the kernel rearranges: the closest point
+    of each segment as a vector, the full phase through ``math.cos``/``sin``
+    and ``sqrt`` of the power-domain guide loss.  ratio, g_s, g_i and g_r
+    are the (P,) per-row weights of ``row_gains``; the results are written
+    into fitness, gamma_min and viol_sum.
+    """
+    n_part, n_pas = xs.shape
+    n_users = users.shape[0]
+    n_obst = obst_c.shape[0]
+    k_free = 2.0 * math.pi / wavelength
+    k_guide = 2.0 * math.pi / guide_wavelength
+    amp0 = wavelength / (4.0 * math.pi)
+
+    h_sq = np.empty(n_users)
+    mags = np.empty(n_users)
+    order = np.empty(n_users, np.int64)
+
+    for p in range(n_part):
+        for k in range(n_users):
+            ux = users[k, 0]
+            uy = users[k, 1]
+            uz = users[k, 2]
+            re = 0.0
+            im = 0.0
+            for n in range(n_pas):
+                x = xs[p, n]
+                vx = ux - x
+                vy = uy
+                vz = uz - pa_height
+                rsq = vx * vx + vy * vy + vz * vz
+                r = math.sqrt(rsq)
+                # clearance of the antenna-user segment from the obstacles
+                dmin = np.inf
+                for o in range(n_obst):
+                    wx = obst_c[o, 0] - x
+                    wy = obst_c[o, 1]
+                    wz = obst_c[o, 2] - pa_height
+                    t = (wx * vx + wy * vy + wz * vz) / rsq
+                    if t < 0.0:
+                        t = 0.0
+                    elif t > 1.0:
+                        t = 1.0
+                    ex = wx - t * vx
+                    ey = wy - t * vy
+                    ez = wz - t * vz
+                    d = math.sqrt(ex * ex + ey * ey + ez * ez) - obst_r[o]
+                    if d < 0.0:
+                        d = 0.0
+                    if d < dmin:
+                        dmin = d
+                if n_obst == 0:
+                    b = 1.0
+                else:
+                    b = beta + (1.0 - beta) * (1.0 - math.exp(-block_rate * dmin))
+                amp = b * math.sqrt(10.0 ** (-wg_loss_db * x / 10.0)) * amp0 / r
+                phase = -k_free * r - k_guide * x
+                re += amp * math.cos(phase)
+                im += amp * math.sin(phase)
+            hv = re * re + im * im
+            h_sq[k] = hv
+            mags[k] = math.sqrt(hv)
+
+        # stable insertion argsort, ascending magnitude with index tie-break
+        for k in range(n_users):
+            order[k] = k
+        for i in range(1, n_users):
+            oi = order[i]
+            key = mags[oi]
+            j = i - 1
+            while j >= 0 and mags[order[j]] > key:
+                order[j + 1] = order[j]
+                j -= 1
+            order[j + 1] = oi
+
+        v_total = 0.0
+        for k in range(n_users - 1):
+            v = ratio[p] * mags[order[k]] - mags[order[k + 1]]
+            if v > 0.0:
+                v_total += v
+
+        a_total = 0.0
+        for k in range(n_users):
+            a_total += alphas[p, order[k]]
+        gmin = np.inf
+        a_before = 0.0
+        for k in range(n_users):
+            a_k = alphas[p, order[k]]
+            hv = h_sq[order[k]]
+            a_after = a_total - a_before - a_k
+            den = (g_i[p] * tx_power * hv * a_after
+                   + g_r[p] * tx_power * hv * a_before
+                   + noise_power)
+            s = g_s[p] * a_k * tx_power * hv / den
+            if s < gmin:
+                gmin = s
+            a_before += a_k
+        fitness[p] = gmin - mu * v_total
+        gamma_min[p] = gmin
+        viol_sum[p] = v_total
 
 
 def reference_fitness(theta, scenario, config, eps, eta_r):
@@ -46,7 +153,7 @@ def kernel_args(thetas, scenario, config, eps, eta_r):
             config.wavelength, config.guide_wavelength, config.wg_loss,
             config.pa_height, config.blockage_beta, config.blockage_alpha,
             config.tx_power, config.noise_power,
-            *_row_gains(eps, config.eta_i, eta_r, thetas.shape[0]), config.penalty_mu)
+            *row_gains(eps, config.eta_i, eta_r, thetas.shape[0]), config.penalty_mu)
 
 
 @pytest.mark.parametrize("eps,eta_r", [(0.1, 0.2), (0.0, 0.0), (0.3, 0.5)])
@@ -59,30 +166,6 @@ def test_numpy_kernel_matches_module_composition(eps, eta_r):
         assert f[i] == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
         assert g[i] == pytest.approx(g_ref, rel=1e-9, abs=1e-12)
         assert v[i] == pytest.approx(v_ref, rel=1e-9, abs=1e-15)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_numba_and_numpy_backends_agree(seed):
-    config = SystemConfig()
-    scenario, thetas = make_batch(config, seed)
-    args = kernel_args(thetas, scenario, config, 0.1, 0.2)
-    f_nb, g_nb, v_nb = swarm_fitness_numba(*args)
-    f_np, g_np, v_np = swarm_fitness_numpy(*args)
-    assert np.allclose(f_nb, f_np, rtol=1e-9, atol=1e-12)
-    assert np.allclose(g_nb, g_np, rtol=1e-9, atol=1e-12)
-    assert np.allclose(v_nb, v_np, rtol=1e-9, atol=1e-15)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree_without_obstacles():
-    config = SystemConfig(obstacle_count=0)
-    scenario, thetas = make_batch(config, 5, n_particles=10)
-    args = kernel_args(thetas, scenario, config, 0.1, 0.2)
-    f_nb, g_nb, _ = swarm_fitness_numba(*args)
-    f_np, g_np, _ = swarm_fitness_numpy(*args)
-    assert np.allclose(f_nb, f_np, rtol=1e-9)
-    assert np.allclose(g_nb, g_np, rtol=1e-9)
 
 
 @pytest.mark.parametrize("num_users", [1, 2, 5])
@@ -145,12 +228,11 @@ def mixed_rows(n_rows):
     SystemConfig(num_users=1, num_pas=1, obstacle_count=0),
 ])
 def test_fitness_loop_body_matches_numpy_kernel(config):
-    # the numba backend's loop body, run as plain Python
     scenario, thetas = make_batch(config, 17, n_particles=12)
     eps, eta_r = mixed_rows(thetas.shape[0])
     args = kernel_args(thetas, scenario, config, eps, eta_r)
     out = [np.empty(thetas.shape[0]) for _ in range(3)]
-    _fitness_loop(*args, *out)
+    fitness_loop(*args, *out)
     for got, want in zip(out, swarm_fitness_numpy(*args)):
         assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
 
@@ -176,7 +258,7 @@ def test_row_weights_equal_scalar_robust_gains():
     rng = np.random.default_rng(5)
     eps = np.repeat(rng.uniform(0.0, 0.99, 20_000), 2)
     eta_r = np.repeat(rng.uniform(0.0, 1.0, 20_000), 2)
-    ratio, g_s, g_i, g_r = _row_gains(eps, 0.5, eta_r, eps.size)
+    ratio, g_s, g_i, g_r = row_gains(eps, 0.5, eta_r, eps.size)
     for i in range(eps.size):
         e = float(eps[i])
         want = robust_gains(e, 0.5, float(eta_r[i]))
@@ -240,3 +322,59 @@ def test_kernel_matches_scalar_oracle_on_random_geometry(case):
         assert g[i] == pytest.approx(g_ref, rel=1e-9, abs=1e-300)
         assert v[i] == pytest.approx(v_ref, rel=1e-9, abs=1e-9 * scale)
         assert f[i] == pytest.approx(f_ref, rel=1e-9, abs=1e-9 * scale)
+
+
+@st.composite
+def loop_cases(draw):
+    """A batch for the loop oracle that reaches the kernel's edge cases.
+
+    N runs past 8, where numpy changes its summation order; O may be 0 and
+    K may be 1; a row may put antennas at both ends of the guide; obstacles
+    may touch a link; and users may stand hundreds of meters off, so the
+    phase runs through tens of thousands of cycles before it is reduced.
+    """
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    o = draw(st.integers(0, 4))
+    rows = draw(st.integers(1, 4))
+    reach = draw(st.sampled_from([10.0, 300.0]))
+    config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o, min_spacing=0.0)
+    length = config.waveguide_len
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users = np.zeros((k, 3))
+    users[:, :2] = rng.uniform(0.01, reach, (k, 2))
+    xs = np.sort(rng.uniform(0.0, length, (rows, n)), axis=1)
+    if draw(st.booleans()):
+        xs[:, 0], xs[:, -1] = 0.0, length
+    centers = rng.uniform(0.0, 1.0, (o, 3)) * [reach, reach, config.pa_height]
+    radii = rng.uniform(0.05, 1.0, o)
+    for j in range(draw(st.integers(0, o))):  # obstacle j touches a link of row 0
+        antenna = np.array([xs[0, j % n], 0.0, config.pa_height])
+        centers[j] = _tangent_obstacle(antenna, users[j % k], radii[j], rng)
+    alphas = rng.dirichlet(np.ones(k), rows) * rng.uniform(0.5, 1.0, (rows, 1))
+    eps = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.95]) | st.floats(0.0, 0.95),
+                                 min_size=rows, max_size=rows)))
+    eta_r = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+    scenario = Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii, seed=0)
+    return scenario, config, np.hstack([xs, alphas]), eps, eta_r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(loop_cases())
+def test_kernel_matches_loop_oracle_on_edge_geometry(case):
+    scenario, config, thetas, eps, eta_r = case
+    n = config.num_pas
+    for theta in thetas:  # near-ties decide the order on the last bit, as above
+        mags = np.sort([abs(effective_channel(theta[:n], u, scenario, config))
+                        for u in scenario.users])
+        assume(np.all(np.diff(mags) > 1e-9 * mags[1:]))
+    args = kernel_args(thetas, scenario, config, eps, eta_r)
+    want = [np.empty(thetas.shape[0]) for _ in range(3)]
+    fitness_loop(*args, *want)
+    f, g, v = swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
+                            eps=eps, eta_r=eta_r)
+    scale = np.abs(want[1]) + config.penalty_mu * np.abs(want[2])
+    assert np.allclose(g, want[1], rtol=1e-9, atol=1e-300)
+    assert np.all(np.abs(v - want[2]) <= 1e-9 * np.maximum(np.abs(want[2]), scale))
+    assert np.all(np.abs(f - want[0]) <= 1e-9 * np.maximum(np.abs(want[0]), scale))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import SystemConfig, project_positions, project_simplex
 from pinchsim.config import ConfigError
@@ -98,3 +100,38 @@ def test_simplex_batch_matches_scalar():
     batch = project_simplex_batch(a.copy())
     for i in range(a.shape[0]):
         assert np.allclose(batch[i], project_simplex(a[i]), rtol=1e-12)
+
+
+@st.composite
+def raw_thetas(draw):
+    """Raw particles with tied coordinates, on a guide that may be exactly full.
+
+    Spacings are dyadic, so (N - 1) * min_spacing == L holds exactly when
+    the guide is full and the only feasible layout is the evenly spaced one.
+    """
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    spacing = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    if n > 1 and spacing > 0 and draw(st.booleans()):
+        length = (n - 1) * spacing
+    else:
+        length = (n - 1) * spacing + draw(st.sampled_from([0.5, 3.0, 10.0]))
+    config = SystemConfig(num_users=k, num_pas=n, waveguide_len=length,
+                          min_spacing=spacing)
+    ties = st.sampled_from([0.0, spacing, length / 2, length, length + spacing])
+    x = draw(st.lists(ties | st.floats(-2 * length, 3 * length), min_size=n, max_size=n))
+    a = draw(st.lists(st.sampled_from([0.0, 1 / 3, 0.5, 1.0]) | st.floats(-1.0, 2.0),
+                      min_size=k, max_size=k))
+    return config, np.array([x + a])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw_thetas())
+def test_projection_feasible_and_idempotent_on_ties_and_full_guide(case):
+    config, raw = case
+    n, length = config.num_pas, config.waveguide_len
+    proj = project_theta_batch(raw, config)
+    assert feasible_positions(proj[0, :n], length, config.min_spacing)
+    assert np.all(proj[0, n:] >= 0) and proj[0, n:].sum() <= 1 + 1e-12
+    again = project_theta_batch(proj, config)
+    assert np.all(np.abs(again - proj) <= 1e-12 * np.maximum(np.abs(proj), 1.0))
