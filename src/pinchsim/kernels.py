@@ -5,13 +5,14 @@ channels -> effective channels -> safe decoding order -> worst-case SINRs ->
 penalized fitness) for the whole swarm, or for several swarms stacked into
 one batch, each row at its own (eps, eta_r) evaluation point.
 
-The kernel is broadcast numpy.  Each axis it reduces comes first in memory:
-the obstacle-clearance block is (O, N, P, K) and the link block is
-(N, P, K), so the min over obstacles and the sum over antennas are
-elementwise passes over contiguous planes, not strided reductions over a
-short last axis.  The per-row weights are built once from Python floats by
-``row_gains``.  ``tests/test_kernels.py`` keeps a scalar-loop oracle of the
-same pipeline.
+The kernel is broadcast numpy.  Each axis it reduces comes first in memory
+and the batch axis P comes last: the obstacle-clearance block is
+(O, N, K, P) and the link block is (N, K, P).  So the min over obstacles
+and the sum over antennas are elementwise passes over contiguous planes,
+not strided reductions over a short last axis, and every elementwise
+operation runs one P-long inner loop.  The per-row weights are built from
+Python floats by ``row_gains``.  ``tests/test_kernels.py`` keeps a
+scalar-loop oracle of the same pipeline.
 """
 
 import math

@@ -133,6 +133,19 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
         assert np.array_equal(res.best_theta, alone.best_theta)
 
 
+def test_row_weights_built_once_per_lockstep_call(monkeypatch):
+    built = []
+    row_gains = kernels.row_gains
+
+    def counting(*args):
+        built.append(args)
+        return row_gains(*args)
+
+    monkeypatch.setattr(kernels, "row_gains", counting)
+    optimize_points(SCENARIO, CFG, SMALL, 9, [(0.1, 0.2), (0.0, 0.0)])
+    assert len(built) == 1  # not once per iteration
+
+
 def test_search_point_of_each_mode():
     assert search_point(CFG, robust=True) == (CFG.csi_eps, CFG.eta_r)
     assert search_point(CFG, robust=False) == (0.0, 0.0)
