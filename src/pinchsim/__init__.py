@@ -16,7 +16,7 @@ from .config import (ConfigError, ExperimentSettings, PsoParams, RunConfig,
 from .experiments import (SCHEMES, ConvergenceTraces, SweepRecord,
                           aggregate_mean_db, convergence_trace, run_scheme,
                           score_candidate, sweep_epsilon, sweep_users)
-from .kernels import active_backend, swarm_fitness
+from .kernels import swarm_fitness
 from .noma import (DecodingOrder, RobustGains, conservative_order,
                    conservative_sinr, min_sinr, order_violations,
                    robust_gains, sic_decode_sinr, true_sinr)
@@ -30,13 +30,13 @@ __all__ = [
     "ChannelSet", "ConfigError", "ConvergenceTraces", "DecodingOrder",
     "ExperimentSettings", "PsoParams", "PsoResult", "RobustGains",
     "RunConfig", "SCHEMES", "Scenario", "SweepRecord", "SystemConfig",
-    "active_backend", "aggregate_mean_db", "apply_csi_error",
-    "blockage_factor", "compute_channels", "conservative_order",
-    "conservative_sinr", "convergence_trace", "draw_theta",
-    "effective_channel", "generate_scenario", "link_gains",
-    "load_run_config", "min_obstacle_distance", "min_sinr", "optimize",
-    "order_violations", "project_positions", "project_simplex",
-    "robust_gains", "run_config_from_dict", "run_scheme", "score_candidate",
+    "aggregate_mean_db", "apply_csi_error", "blockage_factor",
+    "compute_channels", "conservative_order", "conservative_sinr",
+    "convergence_trace", "draw_theta", "effective_channel",
+    "generate_scenario", "link_gains", "load_run_config",
+    "min_obstacle_distance", "min_sinr", "optimize", "order_violations",
+    "project_positions", "project_simplex", "robust_gains",
+    "run_config_from_dict", "run_scheme", "score_candidate",
     "sic_decode_sinr", "split_theta", "swarm_fitness", "sweep_epsilon",
     "sweep_users", "true_sinr", "uniform_layout", "waveguide_attenuation",
 ]

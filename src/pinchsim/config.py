@@ -22,8 +22,11 @@ class ConfigError(ValueError):
 
 
 def _is_finite_number(value):
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_integer(value):
@@ -287,6 +290,8 @@ def load_run_config(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return run_config_from_dict(doc)
 
 
@@ -312,7 +317,11 @@ def apply_overrides(doc, overrides):
             section, field = key.split(".", 1)
             if section not in ("pso", "experiments"):
                 raise ConfigError(f"unknown override section {section!r} in {item!r}")
-            doc.setdefault(section, {})[field] = value
+            section_doc = doc.setdefault(section, {})
+            if not isinstance(section_doc, dict):  # replaced by an earlier override
+                raise ConfigError(f"'{section}' config section must be a JSON object "
+                                  f"to take {item!r}, got {section_doc!r}")
+            section_doc[field] = value
         else:
             doc[key] = value
     return doc

@@ -7,12 +7,12 @@ candidate is scored with the same evaluation so curves are comparable; by
 default that is the worst-case (conservative) min-SINR at the configured
 error bound.
 
-A PSO scheme searches at (csi_eps, eta_r) when it is RobustPSO and the
-bound is positive, and at the perfect-estimate point (0, 0) otherwise.  The
-scenario does not depend on the bound, so a sweep collects, per
-realization, the search points of every grid point that shares its scenario
-(all of them in an error-bound sweep) and searches each distinct point once,
-all in lockstep (``pso.optimize_points``).
+A PSO scheme searches at ``pso.search_point``: the configured bound for
+RobustPSO, the perfect-estimate bound 0 for NonRobustPSO; a RobustPSO at a
+zero bound has the same gains.  The scenario does not depend on the bound,
+so a sweep collects, per realization, the search points of every grid point
+that shares its scenario (all of them in an error-bound sweep) and searches
+each distinct point once, all in lockstep (``pso.optimize_points``).
 
 Realizations run serially in seed order: each derives its own seeds from
 the master seed, so a sweep's rows depend only on the config and the master
@@ -116,6 +116,16 @@ def _require_reportable(where, column, value, positive=True):
     if not (math.isfinite(value) and (value > 0 or not positive)):
         kind = "a finite positive" if positive else "a finite"
         raise ConfigError(f"{where}: {column} is {value!r}, not {kind} number")
+
+
+def _require_reportable_traces(where, prefix, fitness, min_sinr, positive):
+    """``_require_reportable`` on every iteration of a fitness and a min-SINR
+    trace; ``positive`` applies to the min-SINR only."""
+    for t, (f, g) in enumerate(zip(fitness.tolist(), min_sinr.tolist())):
+        _require_reportable(f"{where} iteration={t}", prefix + "gbest_fitness", f,
+                            positive=False)
+        _require_reportable(f"{where} iteration={t}", prefix + "min_sinr_linear", g,
+                            positive)
 
 
 def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
@@ -249,6 +259,10 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
         for scheme, result in zip(schemes, results):
             xs, alphas = pso.split_theta(result.gbest_thetas, config.num_pas)
             _, rescored, _ = kernels.swarm_fitness(xs, alphas, scenario, config)
+            # a degenerate config shows in the first realization: stop there
+            _require_reportable_traces(
+                f"converge realization {r + 1}/{num_realizations} seed={seed} "
+                f"scheme={scheme}", "", result.trace, rescored, positive=False)
             traces[scheme].append(result.trace)
             rescored_traces[scheme].append(rescored)
         if progress is not None:
@@ -257,11 +271,9 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     fitness = {scheme: stacks[scheme].mean(axis=0) for scheme in schemes}
     rescored = {scheme: np.stack(rescored_traces[scheme]).mean(axis=0)
                 for scheme in schemes}
-    for scheme in schemes:
-        for t, (f, g) in enumerate(zip(fitness[scheme].tolist(), rescored[scheme].tolist())):
-            where = f"converge scheme={scheme} iteration={t}"
-            _require_reportable(where, "mean_gbest_fitness", f, positive=False)
-            _require_reportable(where, "mean_min_sinr_linear", g)
+    for scheme in schemes:  # a mean can still be 0 or overflow
+        _require_reportable_traces(f"converge scheme={scheme}", "mean_",
+                                   fitness[scheme], rescored[scheme], positive=True)
     return ConvergenceTraces(iterations=np.arange(pso_params.max_iters + 1),
                              fitness=fitness, rescored_min_sinr=rescored,
                              per_realization_fitness=stacks)

@@ -2,16 +2,17 @@
 
 Every optimizer iteration evaluates the full candidate pipeline (per-link
 channels -> effective channels -> safe decoding order -> worst-case SINRs ->
-penalized fitness) for the whole swarm, or for several swarms stacked into
-one batch, each row at its own (eps, eta_r) evaluation point.
+penalized fitness) for a swarm, or for several swarms stacked into one
+batch, each row at its own evaluation point: a ``noma.RobustGains``, whose
+four numbers are all the kernel sees of it.  The ordering estimate is the
+nominal channel; the error bound acts through those numbers only.
 
 The kernel is broadcast numpy.  Each axis it reduces comes first in memory
 and the batch axis P comes last: the obstacle-clearance block is
 (O, N, K, P) and the link block is (N, K, P).  So the min over obstacles
 and the sum over antennas are elementwise passes over contiguous planes,
 not strided reductions over a short last axis, and every elementwise
-operation runs one P-long inner loop.  The per-row weights are built from
-Python floats by ``row_gains``.  ``tests/test_kernels.py`` keeps a
+operation runs one P-long inner loop.  ``tests/test_kernels.py`` keeps a
 scalar-loop oracle of the same pipeline.
 """
 
@@ -20,6 +21,7 @@ import math
 import numpy as np
 
 from .config import SystemConfig
+from .noma import robust_gains
 from .scenario import Scenario
 
 # There is one backend; perfbench/run.py records both names in its env line.
@@ -31,54 +33,42 @@ def active_backend():
     return "numpy"
 
 
-def _point_gains(eps, eta_i, eta_r):
-    """Ordering ratio and SINR weights (ratio, g_s, g_i, g_r) of one point."""
-    return ((1.0 + eps) / (1.0 - eps), (1.0 - eps) ** 2,
-            (1.0 + eta_i * eps) ** 2, eta_r * eps)
-
-
-def row_gains(eps, eta_i, eta_r, n_rows):
-    """_point_gains of every row, as four contiguous (P,) arrays.
-
-    Each run of rows that share one (eps, eta_r) point gets its gains from
-    Python float arithmetic, so a row's weights do not depend on the batch
-    it is in: numpy's array power differs from Python's ``**`` in the last
-    bit for some eps.
-    """
-    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (n_rows,))
-    eta_r = np.broadcast_to(np.asarray(eta_r, dtype=np.float64), (n_rows,))
-    new_point = np.ones(n_rows, dtype=bool)
-    new_point[1:] = (eps[1:] != eps[:-1]) | (eta_r[1:] != eta_r[:-1])
-    starts = np.flatnonzero(new_point)
-    gains = np.array([_point_gains(e, eta_i, r) for e, r in
-                      zip(eps[starts].tolist(), eta_r[starts].tolist())]).reshape(-1, 4)
-    rows = np.repeat(gains, np.diff(np.append(starts, n_rows)), axis=0)
-    return tuple(np.ascontiguousarray(rows.T))
+def row_gains(points, rows_per_point):
+    """The (order_ratio, signal_scale, interference_scale, leakage_scale) of
+    each ``noma.RobustGains`` in ``points``, repeated over its rows, as four
+    contiguous (P,) arrays: the ``gains`` of ``swarm_fitness``."""
+    table = np.array([(g.order_ratio, g.signal_scale, g.interference_scale,
+                       g.leakage_scale) for g in points], dtype=np.float64)
+    return tuple(np.ascontiguousarray(np.repeat(table, rows_per_point, axis=0).T))
 
 
 @np.errstate(all="ignore")
-def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
-                        wavelength, guide_wavelength, wg_loss_db, pa_height,
-                        beta, block_rate, tx_power, noise_power,
-                        ratio, g_s, g_i, g_r, mu):
-    """Broadcast numpy implementation of the batched fitness pipeline.
+def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=None):
+    """Penalized fitness, worst-case min-SINR, and violation sum per candidate.
 
-    ratio, g_s, g_i and g_r are the (P,) per-row weights of ``row_gains``.
-    Floating-point warnings are silenced: a config whose channels overflow
-    yields non-finite results, which the harness refuses to report.
+    xs is (P, N) antenna positions and alphas (P, K) per-user power
+    fractions, both feasible.  gains is the ``row_gains`` of the rows'
+    evaluation points, so swarms searching at different points share one
+    call; None evaluates every row at the config's own point.  A row's
+    result does not depend on the rest of its batch.  Floating-point
+    warnings are silenced: a config whose channels overflow yields
+    non-finite results, which the harness refuses to report.
     """
-    x = np.ascontiguousarray(xs.T)                 # (N, P)
-    users = users[:, :, None]
-    ux, uy, uz = users[:, 0], users[:, 1], users[:, 2] - pa_height    # (K, 1)
+    if gains is None:
+        gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], len(xs))
+    ratio, g_s, g_i, g_r = gains
+    wavelength, antenna_plane = config.wavelength, [0.0, 0.0, config.pa_height]
+    x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)   # (N, P)
+    ux, uy, uz = (scenario.users - antenna_plane).T[:, :, None]    # (K, 1) each
     vx = ux - x[:, None, :]                        # (N, K, P) antenna -> user
     rsq = vx * vx
     rsq += uy * uy + uz * uz
     r = np.sqrt(rsq)
 
-    amp = (10.0 ** (-wg_loss_db / 20.0 * x) * (wavelength / (4.0 * math.pi)))[:, None, :] / r
-    if obst_c.shape[0]:
-        obst_c = obst_c[:, :, None, None]
-        ox, oy, oz = obst_c[:, 0], obst_c[:, 1], obst_c[:, 2] - pa_height  # (O, 1, 1)
+    amp = 10.0 ** (-config.wg_loss / 20.0 * x) * (wavelength / (4.0 * math.pi))
+    amp = amp[:, None, :] / r
+    if scenario.obstacle_centers.shape[0]:
+        ox, oy, oz = (scenario.obstacle_centers - antenna_plane).T[:, :, None, None]  # (O, 1, 1)
         wx = ox - x                                # (O, N, P) antenna -> centre
         w_sq = wx * wx
         w_sq += oy * oy + oz * oz
@@ -95,15 +85,16 @@ def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
         gap += w_sq[:, :, None, :]
         np.maximum(gap, 0.0, out=gap)
         np.sqrt(gap, out=gap)
-        gap -= obst_r[:, None, None, None]
+        gap -= scenario.obstacle_radii[:, None, None, None]
         dmin = np.minimum.reduce(gap, axis=0)      # (N, K, P)
         np.maximum(dmin, 0.0, out=dmin)
-        amp *= beta + (1.0 - beta) * (1.0 - np.exp(-block_rate * dmin))
+        beta = config.blockage_beta
+        amp *= beta + (1.0 - beta) * (1.0 - np.exp(-config.blockage_alpha * dmin))
 
     # phase in whole cycles, reduced to [-1/2, 1/2] before the trig functions;
     # its sign is dropped, as only |h|^2 is used
     angle = r / wavelength
-    angle += (x / guide_wavelength)[:, None, :]
+    angle += (x / config.guide_wavelength)[:, None, :]
     angle -= np.rint(angle)
     angle *= 2.0 * math.pi
     re = np.add.reduce(amp * np.cos(angle), axis=0)     # (K, P)
@@ -113,48 +104,17 @@ def swarm_fitness_numpy(xs, alphas, users, obst_c, obst_r,
 
     # users in ascending channel magnitude, ties in index order
     order = np.argsort(mags, axis=0, kind="stable")
-    rows = np.arange(xs.shape[0])
+    rows = np.arange(x.shape[1])
     m_ord = mags[order, rows]
-    h_ord = tx_power * h_sq[order, rows]
-    a_ord = alphas.T[order, rows]
+    h_ord = config.tx_power * h_sq[order, rows]
+    a_ord = np.transpose(alphas)[order, rows]
 
     v_total = np.add.reduce(np.maximum(ratio * m_ord[:-1] - m_ord[1:], 0.0), axis=0)
 
     a_cum = np.add.accumulate(a_ord, axis=0)
     a_before = a_cum - a_ord                       # power of the weaker users
     a_after = a_cum[-1] - a_cum                    # power of the stronger users
-    den = g_i * h_ord * a_after + g_r * h_ord * a_before + noise_power
+    den = g_i * h_ord * a_after + g_r * h_ord * a_before + config.noise_power
     gamma_min = np.minimum.reduce(g_s * a_ord * h_ord / den, axis=0)
-    return gamma_min - mu * v_total, gamma_min, v_total
+    return gamma_min - config.penalty_mu * v_total, gamma_min, v_total
 
-
-def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig,
-                  eps=None, eta_r=None, gains=None):
-    """Penalized fitness, worst-case min-SINR, and violation sum per candidate.
-
-    xs is (P, N) antenna positions, alphas is (P, K) per-user power
-    fractions; both must already be feasible.  eps/eta_r default to the
-    config values; passing eps=0, eta_r=0 gives the nominal (perfect-CSI)
-    evaluation used by the non-robust optimizer mode.  Either may also be a
-    (P,) array that gives each row its own evaluation point, so swarms
-    searching at different points share one call; a row's result does not
-    depend on the other rows of its batch.  A caller that evaluates the
-    same rows' points many times passes their ``row_gains`` as ``gains``
-    instead of eps/eta_r.  The estimate used for ordering is the nominal
-    channel itself; estimate uncertainty enters through the eps-dependent
-    ordering margin and SINR weighting only.
-    """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    alphas = np.ascontiguousarray(alphas, dtype=np.float64)
-    if gains is None:
-        gains = row_gains(config.csi_eps if eps is None else eps, config.eta_i,
-                          config.eta_r if eta_r is None else eta_r, xs.shape[0])
-    return swarm_fitness_numpy(xs, alphas,
-                               np.asarray(scenario.users, dtype=np.float64),
-                               np.asarray(scenario.obstacle_centers, dtype=np.float64),
-                               np.asarray(scenario.obstacle_radii, dtype=np.float64),
-                               config.wavelength, config.guide_wavelength,
-                               config.wg_loss, config.pa_height,
-                               config.blockage_beta, config.blockage_alpha,
-                               config.tx_power, config.noise_power,
-                               *gains, config.penalty_mu)

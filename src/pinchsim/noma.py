@@ -23,8 +23,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RobustGains:
-    """Worst-case SINR weighting factors for a given error bound."""
+    """Ordering margin and worst-case SINR weights: all that the fitness sees of
+    an (eps, eta_i, eta_r) point, so points with equal gains evaluate alike."""
 
+    order_ratio: float         # (1 + eps) / (1 - eps), separation a safe order needs
     signal_scale: float        # (1 - eps)^2, shrinks the desired-signal power
     interference_scale: float  # (1 + eta_i * eps)^2, inflates uncancelled interference
     leakage_scale: float       # eta_r * eps, residual power of cancelled signals
@@ -40,8 +42,9 @@ class DecodingOrder:
 
 
 def robust_gains(eps, eta_i, eta_r) -> RobustGains:
-    """Weighting factors; degenerate to (1, 1, 0) at eps = 0."""
-    return RobustGains(signal_scale=(1.0 - eps) ** 2,
+    """The one definition of a point's gains; (1, 1, 1, 0) at eps = 0 for any eta_r."""
+    return RobustGains(order_ratio=(1.0 + eps) / (1.0 - eps),
+                       signal_scale=(1.0 - eps) ** 2,
                        interference_scale=(1.0 + eta_i * eps) ** 2,
                        leakage_scale=eta_r * eps)
 

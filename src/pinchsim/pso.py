@@ -17,11 +17,11 @@ block, which consumes the stream exactly as two scalar draws per iteration
 would, so a run is reproducible regardless of evaluation schedule.
 
 Because the streams depend only on the seed, searches of one seed at
-different (eps, eta_r) evaluation points start from the same particles and
-use the same multipliers.  ``optimize_points`` therefore draws them once and
-steps all of its searches in lockstep, one projection call and one kernel
-call per iteration for the stacked swarms; ``optimize`` is its one-point
-case.
+different evaluation points (``noma.RobustGains``) start from the same
+particles and use the same multipliers.  ``optimize_points`` therefore
+draws them once and steps all of its searches in lockstep, one projection
+call and one kernel call per iteration for the stacked swarms; ``optimize``
+is its one-point case.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernels
 from .config import ConfigError, PsoParams, SystemConfig
+from .noma import RobustGains, robust_gains
 from .scenario import Scenario, stream
 
 # Largest kernel batch, in rows x users x antennas x max(obstacles, 1), up to
@@ -125,16 +126,14 @@ class PsoResult:
     gbest_thetas: np.ndarray = field(repr=False, default=None)  # (T+1, N+K)
 
 
-def search_point(config: SystemConfig, robust: bool):
-    """The (eps, eta_r) at which a search evaluates its fitness.
+def search_point(config: SystemConfig, robust: bool) -> RobustGains:
+    """The evaluation point at which a search scores its fitness.
 
-    A robust search uses the configured bound and leakage; a non-robust
-    search, and a robust one at a zero bound, use the perfect-estimate point
-    (0, 0), where the leakage level has no effect.
+    A robust search uses the configured bound; a non-robust one the
+    perfect-estimate bound 0, whose gains (1, 1, 1, 0) do not depend on the
+    leakage level, so it coincides with a robust search at a zero bound.
     """
-    if robust and config.csi_eps > 0:
-        return (float(config.csi_eps), float(config.eta_r))
-    return (0.0, 0.0)
+    return robust_gains(config.csi_eps if robust else 0.0, config.eta_i, config.eta_r)
 
 
 def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
@@ -153,16 +152,16 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
 
 def optimize_points(scenario: Scenario, config: SystemConfig, params: PsoParams,
                     seed: int, points) -> list:
-    """One search per (eps, eta_r) evaluation point, stepped in lockstep.
+    """One search per evaluation point (``noma.RobustGains``), in lockstep.
 
     Returns one ``PsoResult`` per entry of ``points``, each bit-identical to
     a separate search at that point.  The evaluation points come from
     ``points`` alone; ``config`` supplies geometry and constants.  The
     particle streams depend only on the seed, so every search starts from
     the same particles with the same multipliers: they are drawn once and
-    shared.  A repeated point is searched once and its entries share one
-    result.  The distinct points are stacked into one (S, P, D) swarm, split
-    where a kernel batch would exceed ``LOCKSTEP_BUDGET``.
+    shared.  Equal points are searched once and share one result.  The
+    distinct points are stacked into one (S, P, D) swarm, split where a
+    kernel batch would exceed ``LOCKSTEP_BUDGET``.
     """
     rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
@@ -184,9 +183,7 @@ def _lockstep(scenario, config, params, theta0, draws, points):
     n = config.num_pas
     s = len(points)
     p, d = theta0.shape
-    # each row's (ratio, g_s, g_i, g_r), fixed for the whole search
-    gains = kernels.row_gains(np.repeat([e for e, _ in points], p), config.eta_i,
-                              np.repeat([r for _, r in points], p), s * p)
+    gains = kernels.row_gains(points, p)  # fixed for the whole search
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])
 

@@ -1,9 +1,15 @@
+import contextlib
+import dataclasses
+import io
 import json
 import re
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pinchsim import SystemConfig
+from pinchsim import ExperimentSettings, PsoParams, SystemConfig
 from pinchsim.cli import main
 
 FAST_SECTIONS = {
@@ -46,6 +52,17 @@ def test_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["validate-config", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    assert main(["validate-config", "--config", str(path)]) == 2
+    assert f"config error: cannot read config file {path}" in capsys.readouterr().err
 
 
 def test_unknown_config_key_is_hard_error(tmp_path):
@@ -165,6 +182,7 @@ def test_largest_seed_accepted(tmp_path):
     ("pa_height=Infinity", "pa_height"),
     ("carrier_freq=1e-300", "carrier_freq"),  # infinite wavelength
     ("eta_i=1e308", "eta_i"),
+    pytest.param("waveguide_len=1" + "0" * 400, "waveguide_len", id="waveguide_len=10**400"),
     ("experiments.eps_grid=0.1", "eps_grid"),
     ('experiments.eps_grid=["x"]', "eps_grid"),
     ("experiments.eps_grid=[]", "eps_grid"),
@@ -199,3 +217,77 @@ def test_nonfinite_result_is_config_error(tmp_path, capsys, command, where,
     assert all(re.fullmatch(r"realization \d+/\d+ done", line) for line in progress)
     assert err.startswith("config error: ") and where in err and reason in err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_degenerate_converge_stops_after_first_realization(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    assert main(["converge", "--config", cfg, "--seed", "3", "--realizations", "3",
+                 "--out", str(tmp_path / "conv.csv"),
+                 "--override", "waveguide_len=1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "realization 2/" not in err
+    assert err.startswith("config error: converge realization 1/3 ")
+    assert "scheme=RobustPSO iteration=0: gbest_fitness is nan" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+# Override keys: every real field, unknown and dotted ones, and the bare
+# section names.  Size fields are capped so that no example allocates much.
+FIELD_KEYS = ([f.name for f in dataclasses.fields(SystemConfig)]
+              + [f"pso.{f.name}" for f in dataclasses.fields(PsoParams)]
+              + [f"experiments.{f.name}" for f in dataclasses.fields(ExperimentSettings)])
+ODD_KEYS = ["num_userz", "pso", "experiments", "pso.bogus", "experiments.", "foo.bar",
+            "system.num_users", "a.b.c", "", " num_users "]
+CAPS = {"num_users": 8, "num_pas": 8, "obstacle_count": 8, "experiments.k_grid": 8,
+        "pso.num_particles": 4, "pso.max_iters": 2}
+RAW_VALUES = ["1e308", "-1e308", "1e-320", "-0.0", "0.5", "0.95", "NaN", "Infinity",
+              "-Infinity", "1" + "0" * 400, "true", "false", "null", '"x"', '""',
+              '"true_sampled"', "[]", "[0.3]", "[0.3, 0.8]", "[2, 3]", '["a"]', "[true]",
+              "[1e308, 1e308]", "{}", '{"a": 1}', "{not json", "=", "3=4"]
+
+
+def _capped(key, raw):
+    """raw with every integer above the key's cap lowered to the cap, and a
+    whole pso section kept to the small swarm."""
+    cap = CAPS.get(key.strip())
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+    if key.strip() == "pso" and isinstance(value, dict):
+        return json.dumps({**value, "num_particles": 4, "max_iters": 2})
+    if cap is None:
+        return raw
+    if isinstance(value, int) and not isinstance(value, bool):
+        return json.dumps(min(value, cap))
+    if isinstance(value, list):
+        return json.dumps([min(v, cap) if type(v) is int else v for v in value])
+    return raw
+
+
+OVERRIDES = st.lists(
+    st.builds(lambda key, raw: f"{key}={_capped(key, raw)}",
+              st.sampled_from(FIELD_KEYS + ODD_KEYS),
+              st.integers(-3, 12).map(str) | st.sampled_from(RAW_VALUES)
+              | st.floats(allow_nan=False).map(json.dumps)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(OVERRIDES)
+def test_override_fuzz_exits_cleanly(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/config.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"pso": {"num_particles": 4, "max_iters": 2},
+                       "experiments": {"realizations": 1}}, fh)
+        argv = ["optimize", "--config", cfg, "--seed", "1", "--out", f"{tmp}/out.csv",
+                "--realizations", "1"]
+        for item in overrides:
+            argv += ["--override", item]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2), (overrides, err.getvalue())
+    assert "Traceback" not in err.getvalue()

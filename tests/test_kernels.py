@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
                       effective_channel, generate_scenario, robust_gains)
-from pinchsim.kernels import row_gains, swarm_fitness, swarm_fitness_numpy
+from pinchsim.kernels import row_gains, swarm_fitness
 from pinchsim.pso import draw_theta, split_theta
 from pinchsim.scenario import Scenario
 
@@ -145,22 +145,33 @@ def make_batch(config, seed, n_particles=40):
     return scenario, thetas
 
 
-def kernel_args(thetas, scenario, config, eps, eta_r):
+def loop_args(thetas, scenario, config, gains):
+    """The loop oracle's positional arguments for a batch and its row gains."""
     n = config.num_pas
-    return (np.ascontiguousarray(thetas[:, :n]),
-            np.ascontiguousarray(thetas[:, n:]),
+    return (thetas[:, :n], thetas[:, n:],
             scenario.users, scenario.obstacle_centers, scenario.obstacle_radii,
             config.wavelength, config.guide_wavelength, config.wg_loss,
             config.pa_height, config.blockage_beta, config.blockage_alpha,
-            config.tx_power, config.noise_power,
-            *row_gains(eps, config.eta_i, eta_r, thetas.shape[0]), config.penalty_mu)
+            config.tx_power, config.noise_power, *gains, config.penalty_mu)
+
+
+def fitness(thetas, scenario, config, gains=None):
+    n = config.num_pas
+    return swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config, gains=gains)
+
+
+def point_gains(config, eps, eta_r):
+    """Row gains of per-row (eps, eta_r) arrays at the config's eta_i."""
+    return row_gains([robust_gains(float(e), config.eta_i, float(r))
+                      for e, r in zip(eps, eta_r)], 1)
 
 
 @pytest.mark.parametrize("eps,eta_r", [(0.1, 0.2), (0.0, 0.0), (0.3, 0.5)])
 def test_numpy_kernel_matches_module_composition(eps, eta_r):
     config = SystemConfig()
     scenario, thetas = make_batch(config, 21)
-    f, g, v = swarm_fitness_numpy(*kernel_args(thetas, scenario, config, eps, eta_r))
+    f, g, v = fitness(thetas, scenario, config,
+                      row_gains([robust_gains(eps, config.eta_i, eta_r)], len(thetas)))
     for i in range(thetas.shape[0]):
         f_ref, g_ref, v_ref = reference_fitness(thetas[i], scenario, config, eps, eta_r)
         assert f[i] == pytest.approx(f_ref, rel=1e-9, abs=1e-12)
@@ -179,32 +190,31 @@ def test_kernel_handles_user_counts(num_users):
         assert np.allclose(v, 0.0)
 
 
-def test_zero_penalty_weight_disables_penalty():
+def test_penalty_weight_moves_fitness_only():
     # two users mirrored around the antenna have equal-magnitude channels,
     # so the separation test fails and the violation sum is positive
     config = SystemConfig(num_users=2, num_pas=1, obstacle_count=0)
     scenario = Scenario(users=np.array([[4.0, 3.0, 0.0], [6.0, 3.0, 0.0]]),
                         obstacle_centers=np.zeros((0, 3)),
                         obstacle_radii=np.zeros(0), seed=0)
-    args = list(kernel_args(np.array([[5.0, 0.4, 0.4]]), scenario, config,
-                            0.1, 0.2))
-    f_pen, g_pen, v = swarm_fitness_numpy(*args)
+    theta = np.array([[5.0, 0.4, 0.4]])
+    f, g, v = fitness(theta, scenario, config)
     assert v[0] > 0
-    assert f_pen[0] == pytest.approx(g_pen[0] - config.penalty_mu * v[0], rel=1e-12)
-    args[-1] = 0.0  # zero penalty weight
-    f_off, g_off, _ = swarm_fitness_numpy(*args)
-    assert f_off[0] == g_off[0]
+    assert f[0] == g[0] - config.penalty_mu * v[0]  # bitwise
+    heavier = dataclasses.replace(config, penalty_mu=2.5)
+    f_heavy, g_heavy, v_heavy = fitness(theta, scenario, heavier)
+    assert (g_heavy[0], v_heavy[0]) == (g[0], v[0])
+    assert f_heavy[0] == g[0] - heavier.penalty_mu * v[0]
 
 
 def test_swarm_fitness_nominal_override():
-    # eps=0, eta_r=0 reproduces the perfect-estimate evaluation
+    # the gains of eps=0 reproduce the perfect-estimate evaluation
     config = SystemConfig()
     scenario, thetas = make_batch(config, 30, n_particles=6)
     nominal_cfg = dataclasses.replace(config, csi_eps=0.0, eta_r=0.0)
-    xs, alphas = thetas[:, :config.num_pas], thetas[:, config.num_pas:]
-    f_override, g_override, _ = swarm_fitness(xs, alphas, scenario, config,
-                                              eps=0.0, eta_r=0.0)
-    f_cfg, g_cfg, _ = swarm_fitness(xs, alphas, scenario, nominal_cfg)
+    f_override, g_override, _ = fitness(thetas, scenario, config,
+                                        point_gains(config, [0.0] * 6, [0.0] * 6))
+    f_cfg, g_cfg, _ = fitness(thetas, scenario, nominal_cfg)
     assert np.allclose(f_override, f_cfg, rtol=1e-12)
     assert np.allclose(g_override, g_cfg, rtol=1e-12)
 
@@ -216,9 +226,9 @@ MIXED_POINTS = [(0.1, 0.2), (0.0, 0.0), (0.3, 0.5), (0.1, 0.2), (0.0, 0.7),
 
 
 def mixed_rows(n_rows):
-    """Per-row (eps, eta_r) arrays cycling through MIXED_POINTS."""
+    """Per-row eps and eta_r lists cycling through MIXED_POINTS."""
     points = [MIXED_POINTS[i % len(MIXED_POINTS)] for i in range(n_rows)]
-    return (np.array([e for e, _ in points]), np.array([r for _, r in points]))
+    return [e for e, _ in points], [r for _, r in points]
 
 
 @pytest.mark.parametrize("config", [
@@ -229,11 +239,10 @@ def mixed_rows(n_rows):
 ])
 def test_fitness_loop_body_matches_numpy_kernel(config):
     scenario, thetas = make_batch(config, 17, n_particles=12)
-    eps, eta_r = mixed_rows(thetas.shape[0])
-    args = kernel_args(thetas, scenario, config, eps, eta_r)
+    gains = point_gains(config, *mixed_rows(thetas.shape[0]))
     out = [np.empty(thetas.shape[0]) for _ in range(3)]
-    fitness_loop(*args, *out)
-    for got, want in zip(out, swarm_fitness_numpy(*args)):
+    fitness_loop(*loop_args(thetas, scenario, config, gains), *out)
+    for got, want in zip(out, fitness(thetas, scenario, config, gains)):
         assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
@@ -242,29 +251,26 @@ def test_fitness_loop_body_matches_numpy_kernel(config):
 def test_per_row_points_match_stacked_scalar_calls(config):
     scenario, thetas = make_batch(config, 23, n_particles=18)
     eps, eta_r = mixed_rows(thetas.shape[0])
-    n = config.num_pas
-    rows = swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
-                         eps=eps, eta_r=eta_r)
+    rows = fitness(thetas, scenario, config, point_gains(config, eps, eta_r))
     for i in range(thetas.shape[0]):
-        alone = swarm_fitness(thetas[i:i + 1, :n], thetas[i:i + 1, n:], scenario,
-                              config, eps=float(eps[i]), eta_r=float(eta_r[i]))
+        alone = fitness(thetas[i:i + 1], scenario, config,
+                        point_gains(config, eps[i:i + 1], eta_r[i:i + 1]))
         for got, want in zip(rows, alone):
             assert got[i] == want[0]  # bitwise
 
 
 def test_row_weights_equal_scalar_robust_gains():
     # numpy's array power and Python's ** disagree in the last bit for some
-    # eps, so the per-row weights must come from Python floats, as in noma
+    # eps, so the rows must carry noma's Python-float numbers as they are
     rng = np.random.default_rng(5)
-    eps = np.repeat(rng.uniform(0.0, 0.99, 20_000), 2)
-    eta_r = np.repeat(rng.uniform(0.0, 1.0, 20_000), 2)
-    ratio, g_s, g_i, g_r = row_gains(eps, 0.5, eta_r, eps.size)
-    for i in range(eps.size):
-        e = float(eps[i])
-        want = robust_gains(e, 0.5, float(eta_r[i]))
-        assert (g_s[i], g_i[i], g_r[i]) == (want.signal_scale, want.interference_scale,
-                                            want.leakage_scale)
-        assert ratio[i] == (1.0 + e) / (1.0 - e)
+    eps, eta_r = rng.uniform(0.0, 0.99, 2_000), rng.uniform(0.0, 1.0, 2_000)
+    points = [robust_gains(e, 0.5, r) for e, r in zip(eps.tolist(), eta_r.tolist())]
+    rows = row_gains(points, 3)
+    assert all(col.shape == (3 * len(points),) and col.flags.c_contiguous for col in rows)
+    for i, point in enumerate(points):
+        for col, want in zip(rows, (point.order_ratio, point.signal_scale,
+                                    point.interference_scale, point.leakage_scale)):
+            assert np.all(col[3 * i:3 * i + 3] == want)  # bitwise
 
 
 def _tangent_obstacle(antenna, user, radius, rng):
@@ -314,8 +320,7 @@ def test_kernel_matches_scalar_oracle_on_random_geometry(case):
         mags = np.sort([abs(effective_channel(theta[:n], u, scenario, config))
                         for u in scenario.users])
         assume(np.all(np.diff(mags) > 1e-9 * mags[1:]))
-    f, g, v = swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
-                            eps=eps, eta_r=eta_r)
+    f, g, v = fitness(thetas, scenario, config, point_gains(config, eps, eta_r))
     for i, theta in enumerate(thetas):
         f_ref, g_ref, v_ref = reference_fitness(theta, scenario, config, eps[i], eta_r[i])
         scale = abs(g_ref) + config.penalty_mu * abs(v_ref)
@@ -369,11 +374,10 @@ def test_kernel_matches_loop_oracle_on_edge_geometry(case):
         mags = np.sort([abs(effective_channel(theta[:n], u, scenario, config))
                         for u in scenario.users])
         assume(np.all(np.diff(mags) > 1e-9 * mags[1:]))
-    args = kernel_args(thetas, scenario, config, eps, eta_r)
+    gains = point_gains(config, eps, eta_r)
     want = [np.empty(thetas.shape[0]) for _ in range(3)]
-    fitness_loop(*args, *want)
-    f, g, v = swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
-                            eps=eps, eta_r=eta_r)
+    fitness_loop(*loop_args(thetas, scenario, config, gains), *want)
+    f, g, v = fitness(thetas, scenario, config, gains)
     scale = np.abs(want[1]) + config.penalty_mu * np.abs(want[2])
     assert np.allclose(g, want[1], rtol=1e-9, atol=1e-300)
     assert np.all(np.abs(v - want[2]) <= 1e-9 * np.maximum(np.abs(want[2]), scale))

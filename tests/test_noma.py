@@ -22,11 +22,15 @@ def conservative_sinr_oracle(h_sq, alpha, tx_power, noise, eps, eta_i, eta_r):
 
 def test_robust_gains_zero_eps_is_nominal():
     g = robust_gains(0.0, 0.5, 0.2)
-    assert (g.signal_scale, g.interference_scale, g.leakage_scale) == (1.0, 1.0, 0.0)
+    assert (g.order_ratio, g.signal_scale, g.interference_scale,
+            g.leakage_scale) == (1.0, 1.0, 1.0, 0.0)
+    # the leakage level acts only through eps, so every eta_r is one point at eps = 0
+    assert g == robust_gains(0.0, 0.5, 0.0) == robust_gains(0.0, 0.5, 7.0)
 
 
 def test_robust_gains_default_point():
     g = robust_gains(0.1, 0.5, 0.2)
+    assert g.order_ratio == pytest.approx(1.1 / 0.9, rel=1e-12)
     assert g.signal_scale == pytest.approx(0.81, rel=1e-12)
     assert g.interference_scale == pytest.approx(1.1025, rel=1e-12)
     assert g.leakage_scale == pytest.approx(0.02, rel=1e-12)
@@ -34,7 +38,8 @@ def test_robust_gains_default_point():
 
 def test_robust_gains_half_eps():
     g = robust_gains(0.5, 1.0, 1.0)
-    assert (g.signal_scale, g.interference_scale, g.leakage_scale) == (0.25, 2.25, 0.5)
+    assert (g.order_ratio, g.signal_scale, g.interference_scale,
+            g.leakage_scale) == (3.0, 0.25, 2.25, 0.5)
 
 
 def test_conservative_order_well_separated():

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pinchsim import (PsoParams, SystemConfig, generate_scenario, kernels,
-                      optimize, swarm_fitness)
+from pinchsim import (PsoParams, RobustGains, SystemConfig, generate_scenario,
+                      kernels, optimize, robust_gains, swarm_fitness)
 from pinchsim.pso import (draw_theta, optimize_points, project_theta_batch,
                           search_point, split_theta)
 from pinchsim.scenario import STREAMS
@@ -40,10 +40,11 @@ def reference_optimize(scenario, config, params, seed, robust=True):
     rngs = [np.random.default_rng((seed, STREAMS["particles"], i))
             for i in range(params.num_particles)]
     eps, eta_r = (config.csi_eps, config.eta_r) if robust else (0.0, 0.0)
+    point = robust_gains(eps, config.eta_i, eta_r)
 
     def evaluate(thetas):
         return swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
-                             eps=eps, eta_r=eta_r)[0]
+                             gains=kernels.row_gains([point], len(thetas)))[0]
 
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
     velocity = np.zeros_like(theta)
@@ -109,7 +110,9 @@ WIDE_PSO = PsoParams(num_particles=70, max_iters=4)
 
 
 @pytest.mark.parametrize("config,params,points,stacked_rows", [
-    (CFG, SMALL, [(0.1, 0.2), (0.0, 0.0), (0.2, 0.2), (0.1, 0.2), (0.0, 0.0)], 3 * 12),
+    # at eps = 0 every eta_r has the same gains, so (0, 0.7) is the point (0, 0)
+    (CFG, SMALL, [(0.1, 0.2), (0.0, 0.0), (0.2, 0.2), (0.1, 0.2), (0.0, 0.0), (0.0, 0.7)],
+     3 * 12),
     (CFG, PsoParams(num_particles=1, max_iters=15), [(0.3, 0.5), (0.0, 0.0)], 2),
     (SystemConfig(num_users=1, num_pas=1, obstacle_count=0),
      PsoParams(num_particles=5, max_iters=12), [(0.0, 0.0), (0.4, 0.1), (0.2, 0.0)], 3 * 5),
@@ -119,7 +122,8 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
                                                       points, stacked_rows):
     scenario = generate_scenario(config, 8)
     swarms = recorded_swarms(monkeypatch)
-    results = optimize_points(scenario, config, params, 9, points)
+    results = optimize_points(scenario, config, params, 9,
+                              [robust_gains(e, config.eta_i, r) for e, r in points])
     monkeypatch.undo()
     # distinct points share a kernel call unless the budget splits them
     assert max(len(swarm) for swarm in swarms) == stacked_rows
@@ -142,15 +146,18 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
         return row_gains(*args)
 
     monkeypatch.setattr(kernels, "row_gains", counting)
-    optimize_points(SCENARIO, CFG, SMALL, 9, [(0.1, 0.2), (0.0, 0.0)])
+    optimize_points(SCENARIO, CFG, SMALL, 9, [robust_gains(0.1, CFG.eta_i, 0.2),
+                                              robust_gains(0.0, CFG.eta_i, 0.0)])
     assert len(built) == 1  # not once per iteration
 
 
 def test_search_point_of_each_mode():
-    assert search_point(CFG, robust=True) == (CFG.csi_eps, CFG.eta_r)
-    assert search_point(CFG, robust=False) == (0.0, 0.0)
+    assert search_point(CFG, robust=True) == robust_gains(CFG.csi_eps, CFG.eta_i, CFG.eta_r)
+    nominal = RobustGains(order_ratio=1.0, signal_scale=1.0, interference_scale=1.0,
+                          leakage_scale=0.0)
+    assert search_point(CFG, robust=False) == nominal
     # at a zero bound the leakage level has no effect, so both modes coincide
-    assert search_point(dataclasses.replace(CFG, csi_eps=0.0), robust=True) == (0.0, 0.0)
+    assert search_point(dataclasses.replace(CFG, csi_eps=0.0), robust=True) == nominal
 
 
 def test_frozen_dynamics_leave_swarm_in_place(monkeypatch):
@@ -223,8 +230,8 @@ def test_robust_and_nominal_agree_at_zero_eps():
 def test_nonrobust_rescored_under_worst_case():
     res = optimize(SCENARIO, CFG, SMALL, seed=6, robust=False)
     # the search's objective is the nominal one
-    f_nominal, _, _ = swarm_fitness(*one_row(res.best_theta), SCENARIO, CFG,
-                                    eps=0.0, eta_r=0.0)
+    nominal = kernels.row_gains([robust_gains(0.0, CFG.eta_i, 0.0)], 1)
+    f_nominal, _, _ = swarm_fitness(*one_row(res.best_theta), SCENARIO, CFG, gains=nominal)
     assert res.best_fitness == pytest.approx(f_nominal[0], rel=1e-9)
 
 
