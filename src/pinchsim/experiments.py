@@ -128,15 +128,17 @@ def _require_reportable_traces(where, prefix, fitness, min_sinr, positive):
                             positive)
 
 
-def _record(scheme, search, scenario: Scenario, config: SystemConfig, seed,
+def _record(scheme, found, scenario: Scenario, config: SystemConfig, seed,
             sweep_var, sweep_value, score_mode, started, search_ms=0.0):
-    """Score one scheme's candidate; a PSO scheme's comes from its ``search``.
+    """Score one scheme's candidate; a PSO scheme's is the result in ``found``
+    (``RobustGains`` -> ``PsoResult``) at its ``pso.search_point``.
 
     ``started`` is the perf_counter time the scheme's own work began, or None
     when runtime is not recorded; ``search_ms`` is its share of a search
     that ran before it.
     """
     if scheme in _SEARCH_SCHEMES:
+        search = found[pso.search_point(config, scheme == "RobustPSO")]
         x_pos, alpha = search.best_x, search.best_alpha
     elif scheme == "Random":
         rng = stream(seed, "random_scheme")
@@ -168,11 +170,26 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
     if sweep_value is None:
         sweep_value = config.csi_eps
     t0 = time.perf_counter()
-    search = (pso.optimize(scenario, config, pso_params, seed,
-                           robust=(scheme == "RobustPSO"))
-              if scheme in _SEARCH_SCHEMES else None)
-    return _record(scheme, search, scenario, config, seed, sweep_var, sweep_value,
+    found = {}
+    if scheme in _SEARCH_SCHEMES:
+        robust = scheme == "RobustPSO"
+        found[pso.search_point(config, robust)] = pso.optimize(
+            scenario, config, pso_params, seed, robust=robust)
+    return _record(scheme, found, scenario, config, seed, sweep_var, sweep_value,
                    score_mode, t0 if record_runtime else None)
+
+
+def _searches(scenario: Scenario, configs, pso_params: PsoParams, seed):
+    """The PSO searches of ``configs``, which share ``scenario``, as
+    ``{RobustGains: PsoResult}`` keyed by each scheme's ``pso.search_point``.
+
+    One ``pso.optimize_points`` call searches each distinct point once, in
+    lockstep; ``configs[0]`` supplies the geometry and constants.
+    """
+    points = list(dict.fromkeys(pso.search_point(config, scheme == "RobustPSO")
+                                for config in configs for scheme in _SEARCH_SCHEMES))
+    return dict(zip(points, pso.optimize_points(scenario, configs[0], pso_params,
+                                                seed, points)))
 
 
 def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
@@ -181,9 +198,8 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
     """Records in (grid point, realization, scheme) order.
 
     Grid points whose configs differ only in the error bound share each
-    realization's scenario, so their PSO schemes run as one
-    ``pso.optimize_points`` call per realization, which searches each
-    distinct evaluation point once.
+    realization's scenario, so their PSO schemes run as one ``_searches``
+    step per realization.
     """
     seeds = realization_seeds(master_seed, settings.realizations)
     configs = [make_config(value) for value in grid]
@@ -192,25 +208,18 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
         groups.setdefault(dataclasses.replace(point_config, csi_eps=0.0), []).append(i)
     rows = {}
     for members in groups.values():
-        group_config = configs[members[0]]
         for j, seed in enumerate(seeds):
-            scenario = generate_scenario(group_config, seed)
-            points = [pso.search_point(configs[i], scheme == "RobustPSO")
-                      for i in members for scheme in _SEARCH_SCHEMES]
+            scenario = generate_scenario(configs[members[0]], seed)
             t0 = time.perf_counter()
-            found = dict(zip(points, pso.optimize_points(
-                scenario, group_config, pso_params, seed, points)))
+            found = _searches(scenario, [configs[i] for i in members], pso_params, seed)
             search_ms = (time.perf_counter() - t0) * 1e3 / len(found)
             for i in members:
                 rows[i, j] = []
                 for scheme in SCHEMES:
                     started = time.perf_counter() if settings.record_runtime else None
-                    search, share_ms = None, 0.0
-                    if scheme in _SEARCH_SCHEMES:
-                        search = found[pso.search_point(configs[i], scheme == "RobustPSO")]
-                        share_ms = search_ms
+                    share_ms = search_ms if scheme in _SEARCH_SCHEMES else 0.0
                     rows[i, j].append(_record(
-                        scheme, search, scenario, configs[i], seed, sweep_var,
+                        scheme, found, scenario, configs[i], seed, sweep_var,
                         grid[i], settings.score_mode, started, share_ms))
         if progress is not None:
             for i in members:
@@ -252,11 +261,11 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     schemes = _SEARCH_SCHEMES
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
-    points = [pso.search_point(config, scheme == "RobustPSO") for scheme in schemes]
     for r, seed in enumerate(realization_seeds(master_seed, num_realizations)):
         scenario = generate_scenario(config, seed)
-        results = pso.optimize_points(scenario, config, pso_params, seed, points)
-        for scheme, result in zip(schemes, results):
+        found = _searches(scenario, [config], pso_params, seed)
+        for scheme in schemes:
+            result = found[pso.search_point(config, scheme == "RobustPSO")]
             xs, alphas = pso.split_theta(result.gbest_thetas, config.num_pas)
             _, rescored, _ = kernels.swarm_fitness(xs, alphas, scenario, config)
             # a degenerate config shows in the first realization: stop there
