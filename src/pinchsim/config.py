@@ -12,9 +12,14 @@ import json
 import math
 import numbers
 import os
+import reprlib
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# Most elements (128 MiB of doubles) of any array a run sizes from its config,
+# and the largest size field or grid length a config may hold.
+MAX_ELEMENTS = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -34,24 +39,24 @@ def _is_integer(value):
 
 
 def _check_field_types(instance):
-    """Integer fields take integers (not bools or floats), float fields take
-    finite numbers and bool fields take bools.  Runs before the range checks,
-    which assume all three."""
+    """Integer fields take integers (not bools or floats) and float fields
+    take finite numbers.  Runs before the range checks, which assume both."""
     for field in dataclasses.fields(instance):
         value = getattr(instance, field.name)
         if field.type is int and not _is_integer(value):
-            raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+            raise ConfigError(f"{field.name} must be an integer, "
+                              f"got {reprlib.repr(value)}")
         if field.type is float and not _is_finite_number(value):
-            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
-        if field.type is bool and not isinstance(value, bool):
-            raise ConfigError(f"{field.name} must be true or false, got {value!r}")
+            raise ConfigError(f"{field.name} must be a finite number, "
+                              f"got {reprlib.repr(value)}")
 
 
 def _grid(name, values, is_item, kind):
     """A sweep grid as a tuple; it must be a non-empty list of ``kind``."""
     if (not isinstance(values, (list, tuple)) or not values
             or not all(is_item(v) for v in values)):
-        raise ConfigError(f"{name} must be a non-empty list of {kind}, got {values!r}")
+        raise ConfigError(f"{name} must be a non-empty list of {kind}, "
+                          f"got {reprlib.repr(values)}")
     return tuple(values)
 
 
@@ -152,7 +157,7 @@ class SystemConfig:
         if (not isinstance(radii, tuple) or len(radii) != 2
                 or not all(_is_finite_number(r) for r in radii)):
             raise ConfigError("obstacle_radius_range must be two numbers [lo, hi], "
-                              f"got {radii!r}")
+                              f"got {reprlib.repr(radii)}")
         lo, hi = radii
         if not 0 < lo <= hi:
             raise ConfigError("obstacle_radius_range must satisfy 0 < lo <= hi, got "
@@ -199,18 +204,16 @@ class PsoParams:
 class ExperimentSettings:
     """Monte-Carlo harness settings.
 
-    ``record_runtime`` defaults to off so that a sweep with a fixed master
-    seed is byte-identical on re-run; switch it on to capture wall time in
-    the runtime_ms column.  ``score_mode`` selects how every scheme's final
-    candidate is scored: "conservative" (worst-case evaluation at the
-    configured error bound) or "true_sampled" (nominal evaluation with one
-    sampled estimate-error realization).
+    ``score_mode`` selects how every scheme's final candidate is scored:
+    "conservative" (worst-case evaluation at the configured error bound) or
+    "true_sampled" (nominal evaluation with one sampled estimate-error
+    realization).  No setting records wall time, so a sweep with a fixed
+    master seed is byte-identical on re-run.
     """
 
     realizations: int = 50
     eps_grid: tuple = (0.0, 0.05, 0.10, 0.15, 0.20)
     k_grid: tuple = (2, 3, 4, 5)
-    record_runtime: bool = False
     score_mode: str = "conservative"
 
     def __post_init__(self):
@@ -227,7 +230,7 @@ class ExperimentSettings:
             raise ConfigError(f"k_grid values must be positive integers, got {self.k_grid}")
         if self.score_mode not in ("conservative", "true_sampled"):
             raise ConfigError("score_mode must be 'conservative' or 'true_sampled', "
-                              f"got {self.score_mode!r}")
+                              f"got {reprlib.repr(self.score_mode)}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,32 @@ class RunConfig:
         return d
 
 
+def _check_sizes(run: RunConfig):
+    """Refuse a run whose size fields or grid lengths, or the arrays it sizes
+    from them, exceed ``MAX_ELEMENTS``.  The arrays are the realization
+    seeds, the fitness kernel's obstacle block at the largest user count,
+    the multiplier block and one realization's search trajectories (up to
+    one search per error bound, plus the non-robust one)."""
+    system, pso, exp = run.system, run.pso, run.experiments
+    users = max(system.num_users, *exp.k_grid)
+    sizes = {
+        "num_users": system.num_users, "num_pas": system.num_pas,
+        "obstacle_count": system.obstacle_count, "num_particles": pso.num_particles,
+        "max_iters": pso.max_iters, "realizations": exp.realizations,
+        "max(k_grid)": max(exp.k_grid), "len(eps_grid)": len(exp.eps_grid),
+        "len(k_grid)": len(exp.k_grid),
+        "num_particles * max(num_users, k_grid) * num_pas * max(obstacle_count, 1)":
+            pso.num_particles * users * system.num_pas * max(system.obstacle_count, 1),
+        "num_particles * max_iters * 2": pso.num_particles * pso.max_iters * 2,
+        "(len(eps_grid) + 1) * (max_iters + 1) * (num_pas + max(num_users, k_grid))":
+            (len(exp.eps_grid) + 1) * (pso.max_iters + 1) * (system.num_pas + users),
+    }
+    for name, size in sizes.items():
+        if size > MAX_ELEMENTS:
+            raise ConfigError(f"{name} = {size} exceeds {MAX_ELEMENTS} (2**24), the "
+                              "most elements of any array a run allocates")
+
+
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
 _PSO_KEYS = {f.name for f in dataclasses.fields(PsoParams)}
 _EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentSettings)}
@@ -266,7 +295,8 @@ def run_config_from_dict(doc):
 
     Top-level keys are SystemConfig fields; the optional "pso" and
     "experiments" sections hold the other two groups.  Unknown keys anywhere
-    are a hard error so typos cannot silently fall back to defaults.
+    are a hard error so typos cannot silently fall back to defaults, and so
+    are sizes beyond ``MAX_ELEMENTS``.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -278,7 +308,9 @@ def run_config_from_dict(doc):
     system = _build_section(SystemConfig, doc, _SYSTEM_KEYS, "system")
     pso = _build_section(PsoParams, pso_doc, _PSO_KEYS, "pso")
     experiments = _build_section(ExperimentSettings, exp_doc, _EXPERIMENT_KEYS, "experiments")
-    return RunConfig(system=system, pso=pso, experiments=experiments)
+    run = RunConfig(system=system, pso=pso, experiments=experiments)
+    _check_sizes(run)
+    return run
 
 
 def load_run_config(path):
@@ -288,10 +320,12 @@ def load_run_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # bad syntax, or an integer beyond the digit limit
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"JSON in {path} is nested too deeply to parse") from None
     return run_config_from_dict(doc)
 
 
@@ -311,8 +345,10 @@ def apply_overrides(doc, overrides):
         key = key.strip()
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer beyond the digit limit
             value = raw
+        except RecursionError:
+            raise ConfigError(f"{key} override is nested too deeply to parse") from None
         if "." in key:
             section, field = key.split(".", 1)
             if section not in ("pso", "experiments"):
@@ -320,7 +356,7 @@ def apply_overrides(doc, overrides):
             section_doc = doc.setdefault(section, {})
             if not isinstance(section_doc, dict):  # replaced by an earlier override
                 raise ConfigError(f"'{section}' config section must be a JSON object "
-                                  f"to take {item!r}, got {section_doc!r}")
+                                  f"to take {item!r}, got {reprlib.repr(section_doc)}")
             section_doc[field] = value
         else:
             doc[key] = value

@@ -10,21 +10,19 @@ error bound.
 A PSO scheme searches at ``pso.search_point``: the configured bound for
 RobustPSO, the perfect-estimate bound 0 for NonRobustPSO; a RobustPSO at a
 zero bound has the same gains.  The scenario does not depend on the bound,
-so a sweep collects, per realization, the search points of every grid point
-that shares its scenario (all of them in an error-bound sweep) and searches
-each distinct point once, all in lockstep (``pso.optimize_points``).
+so ``_searches``, one realization's search step, searches each distinct
+point of the configs sharing its scenario once, in lockstep.
 
 Realizations run serially in seed order: each derives its own seeds from
 the master seed, so a sweep's rows depend only on the config and the master
 seed.  The CSV schema is one row per (sweep point, realization, scheme) with
-linear and dB min-SINR.
+linear and dB min-SINR, and no wall time.
 """
 
 import dataclasses
 import math
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +34,12 @@ from .scenario import Scenario, generate_scenario, stream, uniform_layout
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
 _SEARCH_SCHEMES = SCHEMES[:2]
 
-CSV_HEADER = "sweep_var,sweep_value,scheme,seed,min_sinr_linear,min_sinr_db,runtime_ms"
+CSV_HEADER = "sweep_var,sweep_value,scheme,seed,min_sinr_linear,min_sinr_db"
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One scored scheme on one realization of one sweep point.
-
-    ``runtime_ms`` is 0 unless runtime is recorded.  In a sweep a PSO
-    scheme's search runs in lockstep with the other searches of its
-    realization, so its runtime is that search's wall time divided by the
-    number of distinct searches, plus its own scoring time.
-    """
+    """One scored scheme on one realization of one sweep point."""
 
     sweep_var: str
     sweep_value: float
@@ -55,7 +47,6 @@ class SweepRecord:
     seed: int
     min_sinr_linear: float
     min_sinr_db: float
-    runtime_ms: float
 
 
 @dataclass
@@ -129,14 +120,9 @@ def _require_reportable_traces(where, prefix, fitness, min_sinr, positive):
 
 
 def _record(scheme, found, scenario: Scenario, config: SystemConfig, seed,
-            sweep_var, sweep_value, score_mode, started, search_ms=0.0):
+            sweep_var, sweep_value, score_mode):
     """Score one scheme's candidate; a PSO scheme's is the result in ``found``
-    (``RobustGains`` -> ``PsoResult``) at its ``pso.search_point``.
-
-    ``started`` is the perf_counter time the scheme's own work began, or None
-    when runtime is not recorded; ``search_ms`` is its share of a search
-    that ran before it.
-    """
+    (``RobustGains`` -> ``PsoResult``) at its ``pso.search_point``."""
     if scheme in _SEARCH_SCHEMES:
         search = found[pso.search_point(config, scheme == "RobustPSO")]
         x_pos, alpha = search.best_x, search.best_alpha
@@ -153,39 +139,31 @@ def _record(scheme, found, scenario: Scenario, config: SystemConfig, seed,
                                  mode=score_mode, seed=seed))
     _require_reportable(f"{sweep_var}={sweep_value:.9g} scheme={scheme} seed={seed}",
                         "min_sinr_linear", gmin)
-    runtime_ms = (search_ms + (time.perf_counter() - started) * 1e3
-                  if started is not None else 0.0)
     return SweepRecord(sweep_var=sweep_var, sweep_value=float(sweep_value),
                        scheme=scheme, seed=int(seed),
                        min_sinr_linear=gmin,
-                       min_sinr_db=float(to_db(gmin)),
-                       runtime_ms=runtime_ms)
+                       min_sinr_db=float(to_db(gmin)))
 
 
 def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
                pso_params: PsoParams, seed, sweep_var="csi_eps",
-               sweep_value=None, record_runtime=False,
-               score_mode="conservative") -> SweepRecord:
+               sweep_value=None, score_mode="conservative") -> SweepRecord:
     """Run one scheme on one realization, its own search included, and score it."""
     if sweep_value is None:
         sweep_value = config.csi_eps
-    t0 = time.perf_counter()
     found = {}
     if scheme in _SEARCH_SCHEMES:
         robust = scheme == "RobustPSO"
         found[pso.search_point(config, robust)] = pso.optimize(
             scenario, config, pso_params, seed, robust=robust)
     return _record(scheme, found, scenario, config, seed, sweep_var, sweep_value,
-                   score_mode, t0 if record_runtime else None)
+                   score_mode)
 
 
 def _searches(scenario: Scenario, configs, pso_params: PsoParams, seed):
-    """The PSO searches of ``configs``, which share ``scenario``, as
-    ``{RobustGains: PsoResult}`` keyed by each scheme's ``pso.search_point``.
-
-    One ``pso.optimize_points`` call searches each distinct point once, in
-    lockstep; ``configs[0]`` supplies the geometry and constants.
-    """
+    """``{RobustGains: PsoResult}`` for the PSO schemes of ``configs``, which
+    share ``scenario`` and differ at most in the error bound: one
+    ``pso.optimize_points`` call searches each distinct point once."""
     points = list(dict.fromkeys(pso.search_point(config, scheme == "RobustPSO")
                                 for config in configs for scheme in _SEARCH_SCHEMES))
     return dict(zip(points, pso.optimize_points(scenario, configs[0], pso_params,
@@ -210,17 +188,11 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
     for members in groups.values():
         for j, seed in enumerate(seeds):
             scenario = generate_scenario(configs[members[0]], seed)
-            t0 = time.perf_counter()
             found = _searches(scenario, [configs[i] for i in members], pso_params, seed)
-            search_ms = (time.perf_counter() - t0) * 1e3 / len(found)
             for i in members:
-                rows[i, j] = []
-                for scheme in SCHEMES:
-                    started = time.perf_counter() if settings.record_runtime else None
-                    share_ms = search_ms if scheme in _SEARCH_SCHEMES else 0.0
-                    rows[i, j].append(_record(
-                        scheme, found, scenario, configs[i], seed, sweep_var,
-                        grid[i], settings.score_mode, started, share_ms))
+                rows[i, j] = [_record(scheme, found, scenario, configs[i], seed,
+                                      sweep_var, grid[i], settings.score_mode)
+                              for scheme in SCHEMES]
         if progress is not None:
             for i in members:
                 progress(f"{sweep_var}={grid[i]} done")
@@ -297,7 +269,7 @@ def records_to_csv_text(records):
     for r in records:
         lines.append(",".join([
             r.sweep_var, _fmt(r.sweep_value), r.scheme, str(r.seed),
-            _fmt(r.min_sinr_linear), _fmt(r.min_sinr_db), _fmt(r.runtime_ms)]))
+            _fmt(r.min_sinr_linear), _fmt(r.min_sinr_db)]))
     return "\n".join(lines) + "\n"
 
 

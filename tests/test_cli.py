@@ -30,6 +30,31 @@ def test_validate_config_ok(tmp_path, capsys):
     assert "config=ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc", [
+    # the wide_converge benchmark shapes: a 240 x 8 x 16 x 8 kernel block
+    {"num_users": 8, "num_pas": 16, "obstacle_count": 8,
+     "pso": {"num_particles": 240, "max_iters": 50}},
+    {"experiments": {"realizations": 2 ** 24}},  # the largest seed array
+], ids=["wide_converge", "realizations=2**24"])
+def test_validate_config_accepts_sizes_within_bound(tmp_path, capsys, doc):
+    assert main(["validate-config", "--config", write_config(tmp_path, doc)]) == 0
+    assert "config=ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,reason", [
+    (json.dumps({"num_users": 10 ** 30}), f"num_users = {10 ** 30} exceeds 16777216"),
+    ("[" * 100_000 + "]" * 100_000, "is nested too deeply to parse"),
+    # beyond the interpreter's 4,300-digit limit on int parsing
+    ('{"num_users": 1' + "0" * 5000 + "}", "malformed JSON in "),
+], ids=["num_users=10**30", "nested_100000", "num_users=10**5000"])
+def test_validate_config_refuses_unbuildable_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["validate-config", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+
+
 def test_validate_config_infeasible_spacing(tmp_path, capsys):
     cfg = write_config(tmp_path, {"num_pas": 5, "waveguide_len": 1.0,
                                   "min_spacing": 0.5})
@@ -189,7 +214,25 @@ def test_largest_seed_accepted(tmp_path):
     ('experiments.k_grid=["a"]', "k_grid"),
     ("experiments.k_grid=[true]", "k_grid"),
     ("experiments.k_grid=[2.5]", "k_grid"),
-    ('experiments.record_runtime="no"', "record_runtime"),
+    pytest.param("experiments.record_runtime=false",
+                 "unknown experiments config key(s): record_runtime",
+                 id="experiments.record_runtime=false"),
+    # sizes beyond 2**24 elements, as a field or as an array the run sizes from them
+    pytest.param(f"num_users={10 ** 30}", f"num_users = {10 ** 30} exceeds",
+                 id="num_users=10**30"),
+    ("pso.max_iters=16777217", "max_iters = 16777217 exceeds"),
+    ("experiments.realizations=16777217", "realizations = 16777217 exceeds"),
+    ("experiments.k_grid=[2,16777217]", "max(k_grid) = 16777217 exceeds"),
+    ("num_users=1000000", "num_particles * max(num_users, k_grid) * num_pas * "
+                          "max(obstacle_count, 1) = 120000000 exceeds"),
+    ("experiments.k_grid=[2,1000000]", "num_particles * max(num_users, k_grid)"),
+    ("pso.max_iters=2000000", "num_particles * max_iters * 2 = 32000000 exceeds"),
+    ("pso.max_iters=1000000", "(len(eps_grid) + 1) * (max_iters + 1) * "
+                              "(num_pas + max(num_users, k_grid)) = 24000024 exceeds"),
+    pytest.param("pso=" + "[" * 3000 + "]" * 3000,
+                 "pso override is nested too deeply to parse", id="pso=[*3000"),
+    pytest.param("num_users=1" + "0" * 5000, "num_users must be an integer, got '1000",
+                 id="num_users=10**5000"),
 ])
 def test_bad_override_is_config_error(tmp_path, capsys, override, field):
     cfg = write_config(tmp_path, dict(FAST_SECTIONS))
@@ -290,4 +333,45 @@ def test_override_fuzz_exits_cleanly(overrides):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
     assert code in (0, 2), (overrides, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# Whole config files: real, unknown and nested keys holding any JSON value,
+# huge integers, NaN and infinities included.  validate-config allocates nothing
+# that the size fields scale, so no value is capped.  Real keys and plausible
+# values are the likelier draws, so that many documents get past the first check.
+JSON_LEAVES = (st.integers(1, 8) | st.floats(0.05, 0.9) | st.integers() | st.floats()
+               | st.sampled_from([None, True, 0, -1, "", "conservative", "true_sampled",
+                                  2 ** 24, 2 ** 24 + 1, 10 ** 30, -10 ** 400]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: (st.lists(inner, max_size=4)
+                                | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+def _section(cls):
+    keys = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(keys * 4 + ["bogus", "record_runtime", ""]),
+                           JSON_VALUES, max_size=3)
+
+
+CONFIG_DOCS = st.builds(
+    lambda system, sections: {**system, **sections}, _section(SystemConfig),
+    st.fixed_dictionaries({}, optional={"pso": _section(PsoParams) | JSON_VALUES,
+                                        "experiments": _section(ExperimentSettings)
+                                        | JSON_VALUES})) | JSON_VALUES
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(CONFIG_DOCS)
+def test_config_file_fuzz_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/config.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate-config", "--config", cfg])
+    assert code in (0, 2), (doc, err.getvalue())
     assert "Traceback" not in err.getvalue()
