@@ -10,11 +10,14 @@ error bound.
 A PSO scheme searches at ``pso.search_point``: the configured bound for
 RobustPSO, the perfect-estimate bound 0 for NonRobustPSO; a RobustPSO at a
 zero bound has the same gains.  The scenario does not depend on the bound,
-so ``_searches``, one realization's search step, searches each distinct
-point of the configs sharing its scenario once, in lockstep.
+so ``_search_chunks``, the one search step, searches each distinct point of
+the configs sharing a scenario once per realization.
 
-Realizations run serially in seed order: each derives its own seeds from
-the master seed, so a sweep's rows depend only on the config and the master
+Realizations are stacked: a chunk of them, in seed order, is searched as
+one lockstep swarm (``pso.optimize_realizations``), and the chunk's final
+candidates are scored in one kernel call, each on its own scenario.  Each
+realization derives its own seeds from the master seed and no row depends
+on its batch, so a sweep's rows depend only on the config and the master
 seed.  The CSV schema is one row per (sweep point, realization, scheme) with
 linear and dB min-SINR, and no wall time.
 """
@@ -29,7 +32,9 @@ import numpy as np
 
 from . import channel, kernels, noma, pso
 from .config import ConfigError, ExperimentSettings, PsoParams, SystemConfig
-from .scenario import Scenario, generate_scenario, stream, uniform_layout
+from .noma import robust_gains
+from .scenario import (Scenario, generate_scenario, stack_scenarios, stream,
+                       uniform_layout)
 
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
 _SEARCH_SCHEMES = SCHEMES[:2]
@@ -77,24 +82,39 @@ def realization_seeds(master_seed, count):
 
 def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
                     mode="conservative", seed=0):
-    """Final scoring shared by all schemes.
+    """Final scoring shared by all schemes: the one-candidate case of
+    ``score_candidates``."""
+    return score_candidates([x_pos], [alpha], [scenario], [config], [seed], mode)[0]
 
-    conservative: worst-case min-SINR at the configured error bound with the
-    nominal channel as the estimate.  true_sampled: draw one estimate-error
+
+def score_candidates(xs, alphas, scenarios, configs, seeds, mode="conservative"):
+    """Final scores of candidates, row i being (xs[i], alphas[i]) on
+    scenarios[i] under configs[i], realization seed seeds[i].  The configs
+    may differ in the error bound only.
+
+    conservative: worst-case min-SINR at the row's configured error bound
+    with the nominal channel as the estimate, every row in one kernel call
+    as a block of its own.  true_sampled: draw one estimate-error
     realization, order by the estimates, and evaluate the nominal SINR of
     the true channels in that order.
     """
     if mode == "conservative":
-        _, gmin, _ = kernels.swarm_fitness(np.asarray(x_pos)[None, :],
-                                           np.asarray(alpha)[None, :], scenario, config)
-        return float(gmin[0])
-    rng = stream(seed, "csi_sample")
-    chans = channel.compute_channels(x_pos, scenario, config, rng=rng)
-    order = noma.conservative_order(chans.h_hat, config.csi_eps).order
-    h_sq = np.abs(chans.h[order]) ** 2
-    sinrs = noma.true_sinr(h_sq, np.asarray(alpha)[order],
-                           config.tx_power, config.noise_power)
-    return noma.min_sinr(sinrs)
+        gains = kernels.row_gains([robust_gains(c.csi_eps, c.eta_i, c.eta_r)
+                                   for c in configs], 1)
+        _, gmin, _ = kernels.swarm_fitness(np.asarray(xs), np.asarray(alphas),
+                                           stack_scenarios(scenarios), configs[0],
+                                           gains=gains)
+        return gmin.tolist()
+    scores = []
+    for x_pos, alpha, scenario, config, seed in zip(xs, alphas, scenarios, configs, seeds):
+        chans = channel.compute_channels(x_pos, scenario, config,
+                                         rng=stream(seed, "csi_sample"))
+        order = noma.conservative_order(chans.h_hat, config.csi_eps).order
+        h_sq = np.abs(chans.h[order]) ** 2
+        sinrs = noma.true_sinr(h_sq, np.asarray(alpha)[order],
+                               config.tx_power, config.noise_power)
+        scores.append(float(noma.min_sinr(sinrs)))
+    return scores
 
 
 def _require_reportable(where, column, value, positive=True):
@@ -119,30 +139,36 @@ def _require_reportable_traces(where, prefix, fitness, min_sinr, positive):
                             positive)
 
 
-def _record(scheme, found, scenario: Scenario, config: SystemConfig, seed,
-            sweep_var, sweep_value, score_mode):
-    """Score one scheme's candidate; a PSO scheme's is the result in ``found``
+def _candidate(scheme, found, config: SystemConfig, seed):
+    """(x_pos, alpha) of one scheme; a PSO scheme's is the result in ``found``
     (``RobustGains`` -> ``PsoResult``) at its ``pso.search_point``."""
     if scheme in _SEARCH_SCHEMES:
         search = found[pso.search_point(config, scheme == "RobustPSO")]
-        x_pos, alpha = search.best_x, search.best_alpha
-    elif scheme == "Random":
-        rng = stream(seed, "random_scheme")
-        theta = pso.draw_theta(config, rng)
-        x_pos, alpha = pso.split_theta(theta, config.num_pas)
-    elif scheme == "Uniform":
-        x_pos = uniform_layout(config)
-        alpha = np.full(config.num_users, 1.0 / config.num_users)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    gmin = float(score_candidate(x_pos, alpha, scenario, config,
-                                 mode=score_mode, seed=seed))
-    _require_reportable(f"{sweep_var}={sweep_value:.9g} scheme={scheme} seed={seed}",
-                        "min_sinr_linear", gmin)
-    return SweepRecord(sweep_var=sweep_var, sweep_value=float(sweep_value),
-                       scheme=scheme, seed=int(seed),
-                       min_sinr_linear=gmin,
-                       min_sinr_db=float(to_db(gmin)))
+        return search.best_x, search.best_alpha
+    if scheme == "Random":
+        theta = pso.draw_theta(config, stream(seed, "random_scheme"))
+        return pso.split_theta(theta, config.num_pas)
+    if scheme == "Uniform":
+        return uniform_layout(config), np.full(config.num_users, 1.0 / config.num_users)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _records(cases, sweep_var, score_mode):
+    """Score each (scheme, found, scenario, config, seed, sweep_value) case of
+    ``cases`` in one ``score_candidates`` call; the first case in order whose
+    score cannot be reported is refused."""
+    schemes, founds, scenarios, configs, seeds, values = zip(*cases)
+    picks = [_candidate(*case) for case in zip(schemes, founds, configs, seeds)]
+    gmins = score_candidates([x for x, _ in picks], [a for _, a in picks],
+                             scenarios, configs, seeds, score_mode)
+    records = []
+    for scheme, seed, value, gmin in zip(schemes, seeds, values, gmins):
+        _require_reportable(f"{sweep_var}={value:.9g} scheme={scheme} seed={seed}",
+                            "min_sinr_linear", gmin)
+        records.append(SweepRecord(sweep_var=sweep_var, sweep_value=float(value),
+                                   scheme=scheme, seed=int(seed), min_sinr_linear=gmin,
+                                   min_sinr_db=float(to_db(gmin))))
+    return records
 
 
 def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
@@ -156,18 +182,34 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
         robust = scheme == "RobustPSO"
         found[pso.search_point(config, robust)] = pso.optimize(
             scenario, config, pso_params, seed, robust=robust)
-    return _record(scheme, found, scenario, config, seed, sweep_var, sweep_value,
-                   score_mode)
+    return _records([(scheme, found, scenario, config, seed, sweep_value)], sweep_var,
+                    score_mode)[0]
 
 
-def _searches(scenario: Scenario, configs, pso_params: PsoParams, seed):
-    """``{RobustGains: PsoResult}`` for the PSO schemes of ``configs``, which
-    share ``scenario`` and differ at most in the error bound: one
-    ``pso.optimize_points`` call searches each distinct point once."""
+def _search_chunks(configs, seeds, pso_params: PsoParams, score_rows):
+    """The PSO searches of ``configs``, which share each realization's
+    scenario and differ at most in the error bound, for every seed of
+    ``seeds``: the one search step of sweeps and ``converge``.
+
+    Yields ``(indices, scenarios, found)`` per chunk of realizations, in
+    seed order, where ``found[j]`` maps each ``RobustGains`` point to its
+    ``PsoResult`` on realization ``indices[j]``.  A chunk is as many
+    realizations as ``pso.swarms_per_call`` steps together, and as many as
+    keep the caller's ``score_rows`` kernel rows per realization within the
+    same kernel batch; at least one.  Each distinct point is searched once per
+    realization, all in one ``pso.optimize_realizations`` call per chunk.
+    """
     points = list(dict.fromkeys(pso.search_point(config, scheme == "RobustPSO")
                                 for config in configs for scheme in _SEARCH_SCHEMES))
-    return dict(zip(points, pso.optimize_points(scenario, configs[0], pso_params,
-                                                seed, points)))
+    swarms = pso.swarms_per_call(configs[0], pso_params)
+    size = max(1, min(swarms // len(points), swarms * pso_params.num_particles // score_rows))
+    for start in range(0, len(seeds), size):
+        indices = range(start, min(start + size, len(seeds)))
+        scenarios = [generate_scenario(configs[0], seeds[j]) for j in indices]
+        results = pso.optimize_realizations(
+            [(scenario, seeds[j], points) for scenario, j in zip(scenarios, indices)],
+            configs[0], pso_params)
+        yield indices, scenarios, [dict(zip(points, found)) for found in results]
 
 
 def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
@@ -176,8 +218,8 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
     """Records in (grid point, realization, scheme) order.
 
     Grid points whose configs differ only in the error bound share each
-    realization's scenario, so their PSO schemes run as one ``_searches``
-    step per realization.
+    realization's scenario, so their PSO schemes run as one
+    ``_search_chunks`` step, and each chunk's records are scored together.
     """
     seeds = realization_seeds(master_seed, settings.realizations)
     configs = [make_config(value) for value in grid]
@@ -186,13 +228,15 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
         groups.setdefault(dataclasses.replace(point_config, csi_eps=0.0), []).append(i)
     rows = {}
     for members in groups.values():
-        for j, seed in enumerate(seeds):
-            scenario = generate_scenario(configs[members[0]], seed)
-            found = _searches(scenario, [configs[i] for i in members], pso_params, seed)
-            for i in members:
-                rows[i, j] = [_record(scheme, found, scenario, configs[i], seed,
-                                      sweep_var, grid[i], settings.score_mode)
-                              for scheme in SCHEMES]
+        cases = [(i, scheme) for i in members for scheme in SCHEMES]
+        for indices, scenarios, found in _search_chunks(
+                [configs[i] for i in members], seeds, pso_params, len(cases)):
+            keys = [(i, j) for j in indices for i, _ in cases]
+            records = _records([(scheme, f, scenario, configs[i], seeds[j], grid[i])
+                                for j, scenario, f in zip(indices, scenarios, found)
+                                for i, scheme in cases], sweep_var, settings.score_mode)
+            for key, record in zip(keys, records):
+                rows.setdefault(key, []).append(record)
         if progress is not None:
             for i in members:
                 progress(f"{sweep_var}={grid[i]} done")
@@ -231,23 +275,30 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     modes comparable at the configured error bound.
     """
     schemes = _SEARCH_SCHEMES
+    points = [pso.search_point(config, scheme == "RobustPSO") for scheme in schemes]
+    seeds = realization_seeds(master_seed, num_realizations)
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
-    for r, seed in enumerate(realization_seeds(master_seed, num_realizations)):
-        scenario = generate_scenario(config, seed)
-        found = _searches(scenario, [config], pso_params, seed)
-        for scheme in schemes:
-            result = found[pso.search_point(config, scheme == "RobustPSO")]
-            xs, alphas = pso.split_theta(result.gbest_thetas, config.num_pas)
-            _, rescored, _ = kernels.swarm_fitness(xs, alphas, scenario, config)
-            # a degenerate config shows in the first realization: stop there
-            _require_reportable_traces(
-                f"converge realization {r + 1}/{num_realizations} seed={seed} "
-                f"scheme={scheme}", "", result.trace, rescored, positive=False)
-            traces[scheme].append(result.trace)
-            rescored_traces[scheme].append(rescored)
-        if progress is not None:
-            progress(f"realization {r + 1}/{num_realizations} done")
+    for indices, scenarios, found in _search_chunks(
+            [config], seeds, pso_params, len(schemes) * (pso_params.max_iters + 1)):
+        # one kernel call re-scores the chunk's trajectories, a block each
+        results = [f[point] for f in found for point in points]
+        thetas = np.concatenate([result.gbest_thetas for result in results])
+        _, rescored, _ = kernels.swarm_fitness(
+            *pso.split_theta(thetas, config.num_pas),
+            stack_scenarios([scenario for scenario in scenarios for _ in schemes]), config)
+        rescored = rescored.reshape(len(indices), len(schemes), -1)
+        for r, f, rescored_r in zip(indices, found, rescored):
+            for scheme, point, trace in zip(schemes, points, rescored_r):
+                result = f[point]
+                # a degenerate config shows in the first realization: stop there
+                _require_reportable_traces(
+                    f"converge realization {r + 1}/{num_realizations} seed={seeds[r]} "
+                    f"scheme={scheme}", "", result.trace, trace, positive=False)
+                traces[scheme].append(result.trace)
+                rescored_traces[scheme].append(trace)
+            if progress is not None:
+                progress(f"realization {r + 1}/{num_realizations} done")
     stacks = {scheme: np.stack(traces[scheme]) for scheme in schemes}
     fitness = {scheme: stacks[scheme].mean(axis=0) for scheme in schemes}
     rescored = {scheme: np.stack(rescored_traces[scheme]).mean(axis=0)

@@ -7,13 +7,18 @@ batch, each row at its own evaluation point: a ``noma.RobustGains``, whose
 four numbers are all the kernel sees of it.  The ordering estimate is the
 nominal channel; the error bound acts through those numbers only.
 
+The rows may also span several realizations: a scenario stacked by
+``scenario.stack_scenarios`` splits the P rows into B equal contiguous
+blocks, each with its own users and obstacles.  A plain scenario is the
+case B = 1.
+
 The kernel is broadcast numpy.  Each axis it reduces comes first in memory
-and the batch axis P comes last: the obstacle-clearance block is
-(O, N, K, P) and the link block is (N, K, P).  So the min over obstacles
-and the sum over antennas are elementwise passes over contiguous planes,
-not strided reductions over a short last axis, and every elementwise
-operation runs one P-long inner loop.  ``tests/test_kernels.py`` keeps a
-scalar-loop oracle of the same pipeline.
+and the rows come last, as B blocks of P/B: the obstacle-clearance block is
+(O, N, K, B, P/B) and the link block is (N, K, B, P/B).  So the min over
+obstacles and the sum over antennas are elementwise passes over contiguous
+planes, not strided reductions over a short last axis, and a block's
+geometry broadcasts as a scalar over its rows.  ``tests/test_kernels.py``
+keeps a scalar-loop oracle of the same pipeline.
 """
 
 import math
@@ -47,7 +52,9 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     """Penalized fitness, worst-case min-SINR, and violation sum per candidate.
 
     xs is (P, N) antenna positions and alphas (P, K) per-user power
-    fractions, both feasible.  gains is the ``row_gains`` of the rows'
+    fractions, both feasible.  scenario is one realization, or B stacked
+    ones (``scenario.stack_scenarios``), block b holding rows
+    [b P/B, (b + 1) P/B).  gains is the ``row_gains`` of the rows'
     evaluation points, so swarms searching at different points share one
     call; None evaluates every row at the config's own point.  A row's
     result does not depend on the rest of its batch.  Floating-point
@@ -58,23 +65,28 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
         gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], len(xs))
     ratio, g_s, g_i, g_r = gains
     wavelength, antenna_plane = config.wavelength, [0.0, 0.0, config.pa_height]
-    x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)   # (N, P)
-    ux, uy, uz = (scenario.users - antenna_plane).T[:, :, None]    # (K, 1) each
-    vx = ux - x[:, None, :]                        # (N, K, P) antenna -> user
+    k, o = scenario.users.shape[0], scenario.obstacle_centers.shape[0]
+    users = scenario.users.reshape(k, -1, 3) - antenna_plane       # (K, B, 3)
+    blocks = users.shape[1]
+    x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)
+    x = x.reshape(x.shape[0], blocks, -1)          # (N, B, P/B)
+    ux, uy, uz = np.moveaxis(users, 2, 0)[..., None]               # (K, B, 1) each
+    vx = ux - x[:, None]                           # (N, K, B, P/B) antenna -> user
     rsq = vx * vx
     rsq += uy * uy + uz * uz
     r = np.sqrt(rsq)
 
     amp = 10.0 ** (-config.wg_loss / 20.0 * x) * (wavelength / (4.0 * math.pi))
-    amp = amp[:, None, :] / r
-    if scenario.obstacle_centers.shape[0]:
-        ox, oy, oz = (scenario.obstacle_centers - antenna_plane).T[:, :, None, None]  # (O, 1, 1)
-        wx = ox - x                                # (O, N, P) antenna -> centre
+    amp = amp[:, None] / r
+    if o:
+        centers = scenario.obstacle_centers.reshape(o, blocks, 3) - antenna_plane
+        ox, oy, oz = np.moveaxis(centers, 2, 0)[:, :, None, :, None]  # (O, 1, B, 1)
+        wx = ox - x                                # (O, N, B, P/B) antenna -> centre
         w_sq = wx * wx
         w_sq += oy * oy + oz * oz
         # w.v = wx * vx + c_ko, with c_ko = oy * uy + oz * uz per (obstacle, user)
-        wv = wx[:, :, None, :] * vx                # (O, N, K, P)
-        wv += (oy * uy + oz * uz)[:, None]          # (O, 1, K, 1)
+        wv = wx[:, :, None] * vx                   # (O, N, K, B, P/B)
+        wv += (oy * uy + oz * uz)[:, None]          # (O, 1, K, B, 1)
         t = wv / rsq
         np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
         # squared distance from the centre to the segment's closest point,
@@ -82,11 +94,11 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
         gap = t * rsq
         gap -= 2.0 * wv
         gap *= t
-        gap += w_sq[:, :, None, :]
+        gap += w_sq[:, :, None]
         np.maximum(gap, 0.0, out=gap)
         np.sqrt(gap, out=gap)
-        gap -= scenario.obstacle_radii[:, None, None, None]
-        dmin = np.minimum.reduce(gap, axis=0)      # (N, K, P)
+        gap -= scenario.obstacle_radii.reshape(o, 1, 1, blocks, 1)
+        dmin = np.minimum.reduce(gap, axis=0)      # (N, K, B, P/B)
         np.maximum(dmin, 0.0, out=dmin)
         beta = config.blockage_beta
         amp *= beta + (1.0 - beta) * (1.0 - np.exp(-config.blockage_alpha * dmin))
@@ -94,17 +106,17 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     # phase in whole cycles, reduced to [-1/2, 1/2] before the trig functions;
     # its sign is dropped, as only |h|^2 is used
     angle = r / wavelength
-    angle += (x / config.guide_wavelength)[:, None, :]
+    angle += (x / config.guide_wavelength)[:, None]
     angle -= np.rint(angle)
     angle *= 2.0 * math.pi
-    re = np.add.reduce(amp * np.cos(angle), axis=0)     # (K, P)
-    im = np.add.reduce(amp * np.sin(angle), axis=0)
+    re = np.add.reduce(amp * np.cos(angle), axis=0).reshape(k, -1)   # (K, P)
+    im = np.add.reduce(amp * np.sin(angle), axis=0).reshape(k, -1)
     h_sq = re * re + im * im
     mags = np.sqrt(h_sq)
 
     # users in ascending channel magnitude, ties in index order
     order = np.argsort(mags, axis=0, kind="stable")
-    rows = np.arange(x.shape[1])
+    rows = np.arange(re.shape[1])
     m_ord = mags[order, rows]
     h_ord = config.tx_power * h_sq[order, rows]
     a_ord = np.transpose(alphas)[order, rows]

@@ -16,12 +16,14 @@ all of its cognitive/social multipliers from that stream as one (T, 2)
 block, which consumes the stream exactly as two scalar draws per iteration
 would, so a run is reproducible regardless of evaluation schedule.
 
-Because the streams depend only on the seed, searches of one seed at
-different evaluation points (``noma.RobustGains``) start from the same
-particles and use the same multipliers.  ``optimize_points`` therefore
-draws them once and steps all of its searches in lockstep, one projection
-call and one kernel call per iteration for the stacked swarms; ``optimize``
-is its one-point case.
+A swarm is one (scenario, seed, evaluation point).  Because the streams
+depend only on the seed, swarms of one seed at different evaluation points
+(``noma.RobustGains``) start from the same particles and use the same
+multipliers, which are drawn once.  ``optimize_realizations`` steps the
+swarms of several realizations in lockstep, ``LOCKSTEP_BUDGET`` permitting:
+one projection call and one kernel call per iteration, whose rows are the
+swarms' blocks, each on its own scenario.  ``optimize_points`` is its
+one-realization case and ``optimize`` its one-point case.
 """
 
 from dataclasses import dataclass, field
@@ -29,15 +31,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .config import ConfigError, PsoParams, SystemConfig
+from .config import MAX_ELEMENTS, ConfigError, PsoParams, SystemConfig
 from .noma import RobustGains, robust_gains
-from .scenario import Scenario, stream
+from .scenario import Scenario, stack_scenarios, stream
 
 # Largest kernel batch, in rows x users x antennas x max(obstacles, 1), up to
-# which optimize_points stacks swarms into one call.  Stacking saves per-call
-# overhead on small swarms.  A swarm of 240 x 8 x 16 x 8 (about 2^18) gains
-# nothing from it, and stacking two such swarms raised peak memory from 52 to
-# 67 MB on the numpy kernel.
+# which a lockstep call stacks swarms.  Stacking saves per-call overhead on
+# small swarms.  Measured on stacked realizations (default geometry, 60
+# particles, 100 iterations, 24 realizations of 2 searches; numpy, 2 CPUs):
+# the searches took 1.47 / 0.96 / 0.82 / 0.75 s at 2^13 / 2^15 / 2^16 / 2^17
+# with 3 users and 2.95 / 1.93 / 1.60 / 1.31 s with 5, and the process peaked
+# at 39 / 42 / 44 / 51 MB and 39 / 41 / 43 / 48 MB.  2^17 saves another
+# 10-18% of the time but costs 5-7 MB (12-16%) more memory, and a
+# 240 x 8 x 16 x 8 swarm (about 2^18) gains nothing from stacking.
 LOCKSTEP_BUDGET = 2 ** 16
 
 
@@ -156,47 +162,78 @@ def optimize_points(scenario: Scenario, config: SystemConfig, params: PsoParams,
 
     Returns one ``PsoResult`` per entry of ``points``, each bit-identical to
     a separate search at that point.  The evaluation points come from
-    ``points`` alone; ``config`` supplies geometry and constants.  The
-    particle streams depend only on the seed, so every search starts from
-    the same particles with the same multipliers: they are drawn once and
-    shared.  Equal points are searched once and share one result.  The
-    distinct points are stacked into one (S, P, D) swarm, split where a
-    kernel batch would exceed ``LOCKSTEP_BUDGET``.
+    ``points`` alone; ``config`` supplies geometry and constants.  Equal
+    points are searched once and share one result.  This is the
+    one-realization case of ``optimize_realizations``.
     """
+    return optimize_realizations([(scenario, seed, points)], config, params)[0]
+
+
+def optimize_realizations(searches, config: SystemConfig, params: PsoParams) -> list:
+    """The searches of several realizations, stepped together in lockstep.
+
+    ``searches`` holds one (scenario, seed, points) per realization, with
+    equal user and obstacle counts; the result holds, per realization, one
+    ``PsoResult`` per entry of its ``points``, each bit-identical to a
+    separate search.  A swarm is one (scenario, seed, distinct point).  Its
+    particles and multipliers come from its seed alone, so the swarms of one
+    seed start from the same particles, drawn once.  The swarms are stepped
+    in chunks of ``swarms_per_call`` in (realization, point) order, each
+    chunk with one projection call and one kernel call per iteration.
+    """
+    swarms = [(r, point) for r, (_, _, points) in enumerate(searches)
+              for point in dict.fromkeys(points)]
+    starts = {seed: _particles(config, params, seed) for _, seed, _ in searches}
+    per_call = swarms_per_call(config, params)
+    found = {}
+    for i in range(0, len(swarms), per_call):
+        chunk = swarms[i:i + per_call]
+        found.update(zip(chunk, _lockstep(config, params, [
+            (searches[r][0], starts[searches[r][1]], point) for r, point in chunk])))
+    return [[found[r, point] for point in points]
+            for r, (_, _, points) in enumerate(searches)]
+
+
+def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
+    """How many swarms one lockstep call steps together: as many as keep its
+    kernel batch within ``LOCKSTEP_BUDGET`` and its stacked multiplier and
+    trajectory arrays within ``MAX_ELEMENTS``, and at least one."""
+    tests = (params.num_particles * config.num_users * config.num_pas
+             * max(config.obstacle_count, 1))
+    state = max(params.num_particles * params.max_iters * 2,
+                (params.max_iters + 1) * (config.num_pas + config.num_users))
+    return max(1, min(LOCKSTEP_BUDGET // tests, MAX_ELEMENTS // state))
+
+
+def _particles(config, params, seed):
+    """The initial (P, D) particles of a seed and their (P, T, 2) multipliers:
+    iteration t's cognitive/social draws, in stream order."""
     rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
-    # (P, T, 2): iteration t's cognitive/social multipliers, in stream order
-    draws = np.stack([rng.random((params.max_iters, 2)) for rng in rngs])
-    distinct = list(dict.fromkeys(points))
-    tests_per_swarm = (params.num_particles * scenario.users.shape[0] * config.num_pas
-                       * max(scenario.obstacle_centers.shape[0], 1))
-    per_call = max(1, LOCKSTEP_BUDGET // tests_per_swarm)
-    found = {}
-    for i in range(0, len(distinct), per_call):
-        chunk = distinct[i:i + per_call]
-        found.update(zip(chunk, _lockstep(scenario, config, params, theta, draws, chunk)))
-    return [found[point] for point in points]
+    return theta, np.stack([rng.random((params.max_iters, 2)) for rng in rngs])
 
 
-def _lockstep(scenario, config, params, theta0, draws, points):
-    """Search at every point of ``points`` from the shared particles and draws."""
+def _lockstep(config, params, swarms):
+    """Run each (scenario, (particles, multipliers), point) of ``swarms``."""
     n = config.num_pas
-    s = len(points)
-    p, d = theta0.shape
-    gains = kernels.row_gains(points, p)  # fixed for the whole search
+    s = len(swarms)
+    scenario = stack_scenarios([sc for sc, _, _ in swarms])
+    theta = np.stack([start[0] for _, start, _ in swarms])        # (S, P, D)
+    draws = np.stack([start[1] for _, start, _ in swarms])        # (S, P, T, 2)
+    _, p, d = theta.shape
+    gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])
 
-    theta = np.broadcast_to(theta0, (s, p, d)).copy()
     velocity = np.zeros_like(theta)
     best_theta = theta.copy()
     best_fitness = np.full((s, p), -np.inf)
     trace = np.empty((s, params.max_iters + 1))
     gbest_thetas = np.empty((s, params.max_iters + 1, d))
-    swarms = np.arange(s)
+    ids = np.arange(s)
     for t in range(params.max_iters + 1):
         if t > 0:
-            r1, r2 = draws[:, t - 1, :1], draws[:, t - 1, 1:]
+            r1, r2 = draws[:, :, t - 1, :1], draws[:, :, t - 1, 1:]
             velocity = (params.inertia * velocity
                         + params.cognitive * r1 * (best_theta - theta)
                         + params.social * r2 * (gbest_thetas[:, t - 1, None] - theta))
@@ -211,8 +248,8 @@ def _lockstep(scenario, config, params, theta0, draws, points):
         best_theta[improved] = theta[improved]
         best_fitness[improved] = fitness[improved]
         gi = np.argmax(best_fitness, axis=1)
-        trace[:, t] = best_fitness[swarms, gi]
-        gbest_thetas[:, t] = best_theta[swarms, gi]
+        trace[:, t] = best_fitness[ids, gi]
+        gbest_thetas[:, t] = best_theta[ids, gi]
 
     return [PsoResult(best_theta=gt[-1].copy(),
                       best_x=gt[-1, :n].copy(),

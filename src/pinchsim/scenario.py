@@ -29,12 +29,26 @@ def stream(seed, name, *index):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One environment realization, immutable after construction."""
+    """One environment realization, immutable after construction.
 
-    users: np.ndarray             # (K, 3) points, z = 0, y > 0
-    obstacle_centers: np.ndarray  # (O, 3)
-    obstacle_radii: np.ndarray    # (O,)
-    seed: int
+    ``stack_scenarios`` builds a stacked scenario, whose arrays carry a block
+    axis B after the first one; only the fitness kernel reads those.
+    """
+
+    users: np.ndarray             # (K, 3) points, z = 0, y > 0; stacked (K, B, 3)
+    obstacle_centers: np.ndarray  # (O, 3); stacked (O, B, 3)
+    obstacle_radii: np.ndarray    # (O,); stacked (O, B)
+    seed: int                     # stacked: the tuple of the blocks' seeds
+
+
+def stack_scenarios(scenarios):
+    """One scenario whose block b is ``scenarios[b]``, for a kernel call whose
+    rows are ``len(scenarios)`` equal contiguous blocks.  The scenarios must
+    have equal user and obstacle counts."""
+    return Scenario(users=np.stack([s.users for s in scenarios], axis=1),
+                    obstacle_centers=np.stack([s.obstacle_centers for s in scenarios], axis=1),
+                    obstacle_radii=np.stack([s.obstacle_radii for s in scenarios], axis=1),
+                    seed=tuple(s.seed for s in scenarios))
 
 
 def _open_unit(rng, shape):

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pinchsim import pso
 from pinchsim import (ExperimentSettings, PsoParams, SCHEMES, SystemConfig,
                       aggregate_mean_db, convergence_trace, effective_channel,
                       generate_scenario, optimize, robust_gains, run_scheme,
@@ -99,23 +100,55 @@ def reference_sweep(config, params, settings, master_seed, sweep_var, grid):
     return records
 
 
+def recorded_chunks(monkeypatch, budget):
+    """Set ``pso.LOCKSTEP_BUDGET`` (None keeps it) and record the number of
+    realizations each ``pso.optimize_realizations`` call steps."""
+    if budget is not None:
+        monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", budget)
+    chunks = []
+    optimize_realizations = pso.optimize_realizations
+
+    def recording(searches, *args):
+        chunks.append(len(searches))
+        return optimize_realizations(searches, *args)
+
+    monkeypatch.setattr(pso, "optimize_realizations", recording)
+    return chunks
+
+
+@pytest.mark.parametrize("budget", [None, 1800])
 @pytest.mark.parametrize("score_mode", ["conservative", "true_sampled"])
-def test_sweeps_match_one_search_per_scheme(score_mode):
-    settings = ExperimentSettings(realizations=2, eps_grid=(0.1, 0.0, 0.2, 0.1),
+def test_sweeps_match_one_search_per_scheme(monkeypatch, score_mode, budget):
+    # at a budget of 1800 kernel tests (4 swarms of 450 at K = 3), the eps
+    # sweep's three points per realization fit one realization per chunk and
+    # the K = 3 points of the user sweep two, so its 3 realizations take two
+    # chunks; the default budget takes all in one
+    chunks = recorded_chunks(monkeypatch, budget)
+    settings = ExperimentSettings(realizations=3, eps_grid=(0.1, 0.0, 0.2, 0.1),
                                   k_grid=(3, 2, 3), score_mode=score_mode)
-    assert (sweep_epsilon(CFG, FAST_PSO, settings, master_seed=12)
-            == reference_sweep(CFG, FAST_PSO, settings, 12, "csi_eps", settings.eps_grid))
-    assert (sweep_users(CFG, FAST_PSO, settings, master_seed=13)
-            == reference_sweep(CFG, FAST_PSO, settings, 13, "num_users", settings.k_grid))
+    eps_records = sweep_epsilon(CFG, FAST_PSO, settings, master_seed=12)
+    user_records = sweep_users(CFG, FAST_PSO, settings, master_seed=13)
+    assert chunks == ([1, 1, 1, 2, 1, 3] if budget else [3, 3, 3])
+    monkeypatch.undo()
+    assert eps_records == reference_sweep(CFG, FAST_PSO, settings, 12, "csi_eps",
+                                          settings.eps_grid)
+    assert user_records == reference_sweep(CFG, FAST_PSO, settings, 13, "num_users",
+                                           settings.k_grid)
 
 
+@pytest.mark.parametrize("budget", [None, 3150])
 @pytest.mark.parametrize("csi_eps", [0.1, 0.0])
-def test_convergence_trace_matches_one_search_per_scheme(csi_eps):
+def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps, budget):
+    # a budget of 3150 kernel tests (7 swarms of 450, or 70 re-scoring rows)
+    # fits two realizations' 32 re-scoring rows, so 3 take two chunks
+    chunks = recorded_chunks(monkeypatch, budget)
     config = dataclasses.replace(CFG, csi_eps=csi_eps)
-    traces = convergence_trace(config, FAST_PSO, num_realizations=2, master_seed=14)
+    traces = convergence_trace(config, FAST_PSO, num_realizations=3, master_seed=14)
+    assert chunks == ([2, 1] if budget else [3])
+    monkeypatch.undo()
     for scheme in ("RobustPSO", "NonRobustPSO"):
         fitness, rescored = [], []
-        for seed in realization_seeds(14, 2):
+        for seed in realization_seeds(14, 3):
             scenario = generate_scenario(config, seed)
             res = optimize(scenario, config, FAST_PSO, seed, robust=(scheme == "RobustPSO"))
             fitness.append(res.trace)

@@ -12,7 +12,7 @@ from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
                       effective_channel, generate_scenario, robust_gains)
 from pinchsim.kernels import row_gains, swarm_fitness
 from pinchsim.pso import draw_theta, split_theta
-from pinchsim.scenario import Scenario
+from pinchsim.scenario import Scenario, stack_scenarios
 
 
 def fitness_loop(xs, alphas, users, obst_c, obst_r,
@@ -271,6 +271,39 @@ def test_row_weights_equal_scalar_robust_gains():
         for col, want in zip(rows, (point.order_ratio, point.signal_scale,
                                     point.interference_scale, point.leakage_scale)):
             assert np.all(col[3 * i:3 * i + 3] == want)  # bitwise
+
+
+@st.composite
+def stacked_batches(draw):
+    """Random blocks, each its own scenario, with per-row points."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    o = draw(st.integers(0, 4))
+    blocks = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))  # per block
+    config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o, min_spacing=0.0)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scenarios = [generate_scenario(config, seed + b) for b in range(blocks)]
+    rng = np.random.default_rng(seed)
+    thetas = np.stack([draw_theta(config, rng) for _ in range(blocks * rows)])
+    eps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.95]) | st.floats(0.0, 0.95),
+                        min_size=blocks * rows, max_size=blocks * rows))
+    points = [robust_gains(e, config.eta_i, 0.2) for e in eps]
+    return scenarios, config, thetas, points
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stacked_batches())
+def test_stacked_rows_equal_separate_calls(case):
+    scenarios, config, thetas, points = case
+    rows = len(thetas) // len(scenarios)
+    stacked = fitness(thetas, stack_scenarios(scenarios), config, row_gains(points, 1))
+    for b, scenario in enumerate(scenarios):
+        block = slice(b * rows, (b + 1) * rows)
+        alone = fitness(thetas[block], scenario, config, row_gains(points[block], 1))
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[block], want)  # bitwise
 
 
 def _tangent_obstacle(antenna, user, radius, rng):

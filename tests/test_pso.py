@@ -5,8 +5,9 @@ import pytest
 
 from pinchsim import (PsoParams, RobustGains, SystemConfig, generate_scenario,
                       kernels, optimize, robust_gains, swarm_fitness)
-from pinchsim.pso import (draw_theta, optimize_points, project_theta_batch,
-                          search_point, split_theta)
+from pinchsim import pso
+from pinchsim.pso import (draw_theta, optimize_points, optimize_realizations,
+                          project_theta_batch, search_point, split_theta)
 from pinchsim.scenario import STREAMS
 
 CFG = SystemConfig()
@@ -135,6 +136,50 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
         assert np.array_equal(res.trace, alone.trace)
         assert np.array_equal(res.gbest_thetas, alone.gbest_thetas)
         assert np.array_equal(res.best_theta, alone.best_theta)
+
+
+# per realization: its seed and points; realization 1 repeats a point, and
+# realization 2 has one point only
+REALIZATION_POINTS = [(40, [(0.1, 0.2), (0.0, 0.0)]),
+                      (41, [(0.2, 0.5), (0.2, 0.5), (0.0, 0.0)]),
+                      (42, [(0.3, 0.2)]),
+                      (43, [(0.0, 0.0), (0.1, 0.2)])]
+
+
+@pytest.mark.parametrize("budget_swarms,chunks", [
+    (None, [7]),       # the default budget: all 7 distinct swarms in one call
+    (3, [3, 3, 1]),    # realizations 1 and 3 each split across two calls
+])
+def test_stacked_realizations_match_one_realization_at_a_time(monkeypatch, budget_swarms,
+                                                              chunks):
+    if budget_swarms is not None:
+        tests_per_swarm = (SMALL.num_particles * CFG.num_users * CFG.num_pas
+                           * CFG.obstacle_count)
+        monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", budget_swarms * tests_per_swarm)
+    searches = [(generate_scenario(CFG, seed + 100), seed,
+                 [robust_gains(e, CFG.eta_i, r) for e, r in points])
+                for seed, points in REALIZATION_POINTS]
+    swarms = recorded_swarms(monkeypatch)
+    stacked = optimize_realizations(searches, CFG, SMALL)
+    monkeypatch.undo()
+    assert [len(swarm) for swarm in swarms] == [
+        size * SMALL.num_particles for size in chunks for _ in range(SMALL.max_iters + 1)]
+    for (scenario, seed, points), results in zip(searches, stacked):
+        alone = optimize_points(scenario, CFG, SMALL, seed, points)
+        assert len(results) == len(points)
+        for res, want in zip(results, alone):
+            assert np.array_equal(res.trace, want.trace)
+            assert np.array_equal(res.gbest_thetas, want.gbest_thetas)
+            assert np.array_equal(res.best_theta, want.best_theta)
+
+
+def test_swarms_per_call_bounds_kernel_batch_and_stacked_state():
+    default = PsoParams(num_particles=60, max_iters=200)
+    assert pso.swarms_per_call(CFG, default) == pso.LOCKSTEP_BUDGET // (60 * 3 * 5 * 3)
+    assert pso.swarms_per_call(WIDE, WIDE_PSO) == 1
+    # one particle with 2^20 - 1 iterations: its 2^20 x 8 trajectory, not
+    # the kernel budget, bounds a call at 2 swarms
+    assert pso.swarms_per_call(CFG, PsoParams(num_particles=1, max_iters=2 ** 20 - 1)) == 2
 
 
 def test_row_weights_built_once_per_lockstep_call(monkeypatch):

@@ -10,7 +10,9 @@
 # difference.  The matrix covers every subcommand that writes a CSV, both
 # score modes, a mixed error-bound grid with repeats and a zero bound (with
 # and without leakage), a zero-bound converge (where both PSO schemes are one
-# search), and a one-user grid point.
+# search), a one-user grid point, and 8-realization sweep-users and converge
+# runs, whose realizations are searched in more than one stacked chunk (at
+# K = 5, and in converge, whose re-scoring rows bound its chunks).
 set -euo pipefail
 set -f  # the matrix's arguments are split into words but never globbed
 
@@ -40,6 +42,8 @@ matrix=(
     "example_optimize|optimize --config $example --realizations 2"
     "example_sweep_users|sweep-users --config $example --realizations 2"
     "example_converge|converge --config $example --realizations 2"
+    "example_sweep_users_r8|sweep-users --config $example --realizations 8"
+    "example_converge_r8|converge --config $example --realizations 8"
     "example_converge_zero_bound|converge --config $example --realizations 2 --override csi_eps=0"
     "example_sweep_eps_mixed|sweep-eps --config $example --realizations 2 --override experiments.eps_grid=[0.2,0.0,0.1,0.1]"
     "example_sweep_eps_mixed_no_leakage|sweep-eps --config $example --realizations 3 --override eta_r=0 --override experiments.eps_grid=[0.2,0.0,0.1,0.1]"
