@@ -177,27 +177,28 @@ def optimize_realizations(searches, config: SystemConfig, params: PsoParams) -> 
     ``PsoResult`` per entry of its ``points``, each bit-identical to a
     separate search.  A swarm is one (scenario, seed, distinct point).  Its
     particles and multipliers come from its seed alone, so the swarms of one
-    seed start from the same particles, drawn once.  The swarms are stepped
+    realization start from the same particles, drawn once.  The swarms are stepped
     in chunks of ``swarms_per_call`` in (realization, point) order, each
     chunk with one projection call and one kernel call per iteration.
     """
-    swarms = [(r, point) for r, (_, _, points) in enumerate(searches)
+    swarms = [(scenario, r, point) for r, (scenario, _, points) in enumerate(searches)
               for point in dict.fromkeys(points)]
-    starts = {seed: _particles(config, params, seed) for _, seed, _ in searches}
+    theta0, draws = (np.stack(arrays) for arrays in zip(
+        *[_particles(config, params, seed) for _, seed, _ in searches]))
     per_call = swarms_per_call(config, params)
     found = {}
     for i in range(0, len(swarms), per_call):
         chunk = swarms[i:i + per_call]
-        found.update(zip(chunk, _lockstep(config, params, [
-            (searches[r][0], starts[searches[r][1]], point) for r, point in chunk])))
+        found.update(zip([(r, point) for _, r, point in chunk],
+                         _lockstep(config, params, chunk, theta0, draws)))
     return [[found[r, point] for point in points]
             for r, (_, _, points) in enumerate(searches)]
 
 
 def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
     """How many swarms one lockstep call steps together: as many as keep its
-    kernel batch within ``LOCKSTEP_BUDGET`` and its stacked multiplier and
-    trajectory arrays within ``MAX_ELEMENTS``, and at least one."""
+    kernel batch within ``LOCKSTEP_BUDGET`` and their multipliers and
+    trajectories within ``MAX_ELEMENTS``, and at least one."""
     tests = (params.num_particles * config.num_users * config.num_pas
              * max(config.obstacle_count, 1))
     state = max(params.num_particles * params.max_iters * 2,
@@ -206,20 +207,21 @@ def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
 
 
 def _particles(config, params, seed):
-    """The initial (P, D) particles of a seed and their (P, T, 2) multipliers:
+    """The initial (P, D) particles of a seed and their (T, P, 2) multipliers:
     iteration t's cognitive/social draws, in stream order."""
     rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
     theta = np.stack([draw_theta(config, rng) for rng in rngs])
-    return theta, np.stack([rng.random((params.max_iters, 2)) for rng in rngs])
+    return theta, np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=1)
 
 
-def _lockstep(config, params, swarms):
-    """Run each (scenario, (particles, multipliers), point) of ``swarms``."""
+def _lockstep(config, params, swarms, theta0, draws):
+    """Run each (scenario, r, point) swarm of ``swarms`` from the particles
+    theta0[r] and multipliers draws[r] of its realization r."""
     n = config.num_pas
     s = len(swarms)
     scenario = stack_scenarios([sc for sc, _, _ in swarms])
-    theta = np.stack([start[0] for _, start, _ in swarms])        # (S, P, D)
-    draws = np.stack([start[1] for _, start, _ in swarms])        # (S, P, T, 2)
+    which = [r for _, r, _ in swarms]
+    theta = theta0[which]                          # (S, P, D)
     _, p, d = theta.shape
     gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
     bound = params.velocity_clamp * np.concatenate(
@@ -233,7 +235,8 @@ def _lockstep(config, params, swarms):
     ids = np.arange(s)
     for t in range(params.max_iters + 1):
         if t > 0:
-            r1, r2 = draws[:, :, t - 1, :1], draws[:, :, t - 1, 1:]
+            r = draws[which, t - 1]                # (S, P, 2)
+            r1, r2 = r[..., :1], r[..., 1:]
             velocity = (params.inertia * velocity
                         + params.cognitive * r1 * (best_theta - theta)
                         + params.social * r2 * (gbest_thetas[:, t - 1, None] - theta))
