@@ -43,7 +43,9 @@ from .scenario import Scenario, stack_scenarios, stream
 # with 3 users and 2.95 / 1.93 / 1.60 / 1.31 s with 5, and the process peaked
 # at 39 / 42 / 44 / 51 MB and 39 / 41 / 43 / 48 MB.  2^17 saves another
 # 10-18% of the time but costs 5-7 MB (12-16%) more memory, and a
-# 240 x 8 x 16 x 8 swarm (about 2^18) gains nothing from stacking.
+# 240 x 8 x 16 x 8 swarm (about 2^18) gains nothing from stacking.  At 2^16
+# the benchmark's peak_rss_mb is 40.3 MB on eps_desk and 39.9 MB on
+# users_sampled_t2, against 39.3 and 39.0 MB unstacked (BENCH_9.json).
 LOCKSTEP_BUDGET = 2 ** 16
 
 

@@ -116,36 +116,28 @@ def recorded_chunks(monkeypatch, budget):
     return chunks
 
 
-@pytest.mark.parametrize("budget", [None, 1800])
 @pytest.mark.parametrize("score_mode", ["conservative", "true_sampled"])
-def test_sweeps_match_one_search_per_scheme(monkeypatch, score_mode, budget):
-    # at a budget of 1800 kernel tests (4 swarms of 450 at K = 3), the eps
-    # sweep's three points per realization fit one realization per chunk and
-    # the K = 3 points of the user sweep two, so its 3 realizations take two
-    # chunks; the default budget takes all in one
-    chunks = recorded_chunks(monkeypatch, budget)
+def test_sweeps_match_one_search_per_scheme(monkeypatch, score_mode):
     settings = ExperimentSettings(realizations=3, eps_grid=(0.1, 0.0, 0.2, 0.1),
                                   k_grid=(3, 2, 3), score_mode=score_mode)
-    eps_records = sweep_epsilon(CFG, FAST_PSO, settings, master_seed=12)
-    user_records = sweep_users(CFG, FAST_PSO, settings, master_seed=13)
-    assert chunks == ([1, 1, 1, 2, 1, 3] if budget else [3, 3, 3])
-    monkeypatch.undo()
-    assert eps_records == reference_sweep(CFG, FAST_PSO, settings, 12, "csi_eps",
-                                          settings.eps_grid)
-    assert user_records == reference_sweep(CFG, FAST_PSO, settings, 13, "num_users",
-                                           settings.k_grid)
+    want_eps = reference_sweep(CFG, FAST_PSO, settings, 12, "csi_eps", settings.eps_grid)
+    want_users = reference_sweep(CFG, FAST_PSO, settings, 13, "num_users", settings.k_grid)
+    # the default budget takes all 3 realizations in one chunk; at 1800
+    # kernel tests (4 swarms of 450 at K = 3), the eps sweep's three points
+    # per realization fit one realization per chunk and the K = 3 points of
+    # the user sweep two, so its 3 realizations take two chunks
+    for budget, want_chunks in [(None, [3, 3, 3]), (1800, [1, 1, 1, 2, 1, 3])]:
+        with monkeypatch.context() as patch:
+            chunks = recorded_chunks(patch, budget)
+            assert sweep_epsilon(CFG, FAST_PSO, settings, master_seed=12) == want_eps
+            assert sweep_users(CFG, FAST_PSO, settings, master_seed=13) == want_users
+            assert chunks == want_chunks
 
 
-@pytest.mark.parametrize("budget", [None, 3150])
 @pytest.mark.parametrize("csi_eps", [0.1, 0.0])
-def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps, budget):
-    # a budget of 3150 kernel tests (7 swarms of 450, or 70 re-scoring rows)
-    # fits two realizations' 32 re-scoring rows, so 3 take two chunks
-    chunks = recorded_chunks(monkeypatch, budget)
+def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
     config = dataclasses.replace(CFG, csi_eps=csi_eps)
-    traces = convergence_trace(config, FAST_PSO, num_realizations=3, master_seed=14)
-    assert chunks == ([2, 1] if budget else [3])
-    monkeypatch.undo()
+    want = {}
     for scheme in ("RobustPSO", "NonRobustPSO"):
         fitness, rescored = [], []
         for seed in realization_seeds(14, 3):
@@ -154,10 +146,19 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps, b
             fitness.append(res.trace)
             rescored.append(swarm_fitness(*split_theta(res.gbest_thetas, config.num_pas),
                                           scenario, config)[1])
-        assert np.array_equal(traces.per_realization_fitness[scheme], np.stack(fitness))
-        assert np.array_equal(traces.fitness[scheme], np.stack(fitness).mean(axis=0))
-        assert np.array_equal(traces.rescored_min_sinr[scheme],
-                              np.stack(rescored).mean(axis=0))
+        want[scheme] = np.stack(fitness), np.stack(rescored)
+    # the default budget takes all 3 realizations in one chunk; 3150 kernel
+    # tests (7 swarms of 450, or 70 re-scoring rows) fit two realizations'
+    # 32 re-scoring rows, so 3 take two chunks
+    for budget, want_chunks in [(None, [3]), (3150, [2, 1])]:
+        with monkeypatch.context() as patch:
+            chunks = recorded_chunks(patch, budget)
+            traces = convergence_trace(config, FAST_PSO, num_realizations=3, master_seed=14)
+        assert chunks == want_chunks
+        for scheme, (fitness, rescored) in want.items():
+            assert np.array_equal(traces.per_realization_fitness[scheme], fitness)
+            assert np.array_equal(traces.fitness[scheme], fitness.mean(axis=0))
+            assert np.array_equal(traces.rescored_min_sinr[scheme], rescored.mean(axis=0))
 
 
 def test_random_streams_of_a_realization_are_distinct(monkeypatch):
