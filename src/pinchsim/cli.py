@@ -7,13 +7,15 @@ the config, with --override for ad-hoc tweaks.  The effective config is
 echoed to a sidecar JSON next to the CSV so every output is reproducible
 from its own directory.
 
-Exit codes: 0 success, 1 usage error, 2 config error.  Progress goes to
-stderr; stdout carries machine-parsable key=value summary lines only.
+Exit codes: 0 success, 1 usage error (including an --out that cannot be
+written), 2 config error.  Progress goes to stderr; stdout carries
+machine-parsable key=value summary lines only.
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import experiments
@@ -44,6 +46,18 @@ def _seed(text):
     return value
 
 
+def _out(text):
+    """--out value: a file path whose CSV and sidecar are not directories."""
+    for path in (text, _sidecar_path(text)):
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise argparse.ArgumentTypeError(f"must name a file, not a directory: {path!r}")
+    return text
+
+
+class _WriteError(Exception):
+    """An output file could not be written."""
+
+
 def _build_parser():
     parser = _ArgumentParser(prog="pinchsim",
                              description="Fairness-oriented design of a "
@@ -58,7 +72,8 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         if name != "validate-config":
-            p.add_argument("--out", default=f"{name}.csv", help="output CSV path")
+            p.add_argument("--out", type=_out, default=f"{name}.csv",
+                           help="output CSV path")
             p.add_argument("--seed", type=_seed, default=1234,
                            help="master seed, in [0, 2**64)")
             p.add_argument("--realizations", type=int, default=None,
@@ -92,9 +107,18 @@ def _sidecar_path(out_path):
 
 
 def _emit(out_path, csv_text, effective_doc):
-    experiments.write_text_atomic(out_path, csv_text)
-    experiments.write_text_atomic(_sidecar_path(out_path),
-                                  json.dumps(effective_doc, indent=2, sort_keys=True) + "\n")
+    """Write the CSV and its sidecar, or neither."""
+    written = []
+    for path, text in ((out_path, csv_text),
+                       (_sidecar_path(out_path),
+                        json.dumps(effective_doc, indent=2, sort_keys=True) + "\n")):
+        try:
+            experiments.write_text_atomic(path, text)
+        except OSError as exc:
+            for done in written:
+                os.unlink(done)
+            raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
+        written.append(path)
     print(f"wrote {out_path}", file=sys.stderr)
 
 
@@ -169,6 +193,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return USAGE_ERROR
 
 

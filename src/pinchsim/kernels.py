@@ -17,8 +17,19 @@ and the rows come last, as B blocks of P/B: the obstacle-clearance block is
 (O, N, K, B, P/B) and the link block is (N, K, B, P/B).  So the min over
 obstacles and the sum over antennas are elementwise passes over contiguous
 planes, not strided reductions over a short last axis, and a block's
-geometry broadcasts as a scalar over its rows.  ``tests/test_kernels.py``
-keeps a scalar-loop oracle of the same pipeline.
+geometry broadcasts as a scalar over its rows.  The search hands its
+(D, rows) state over as transposed views, so taking the (N, rows)
+positions costs no copy.
+
+The link phase takes one transcendental per link: with the phase reduced
+to c cycles in [-1/2, 1/2] and t = tan(pi c), its cosine and sine are
+(1 - t^2) / (1 + t^2) and 2 t / (1 + t^2), and 1 / (1 + t^2) is folded
+into the amplitude before the antenna sums.  On numpy 2.4 for x86-64 with
+AVX-512, float64 tan is a vectorized loop while cos and sin are scalar
+libm loops (28 against 150 and 163 us on 9,000 doubles); elsewhere it is
+still one call where cos and sin were two.
+``tests/test_kernels.py`` keeps a scalar-loop oracle of the same pipeline
+and a closed-form check of the phase.
 """
 
 import math
@@ -70,7 +81,7 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     blocks = users.shape[1]
     x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)
     x = x.reshape(x.shape[0], blocks, -1)          # (N, B, P/B)
-    ux, uy, uz = np.moveaxis(users, 2, 0)[..., None]               # (K, B, 1) each
+    ux, uy, uz = users[..., 0, None], users[..., 1, None], users[..., 2, None]  # (K, B, 1)
     vx = ux - x[:, None]                           # (N, K, B, P/B) antenna -> user
     rsq = vx * vx
     rsq += uy * uy + uz * uz
@@ -80,7 +91,7 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     amp = amp[:, None] / r
     if o:
         centers = scenario.obstacle_centers.reshape(o, blocks, 3) - antenna_plane
-        ox, oy, oz = np.moveaxis(centers, 2, 0)[:, :, None, :, None]  # (O, 1, B, 1)
+        ox, oy, oz = (centers[:, None, :, i, None] for i in range(3))  # (O, 1, B, 1)
         wx = ox - x                                # (O, N, B, P/B) antenna -> centre
         w_sq = wx * wx
         w_sq += oy * oy + oz * oz
@@ -99,18 +110,33 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
         np.sqrt(gap, out=gap)
         gap -= scenario.obstacle_radii.reshape(o, 1, 1, blocks, 1)
         dmin = np.minimum.reduce(gap, axis=0)      # (N, K, B, P/B)
+        # blockage factor beta + (1 - beta)(1 - exp(-alpha dmin)), in place
         np.maximum(dmin, 0.0, out=dmin)
-        beta = config.blockage_beta
-        amp *= beta + (1.0 - beta) * (1.0 - np.exp(-config.blockage_alpha * dmin))
+        dmin *= -config.blockage_alpha
+        np.exp(dmin, out=dmin)
+        np.subtract(1.0, dmin, out=dmin)
+        dmin *= 1.0 - config.blockage_beta
+        dmin += config.blockage_beta
+        amp *= dmin
 
-    # phase in whole cycles, reduced to [-1/2, 1/2] before the trig functions;
-    # its sign is dropped, as only |h|^2 is used
-    angle = r / wavelength
+    # phase in whole cycles, reduced to c in [-1/2, 1/2], then the half-angle
+    # tangent t = tan(pi c): re and im sum amp (1 - t^2) / (1 + t^2) and
+    # 2 amp t / (1 + t^2).  At c = +-1/2, t is about 1.6e16 and t^2 stays
+    # finite.  The sign of im is dropped, as only |h|^2 is used.  vx and rsq
+    # are free by now and serve as scratch.
+    angle = np.divide(r, wavelength, out=r)
     angle += (x / config.guide_wavelength)[:, None]
-    angle -= np.rint(angle)
-    angle *= 2.0 * math.pi
-    re = np.add.reduce(amp * np.cos(angle), axis=0).reshape(k, -1)   # (K, P)
-    im = np.add.reduce(amp * np.sin(angle), axis=0).reshape(k, -1)
+    angle -= np.rint(angle, out=vx)
+    angle *= math.pi
+    t = np.tan(angle, out=angle)
+    t_sq = np.multiply(t, t, out=vx)
+    amp /= np.add(t_sq, 1.0, out=rsq)              # amp / (1 + t^2)
+    cos_amp = np.subtract(1.0, t_sq, out=t_sq)
+    cos_amp *= amp
+    t *= amp
+    re = np.add.reduce(cos_amp, axis=0).reshape(k, -1)   # (K, P)
+    im = np.add.reduce(t, axis=0).reshape(k, -1)
+    im *= 2.0
     h_sq = re * re + im * im
     mags = np.sqrt(h_sq)
 

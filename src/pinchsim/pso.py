@@ -24,6 +24,16 @@ swarms of several realizations in lockstep, ``LOCKSTEP_BUDGET`` permitting:
 one projection call and one kernel call per iteration, whose rows are the
 swarms' blocks, each on its own scenario.  ``optimize_points`` is its
 one-realization case and ``optimize`` its one-point case.
+
+The lockstep state (positions, velocities, personal bests) is held
+batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
+one contiguous row over all S * P particles, as in the fitness kernel.  The
+velocity update runs in preallocated buffers, in the operation order of the
+textbook update, so its bits do not depend on the layout.  The projection
+keeps its (rows, D) contract and works on a (D, rows) copy.  A seed's
+initial particles are drawn from their own streams and projected in one
+call; the projection works candidate by candidate, so the batch does not
+change their bits.
 """
 
 from dataclasses import dataclass, field
@@ -51,61 +61,71 @@ LOCKSTEP_BUDGET = 2 ** 16
 
 def project_positions(x, waveguide_len, min_spacing):
     """Project raw antenna coordinates onto the feasible ordered layout."""
-    out = project_positions_batch(np.asarray(x, dtype=float)[None, :],
-                                  waveguide_len, min_spacing)
-    return out[0]
+    out = np.array(x, dtype=float).reshape(-1, 1)
+    _project_positions(out, waveguide_len, min_spacing)
+    return out[:, 0]
 
 
-def project_positions_batch(xs, waveguide_len, min_spacing):
-    """Row-wise position projection: clip -> sort -> forward/backward spacing passes."""
-    n = xs.shape[1]
+def _project_positions(xs, waveguide_len, min_spacing):
+    """Project each column of the (N, rows) coordinates in place: clip ->
+    sort -> forward/backward spacing passes, each pass over a whole row."""
+    n = xs.shape[0]
     if (n - 1) * min_spacing > waveguide_len:
         raise ConfigError(
             f"antenna spacing infeasible: ({n} - 1) * min_spacing = "
             f"{(n - 1) * min_spacing} exceeds waveguide_len = {waveguide_len}")
-    xs = np.clip(xs, 0.0, waveguide_len)
-    xs = np.sort(xs, axis=1)
+    np.clip(xs, 0.0, waveguide_len, out=xs)
+    xs.sort(axis=0)
     for i in range(1, n):
-        xs[:, i] = np.maximum(xs[:, i], xs[:, i - 1] + min_spacing)
-    xs[:, n - 1] = np.minimum(xs[:, n - 1], waveguide_len)
+        np.maximum(xs[i], xs[i - 1] + min_spacing, out=xs[i])
+    np.minimum(xs[n - 1], waveguide_len, out=xs[n - 1])
     for i in range(n - 2, -1, -1):
-        xs[:, i] = np.minimum(xs[:, i], xs[:, i + 1] - min_spacing)
-    return xs
+        np.minimum(xs[i], xs[i + 1] - min_spacing, out=xs[i])
 
 
 def project_simplex(a):
     """Project raw power fractions onto {a >= 0, sum(a) <= 1}."""
-    return project_simplex_batch(np.asarray(a, dtype=float)[None, :])[0]
+    out = np.array(a, dtype=float).reshape(-1, 1)
+    _project_simplex(out)
+    return out[:, 0]
 
 
-def project_simplex_batch(a):
-    """Row-wise Euclidean projection onto the nonnegative sub-unit simplex.
+def _project_simplex(a):
+    """Euclidean projection of each column of the (K, rows) power fractions
+    onto the nonnegative sub-unit simplex, in place.
 
-    Rows whose clipped sum is within budget keep their slack; rows over
+    Columns whose clipped sum is within budget keep their slack; columns over
     budget land on the sum-one face via the sorted-threshold projection.
     """
-    a = np.maximum(np.asarray(a, dtype=float), 0.0)
-    over = a.sum(axis=1) > 1.0
+    np.maximum(a, 0.0, out=a)
+    # numpy sums a contiguous axis pairwise but reduces axis 0 one term after
+    # another; from 8 terms on the two differ in the last bit, which flips the
+    # test for sums next to 1.  So the test sums each candidate contiguously.
+    over = np.ascontiguousarray(a.T).sum(axis=1) > 1.0
     if np.any(over):
-        rows = a[over]
-        k = rows.shape[1]
-        u = -np.sort(-rows, axis=1)
-        cs = np.cumsum(u, axis=1)
-        cond = u - (cs - 1.0) / np.arange(1, k + 1) > 0.0
-        rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)  # largest index passing
-        tau = (cs[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
-        a[over] = np.maximum(rows - tau[:, None], 0.0)
-    return a
+        cols = a[:, over]
+        k = cols.shape[0]
+        u = -np.sort(-cols, axis=0)
+        cs = np.cumsum(u, axis=0)
+        cond = u - (cs - 1.0) / np.arange(1, k + 1)[:, None] > 0.0
+        rho = k - 1 - np.argmax(cond[::-1], axis=0)  # largest index passing
+        tau = (cs[rho, np.arange(cols.shape[1])] - 1.0) / (rho + 1.0)
+        a[:, over] = np.maximum(cols - tau, 0.0)
 
 
 def project_theta_batch(thetas, config: SystemConfig):
-    """Apply both projections to the position and power blocks of each row."""
+    """Apply both projections to the position and power blocks of each row.
+
+    thetas is (rows, D) and is not written to.  The projection runs on a
+    (D, rows) copy, so that each pass covers one contiguous row of all
+    candidates; the result is the transposed view of that copy, and its
+    ``.T`` is C-contiguous.
+    """
     n = config.num_pas
-    out = np.array(thetas, dtype=float)
-    out[:, :n] = project_positions_batch(out[:, :n], config.waveguide_len,
-                                         config.min_spacing)
-    out[:, n:] = project_simplex_batch(out[:, n:])
-    return out
+    out = np.array(np.transpose(thetas), dtype=float, order="C")
+    _project_positions(out[:n], config.waveguide_len, config.min_spacing)
+    _project_simplex(out[n:])
+    return out.T
 
 
 def split_theta(theta, num_pas):
@@ -114,12 +134,16 @@ def split_theta(theta, num_pas):
     return theta[..., :num_pas], theta[..., num_pas:]
 
 
-def draw_theta(config: SystemConfig, rng):
-    """One feasible candidate: uniform positions, simplex-uniform powers, projected."""
+def _raw_theta(config: SystemConfig, rng):
+    """One unprojected candidate: uniform positions, simplex-uniform powers."""
     x = rng.uniform(0.0, config.waveguide_len, config.num_pas)
     e = rng.standard_exponential(config.num_users)
-    theta = np.concatenate([x, e / e.sum()])
-    return project_theta_batch(theta[None, :], config)[0]
+    return np.concatenate([x, e / e.sum()])
+
+
+def draw_theta(config: SystemConfig, rng):
+    """One feasible candidate: uniform positions, simplex-uniform powers, projected."""
+    return project_theta_batch(_raw_theta(config, rng)[None, :], config)[0]
 
 
 @dataclass
@@ -209,52 +233,64 @@ def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
 
 
 def _particles(config, params, seed):
-    """The initial (P, D) particles of a seed and their (T, P, 2) multipliers:
-    iteration t's cognitive/social draws, in stream order."""
+    """The initial (D, P) particles of a seed, projected in one call, and
+    their (T, P, 2) multipliers: iteration t's cognitive/social draws, in
+    stream order."""
     rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
-    theta = np.stack([draw_theta(config, rng) for rng in rngs])
+    raw = np.stack([_raw_theta(config, rng) for rng in rngs])
+    theta = project_theta_batch(raw, config).T
     return theta, np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=1)
 
 
 def _lockstep(config, params, swarms, theta0, draws):
     """Run each (scenario, r, point) swarm of ``swarms`` from the particles
-    theta0[r] and multipliers draws[r] of its realization r."""
+    theta0[r] and multipliers draws[r] of its realization r.
+
+    The state is held batch-last, as (D, S, P) arrays, whose (D, S * P)
+    views are the kernel's and the projection's layout."""
     n = config.num_pas
-    s = len(swarms)
     scenario = stack_scenarios([sc for sc, _, _ in swarms])
     which = [r for _, r, _ in swarms]
-    theta = theta0[which]                          # (S, P, D)
-    _, p, d = theta.shape
+    theta = np.ascontiguousarray(theta0[which].transpose(1, 0, 2))  # (D, S, P)
+    d, s, p = theta.shape
     gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
     bound = params.velocity_clamp * np.concatenate(
-        [np.full(n, config.waveguide_len), np.ones(config.num_users)])
+        [np.full(n, config.waveguide_len), np.ones(config.num_users)])[:, None, None]
 
     velocity = np.zeros_like(theta)
+    pull = np.empty_like(theta)
     best_theta = theta.copy()
     best_fitness = np.full((s, p), -np.inf)
+    gbest = np.empty((d, s))
     trace = np.empty((s, params.max_iters + 1))
     gbest_thetas = np.empty((s, params.max_iters + 1, d))
     ids = np.arange(s)
     for t in range(params.max_iters + 1):
         if t > 0:
             r = draws[which, t - 1]                # (S, P, 2)
-            r1, r2 = r[..., :1], r[..., 1:]
-            velocity = (params.inertia * velocity
-                        + params.cognitive * r1 * (best_theta - theta)
-                        + params.social * r2 * (gbest_thetas[:, t - 1, None] - theta))
+            # inertia * v + cognitive r1 (pbest - theta) + social r2 (gbest - theta)
+            velocity *= params.inertia
+            np.subtract(best_theta, theta, out=pull)
+            pull *= params.cognitive * r[..., 0]
+            velocity += pull
+            np.subtract(gbest[:, :, None], theta, out=pull)
+            pull *= params.social * r[..., 1]
+            velocity += pull
             np.clip(velocity, -bound, bound, out=velocity)
-            theta = project_theta_batch((theta + velocity).reshape(s * p, d),
-                                        config).reshape(s, p, d)
-        fitness, _, _ = kernels.swarm_fitness(*split_theta(theta.reshape(s * p, d), n),
-                                              scenario, config, gains=gains)
+            theta += velocity
+            theta = project_theta_batch(theta.reshape(d, -1).T, config).T.reshape(d, s, p)
+        flat = theta.reshape(d, -1)
+        fitness, _, _ = kernels.swarm_fitness(flat[:n].T, flat[n:].T, scenario, config,
+                                              gains=gains)
         fitness = fitness.reshape(s, p)
         # a particle's first evaluation is its personal best; later ones must beat it
         improved = (fitness > best_fitness) | (t == 0)
-        best_theta[improved] = theta[improved]
-        best_fitness[improved] = fitness[improved]
+        np.copyto(best_theta, theta, where=improved)
+        np.copyto(best_fitness, fitness, where=improved)
         gi = np.argmax(best_fitness, axis=1)
         trace[:, t] = best_fitness[ids, gi]
-        gbest_thetas[:, t] = best_theta[ids, gi]
+        gbest = best_theta[:, ids, gi]
+        gbest_thetas[:, t] = gbest.T
 
     return [PsoResult(best_theta=gt[-1].copy(),
                       best_x=gt[-1, :n].copy(),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import ExperimentSettings, PsoParams, SystemConfig
+from pinchsim import ExperimentSettings, PsoParams, SystemConfig, experiments
 from pinchsim.cli import main
 
 FAST_SECTIONS = {
@@ -188,6 +188,55 @@ def test_bad_seed_is_usage_error(tmp_path, capsys, seed):
     out = tmp_path / "bad.csv"
     assert main(["optimize", "--config", cfg, "--seed", seed, "--out", str(out)]) == 1
     assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["existing_dir", "missing_dir/", "sidecar_dir.csv"])
+def test_out_naming_a_directory_is_usage_error_before_any_search(
+        tmp_path, capsys, monkeypatch, out):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    (tmp_path / "existing_dir").mkdir()
+    (tmp_path / "sidecar_dir.config.json").mkdir()
+    before = sorted(tmp_path.iterdir())
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(experiments, "sweep_epsilon", no_search)
+    # not tmp_path / out: a Path drops the trailing separator
+    assert main(["optimize", "--config", cfg, "--out", f"{tmp_path}/{out}"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --out: must name a file, not a directory" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    (tmp_path / "plain_file").write_text("")
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "plain_file" / "sub" / "r.csv"  # its parent cannot be made
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: cannot write {out}: ")
+    assert not any(line.startswith(("Traceback", "wrote ")) for line in err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS))
+    write = experiments.write_text_atomic
+
+    def full_disk_for_sidecars(path, text):
+        if path.endswith(".config.json"):
+            raise OSError(28, "No space left on device")
+        write(path, text)
+
+    monkeypatch.setattr(experiments, "write_text_atomic", full_disk_for_sidecars)
+    out = tmp_path / "r.csv"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: cannot write {tmp_path / 'r.config.json'}: No space left on device"
     assert not out.exists()
 
 

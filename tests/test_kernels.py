@@ -415,3 +415,70 @@ def test_kernel_matches_loop_oracle_on_edge_geometry(case):
     assert np.allclose(g, want[1], rtol=1e-9, atol=1e-300)
     assert np.all(np.abs(v - want[2]) <= 1e-9 * np.maximum(np.abs(want[2]), scale))
     assert np.all(np.abs(f - want[0]) <= 1e-9 * np.maximum(np.abs(want[0]), scale))
+
+
+# one user off the near end of the guide, antenna 0 fixed at x = 0 and
+# antenna 1 swept over the rest of the guide, no obstacles
+PHASE_CONFIG = SystemConfig(num_users=1, num_pas=2, obstacle_count=0)
+PHASE_USER = (0.0, 0.5, 0.0)
+
+
+def reduced_cycles(x, config=PHASE_CONFIG, user=PHASE_USER):
+    """The kernel's link phase in whole cycles, reduced to [-1/2, 1/2], by
+    the kernel's float operations; unreduced as well, for the search."""
+    x = np.asarray(x, dtype=float)
+    uy, uz = user[1], user[2] - config.pa_height
+    vx = user[0] - x
+    r = np.sqrt(vx * vx + (uy * uy + uz * uz))
+    cycles = r / config.wavelength
+    cycles += x / config.guide_wavelength
+    return cycles - np.rint(cycles), cycles
+
+
+def positions_at_phase(target, lo, hi, count):
+    """Up to ``count`` antenna coordinates in [lo, hi] whose reduced phase is
+    exactly ``target`` (0 or +-1/2): bisect for each crossing of the
+    unreduced phase, then scan the neighbouring doubles."""
+    found = []
+    first = math.ceil(float(reduced_cycles(lo)[1]))
+    for m in range(first, first + 200):
+        if target == 0.5 and m % 2 or target == -0.5 and not m % 2:
+            continue  # m + 1/2 rounds to even: to m when m is even
+        goal = m + (abs(target) if target else 0.0)
+        a, b = lo, hi
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if reduced_cycles(mid)[1] < goal else (a, mid)
+        near = a + np.arange(-64, 65) * np.spacing(a)
+        found.extend(near[reduced_cycles(near)[0] == target][:1].tolist())
+        if len(found) == count:
+            break
+    return found
+
+
+def test_phase_matches_two_antenna_closed_form():
+    config = PHASE_CONFIG
+    exact = {c: positions_at_phase(c, 2.0, 3.0, 3) for c in (0.5, -0.5, 0.0)}
+    assert all(len(xs) == 3 for xs in exact.values())
+    x2 = np.concatenate([np.linspace(1.0, config.waveguide_len, 10_000),
+                         *exact.values()])
+    xs = np.column_stack([np.zeros_like(x2), x2])
+    alphas = np.full((len(x2), 1), 0.7)
+    _, gamma, _ = swarm_fitness(xs, alphas, Scenario(
+        users=np.array([PHASE_USER]), obstacle_centers=np.zeros((0, 3)),
+        obstacle_radii=np.zeros(0), seed=0), config)
+
+    def link(x):  # amplitude and reduced phase of antenna-at-x's link
+        vx = PHASE_USER[0] - x
+        uz = PHASE_USER[2] - config.pa_height
+        r = math.sqrt(vx * vx + (PHASE_USER[1] ** 2 + uz * uz))
+        amp = 10.0 ** (-config.wg_loss / 20.0 * x) * config.wavelength / (4.0 * math.pi) / r
+        return amp, float(reduced_cycles(x)[0])
+
+    a1, c1 = link(0.0)
+    g_s = robust_gains(config.csi_eps, config.eta_i, config.eta_r).signal_scale
+    for i, x in enumerate(x2.tolist()):
+        a2, c2 = link(x)
+        h_sq = a1 * a1 + a2 * a2 + 2.0 * a1 * a2 * math.cos(2.0 * math.pi * (c1 - c2))
+        want = g_s * 0.7 * config.tx_power * h_sq / config.noise_power
+        assert gamma[i] == pytest.approx(want, rel=1e-12, abs=0.0), (x, c2)

@@ -1,11 +1,42 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pinchsim import SystemConfig, project_positions, project_simplex
 from pinchsim.config import ConfigError
-from pinchsim.pso import project_simplex_batch, project_theta_batch
+from pinchsim.pso import project_theta_batch
+
+
+def project_positions_rows(xs, waveguide_len, min_spacing):
+    """Row-major oracle of the position projection, one candidate per row:
+    clip -> sort -> forward/backward spacing passes over strided columns."""
+    n = xs.shape[1]
+    xs = np.clip(xs, 0.0, waveguide_len)
+    xs = np.sort(xs, axis=1)
+    for i in range(1, n):
+        xs[:, i] = np.maximum(xs[:, i], xs[:, i - 1] + min_spacing)
+    xs[:, n - 1] = np.minimum(xs[:, n - 1], waveguide_len)
+    for i in range(n - 2, -1, -1):
+        xs[:, i] = np.minimum(xs[:, i], xs[:, i + 1] - min_spacing)
+    return xs
+
+
+def project_simplex_rows(a):
+    """Row-major oracle of the simplex projection, one candidate per row,
+    whose budget test sums each contiguous row."""
+    a = np.maximum(np.asarray(a, dtype=float), 0.0)
+    over = a.sum(axis=1) > 1.0
+    if np.any(over):
+        rows = a[over]
+        k = rows.shape[1]
+        u = -np.sort(-rows, axis=1)
+        cs = np.cumsum(u, axis=1)
+        cond = u - (cs - 1.0) / np.arange(1, k + 1) > 0.0
+        rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)  # largest index passing
+        tau = (cs[np.arange(rows.shape[0]), rho] - 1.0) / (rho + 1.0)
+        a[over] = np.maximum(rows - tau[:, None], 0.0)
+    return a
 
 
 def simplex_projection_bisection(a):
@@ -97,7 +128,8 @@ def test_projection_feasibility_and_idempotence_bulk():
 def test_simplex_batch_matches_scalar():
     rng = np.random.default_rng(11)
     a = rng.uniform(-1, 2, (200, 4))
-    batch = project_simplex_batch(a.copy())
+    config = SystemConfig(num_users=4, num_pas=1)
+    batch = project_theta_batch(np.hstack([np.zeros((200, 1)), a]), config)[:, 1:]
     for i in range(a.shape[0]):
         assert np.allclose(batch[i], project_simplex(a[i]), rtol=1e-12)
 
@@ -135,3 +167,63 @@ def test_projection_feasible_and_idempotent_on_ties_and_full_guide(case):
     assert np.all(proj[0, n:] >= 0) and proj[0, n:].sum() <= 1 + 1e-12
     again = project_theta_batch(proj, config)
     assert np.all(np.abs(again - proj) <= 1e-12 * np.maximum(np.abs(proj), 1.0))
+
+
+def bits(a):
+    """The bytes of an array in C order, which tell -0.0 from 0.0."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+@st.composite
+def theta_batches(draw):
+    """Raw candidate rows for the bitwise oracle check.
+
+    Positions have tied coordinates, on a guide that may be exactly
+    (N - 1) * min_spacing long.  Each power block is raw (mostly over
+    budget), under budget, or scaled to sum within a few ulps of 1, where
+    the order of the budget test's sum decides the projection from K = 8 on.
+    """
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 6))
+    spacing = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    if n > 1 and spacing > 0 and draw(st.booleans()):
+        length = (n - 1) * spacing
+    else:
+        length = (n - 1) * spacing + draw(st.sampled_from([0.5, 3.0, 10.0]))
+    config = SystemConfig(num_users=k, num_pas=n, waveguide_len=length,
+                          min_spacing=spacing)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(-2 * length, 3 * length, (rows, n))
+    tied = rng.random((rows, n)) < 0.4
+    x[tied] = rng.choice([0.0, spacing, length / 2, length, length + spacing], tied.sum())
+    a = np.empty((rows, k))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["raw", "under", "near_one"]),
+                                           min_size=rows, max_size=rows))):
+        if kind == "raw":
+            a[i] = rng.uniform(-1.0, 2.0, k)
+        elif kind == "under":
+            a[i] = rng.uniform(0.0, 1.0 / k, k)
+        else:
+            e = rng.random(k) * (rng.random(k) < 0.8) + 1e-3
+            a[i] = e / e.sum() * (1.0 + int(rng.integers(-4, 5)) * 2.0 ** -52)
+    return config, np.hstack([x, a])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(theta_batches())
+def test_projection_equals_row_major_oracle_bitwise(case):
+    config, raw = case
+    n = config.num_pas
+    before = raw.copy()
+    want = np.hstack([project_positions_rows(raw[:, :n], config.waveguide_len,
+                                             config.min_spacing),
+                      project_simplex_rows(raw[:, n:])])
+    got = project_theta_batch(raw, config)
+    assert bits(got) == bits(want)
+    assert bits(raw) == bits(before)  # the argument is not written to
+    for i in range(raw.shape[0]):
+        assert bits(project_positions(raw[i, :n], config.waveguide_len,
+                                      config.min_spacing)) == bits(want[i, :n])
+        assert bits(project_simplex(raw[i, n:])) == bits(want[i, n:])

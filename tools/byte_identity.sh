@@ -10,9 +10,11 @@
 # difference.  The matrix covers every subcommand that writes a CSV, both
 # score modes, a mixed error-bound grid with repeats and a zero bound (with
 # and without leakage), a zero-bound converge (where both PSO schemes are one
-# search), a one-user grid point, and 8-realization sweep-users and converge
+# search), a one-user grid point, 8-realization sweep-users and converge
 # runs, whose realizations are searched in more than one stacked chunk (at
-# K = 5, and in converge, whose re-scoring rows bound its chunks).
+# K = 5, and in converge, whose re-scoring rows bound its chunks), and user
+# counts of 8 and 9 on 9 antennas, where numpy's sums over a power block
+# switch from one term after another to pairwise.
 set -euo pipefail
 set -f  # the matrix's arguments are split into words but never globbed
 
@@ -52,6 +54,8 @@ matrix=(
     "small_sweep_users|sweep-users --config $small"
     "small_sweep_users_sampled|sweep-users --config $small --override experiments.score_mode=true_sampled"
     "small_converge|converge --config $small"
+    "small_sweep_users_k8_9|sweep-users --config $small --override experiments.k_grid=[8,9] --override num_pas=9"
+    "small_sweep_users_k8_9_sampled|sweep-users --config $small --override experiments.k_grid=[8,9] --override num_pas=9 --override experiments.score_mode=true_sampled"
 )
 
 run_tree() {  # run_tree <tree> <output directory>
