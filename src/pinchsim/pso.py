@@ -261,7 +261,6 @@ def _lockstep(config, params, swarms, theta0, draws):
     pull = np.empty_like(theta)
     best_theta = theta.copy()
     best_fitness = np.full((s, p), -np.inf)
-    gbest = np.empty((d, s))
     trace = np.empty((s, params.max_iters + 1))
     gbest_thetas = np.empty((s, params.max_iters + 1, d))
     ids = np.arange(s)
@@ -273,7 +272,7 @@ def _lockstep(config, params, swarms, theta0, draws):
             np.subtract(best_theta, theta, out=pull)
             pull *= params.cognitive * r[..., 0]
             velocity += pull
-            np.subtract(gbest[:, :, None], theta, out=pull)
+            np.subtract(gbest_thetas[:, t - 1].T[:, :, None], theta, out=pull)
             pull *= params.social * r[..., 1]
             velocity += pull
             np.clip(velocity, -bound, bound, out=velocity)
@@ -289,8 +288,7 @@ def _lockstep(config, params, swarms, theta0, draws):
         np.copyto(best_fitness, fitness, where=improved)
         gi = np.argmax(best_fitness, axis=1)
         trace[:, t] = best_fitness[ids, gi]
-        gbest = best_theta[:, ids, gi]
-        gbest_thetas[:, t] = gbest.T
+        gbest_thetas[:, t] = best_theta[:, ids, gi].T
 
     return [PsoResult(best_theta=gt[-1].copy(),
                       best_x=gt[-1, :n].copy(),

@@ -423,15 +423,15 @@ PHASE_CONFIG = SystemConfig(num_users=1, num_pas=2, obstacle_count=0)
 PHASE_USER = (0.0, 0.5, 0.0)
 
 
-def reduced_cycles(x, config=PHASE_CONFIG, user=PHASE_USER):
-    """The kernel's link phase in whole cycles, reduced to [-1/2, 1/2], by
-    the kernel's float operations; unreduced as well, for the search."""
+def reduced_cycles(x):
+    """The phase of antenna-at-x's link in whole cycles, reduced to
+    [-1/2, 1/2] by the kernel's float operations; unreduced as well."""
     x = np.asarray(x, dtype=float)
-    uy, uz = user[1], user[2] - config.pa_height
-    vx = user[0] - x
+    uy, uz = PHASE_USER[1], PHASE_USER[2] - PHASE_CONFIG.pa_height
+    vx = PHASE_USER[0] - x
     r = np.sqrt(vx * vx + (uy * uy + uz * uz))
-    cycles = r / config.wavelength
-    cycles += x / config.guide_wavelength
+    cycles = r / PHASE_CONFIG.wavelength
+    cycles += x / PHASE_CONFIG.guide_wavelength
     return cycles - np.rint(cycles), cycles
 
 
