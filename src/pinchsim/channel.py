@@ -1,4 +1,4 @@
-"""Per-link and effective user channels.
+"""Per-link and effective user channels: the scalar reference model.
 
 The downlink signal reaches user k through every antenna n: the guided wave
 loses power exponentially up to the antenna's tap point, radiates with a
@@ -6,7 +6,12 @@ free-space line-of-sight amplitude lambda/(4 pi r), and is attenuated by a
 soft-blockage transmission factor derived from the clearance between the
 antenna-user segment and the nearest obstacle.  The effective channel is the
 phase-correct sum over antennas, including the in-guide phase accumulated up
-to each tap point.  Channel estimates carry a relative bounded error.
+to each tap point.  Estimates carry a relative bounded error, drawn by
+``noma.apply_csi_error``.
+
+The package computes channels in ``kernels.effective_channels``; this module
+computes them one antenna at a time with the textbook formulas, sharing no
+code with the kernel, as the reference that tests and benchmark checks use.
 
 All functions are pure; randomness enters only through an explicit rng.
 """
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
+from .noma import apply_csi_error
 from .scenario import Scenario
 
 
@@ -101,29 +107,12 @@ def effective_channel(x_pos, user, scenario: Scenario, config: SystemConfig):
     return complex(np.sum(gains * guide_phase))
 
 
-def apply_csi_error(h, eps, rng):
-    """Perturb a channel inside the relative error disk |e| <= eps * |h|.
-
-    The error magnitude fraction is uniform on [0, 1] and its phase uniform
-    on [0, 2 pi), which exercises the whole uncertainty disk.
-    """
-    rho = rng.random()
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return h + rho * eps * abs(h) * np.exp(1j * phi)
-
-
-@np.errstate(all="ignore")
 def compute_channels(x_pos, scenario: Scenario, config: SystemConfig, rng=None):
-    """Channels of every user for one layout; estimates are exact when rng is None.
-
-    Floating-point warnings are silenced, as in the fitness kernel: a config
-    whose link budget overflows yields non-finite channels, which the
-    harness refuses to report.
-    """
+    """Channels of every user for one layout; estimates are exact when rng is None."""
     h = np.array([effective_channel(x_pos, user, scenario, config)
                   for user in scenario.users], dtype=complex)
     if rng is None:
         h_hat = h.copy()
     else:
-        h_hat = np.array([apply_csi_error(v, config.csi_eps, rng) for v in h])
+        h_hat = apply_csi_error(h, config.csi_eps, rng)
     return ChannelSet(h=h, h_hat=h_hat)

@@ -25,14 +25,13 @@ linear and dB min-SINR, and no wall time.
 import dataclasses
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, kernels, noma, pso
+from . import kernels, pso
 from .config import ConfigError, ExperimentSettings, PsoParams, SystemConfig
-from .noma import robust_gains
+from .noma import apply_csi_error, robust_gains
 from .scenario import (Scenario, generate_scenario, stack_scenarios, stream,
                        uniform_layout)
 
@@ -87,34 +86,32 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
     return score_candidates([x_pos], [alpha], [scenario], [config], [seed], mode)[0]
 
 
+@np.errstate(all="ignore")
 def score_candidates(xs, alphas, scenarios, configs, seeds, mode="conservative"):
     """Final scores of candidates, row i being (xs[i], alphas[i]) on
-    scenarios[i] under configs[i], realization seed seeds[i].  The configs
-    may differ in the error bound only.
+    scenarios[i] under configs[i], realization seed seeds[i], each row a
+    block of its own in one kernel call.  The configs may differ in the
+    error bound only.  Floating-point warnings are silenced, as in the kernel.
 
     conservative: worst-case min-SINR at the row's configured error bound
-    with the nominal channel as the estimate, every row in one kernel call
-    as a block of its own.  true_sampled: draw one estimate-error
-    realization, order by the estimates, and evaluate the nominal SINR of
-    the true channels in that order.
+    with the nominal channel as the estimate.  true_sampled: draw one
+    estimate-error realization from the row's ``csi_sample`` stream, order
+    by the estimates (ties in index order), and evaluate the nominal SINR
+    of the true channels in that order.
     """
+    xs, alphas, scenario = np.asarray(xs), np.asarray(alphas), stack_scenarios(scenarios)
     if mode == "conservative":
         gains = kernels.row_gains([robust_gains(c.csi_eps, c.eta_i, c.eta_r)
                                    for c in configs], 1)
-        _, gmin, _ = kernels.swarm_fitness(np.asarray(xs), np.asarray(alphas),
-                                           stack_scenarios(scenarios), configs[0],
-                                           gains=gains)
+        _, gmin, _ = kernels.swarm_fitness(xs, alphas, scenario, configs[0], gains=gains)
         return gmin.tolist()
-    scores = []
-    for x_pos, alpha, scenario, config, seed in zip(xs, alphas, scenarios, configs, seeds):
-        chans = channel.compute_channels(x_pos, scenario, config,
-                                         rng=stream(seed, "csi_sample"))
-        order = noma.conservative_order(chans.h_hat, config.csi_eps).order
-        h_sq = np.abs(chans.h[order]) ** 2
-        sinrs = noma.true_sinr(h_sq, np.asarray(alpha)[order],
-                               config.tx_power, config.noise_power)
-        scores.append(float(noma.min_sinr(sinrs)))
-    return scores
+    h = kernels.effective_channels(xs, scenario, configs[0])
+    h_hat = np.stack([apply_csi_error(h[:, i], c.csi_eps, stream(seed, "csi_sample"))
+                      for i, (c, seed) in enumerate(zip(configs, seeds))], axis=1)
+    order = np.argsort(np.abs(h_hat), axis=0, kind="stable")
+    nominal = kernels.row_gains([robust_gains(0.0, 1.0, 0.0)], len(xs))[1:]
+    return kernels.ordered_min_sinr(np.abs(h) ** 2, order, alphas, nominal,
+                                    configs[0]).tolist()
 
 
 def _require_reportable(where, column, value, positive=True):
@@ -336,10 +333,13 @@ def convergence_to_csv_text(traces: ConvergenceTraces):
 
 
 def write_text_atomic(path, text):
-    """Write via a temp file + rename so failures leave no partial output."""
+    """Write via a temp file + rename so failures leave no partial output.
+    The temp file is created 0o666 less the umask, as by a plain ``open``
+    (``tempfile.mkstemp`` would make the output 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

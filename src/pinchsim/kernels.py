@@ -5,7 +5,9 @@ channels -> effective channels -> safe decoding order -> worst-case SINRs ->
 penalized fitness) for a swarm, or for several swarms stacked into one
 batch, each row at its own evaluation point: a ``noma.RobustGains``, whose
 four numbers are all the kernel sees of it.  The ordering estimate is the
-nominal channel; the error bound acts through those numbers only.
+nominal channel; the error bound acts through those numbers only.  Its two
+stages, ``effective_channels`` and ``ordered_min_sinr``, also score
+``true_sampled`` designs in ``experiments``, so the physics exists once.
 
 The rows may also span several realizations: a scenario stacked by
 ``scenario.stack_scenarios`` splits the P rows into B equal contiguous
@@ -28,8 +30,8 @@ into the amplitude before the antenna sums.  On numpy 2.4 for x86-64 with
 AVX-512, float64 tan is a vectorized loop while cos and sin are scalar
 libm loops (28 against 150 and 163 us on 9,000 doubles); elsewhere it is
 still one call where cos and sin were two.
-``tests/test_kernels.py`` keeps a scalar-loop oracle of the same pipeline
-and a closed-form check of the phase.
+The tests hold the kernel to the scalar ``channel`` and ``noma`` modules
+and check the phase against a closed form.
 """
 
 import math
@@ -74,7 +76,22 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     """
     if gains is None:
         gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], len(xs))
-    ratio, g_s, g_i, g_r = gains
+    ratio, *weights = gains
+    h = effective_channels(xs, scenario, config)
+    h_sq = h.real * h.real + h.imag * h.imag
+    mags = np.sqrt(h_sq)
+    # users in ascending channel magnitude, ties in index order
+    order = np.argsort(mags, axis=0, kind="stable")
+    m_ord = mags[order, np.arange(h.shape[1])]
+    v_total = np.add.reduce(np.maximum(ratio * m_ord[:-1] - m_ord[1:], 0.0), axis=0)
+    gamma_min = ordered_min_sinr(h_sq, order, alphas, weights, config)
+    return gamma_min - config.penalty_mu * v_total, gamma_min, v_total
+
+
+def effective_channels(xs, scenario: Scenario, config: SystemConfig):
+    """The channel stage of ``swarm_fitness``: the (K, P) complex effective
+    channels of each row's layout, with the model's phase sign,
+    exp(-j 2 pi (r / lambda + x / lambda_g)) per link."""
     wavelength, antenna_plane = config.wavelength, [0.0, 0.0, config.pa_height]
     k, o = scenario.users.shape[0], scenario.obstacle_centers.shape[0]
     users = scenario.users.reshape(k, -1, 3) - antenna_plane       # (K, B, 3)
@@ -121,9 +138,8 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
 
     # phase in whole cycles, reduced to c in [-1/2, 1/2], then the half-angle
     # tangent t = tan(pi c): re and im sum amp (1 - t^2) / (1 + t^2) and
-    # 2 amp t / (1 + t^2).  At c = +-1/2, t is about 1.6e16 and t^2 stays
-    # finite.  The sign of im is dropped, as only |h|^2 is used.  vx and rsq
-    # are free by now and serve as scratch.
+    # -2 amp t / (1 + t^2).  At c = +-1/2, t is about 1.6e16 and t^2 stays
+    # finite.  vx and rsq are free by now and serve as scratch.
     angle = np.divide(r, wavelength, out=r)
     angle += (x / config.guide_wavelength)[:, None]
     angle -= np.rint(angle, out=vx)
@@ -134,25 +150,24 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     cos_amp = np.subtract(1.0, t_sq, out=t_sq)
     cos_amp *= amp
     t *= amp
-    re = np.add.reduce(cos_amp, axis=0).reshape(k, -1)   # (K, P)
-    im = np.add.reduce(t, axis=0).reshape(k, -1)
-    im *= 2.0
-    h_sq = re * re + im * im
-    mags = np.sqrt(h_sq)
+    # the parts are assigned, as multiplying by 1j would turn an overflow's
+    # inf * 0 into nan
+    h = np.empty((k, x.shape[1] * x.shape[2]), dtype=complex)
+    h.real = np.add.reduce(cos_amp, axis=0).reshape(k, -1)
+    h.imag = -2.0 * np.add.reduce(t, axis=0).reshape(k, -1)
+    return h
 
-    # users in ascending channel magnitude, ties in index order
-    order = np.argsort(mags, axis=0, kind="stable")
-    rows = np.arange(re.shape[1])
-    m_ord = mags[order, rows]
+
+def ordered_min_sinr(h_sq, order, alphas, weights, config: SystemConfig):
+    """The SINR stage of ``swarm_fitness``: each row's min-SINR, its users
+    decoded in the (K, P) ``order``, weakest first.  h_sq is the (K, P) |h|^2,
+    alphas (P, K), and weights the last three ``row_gains`` arrays."""
+    g_s, g_i, g_r = weights
+    rows = np.arange(h_sq.shape[1])
     h_ord = config.tx_power * h_sq[order, rows]
     a_ord = np.transpose(alphas)[order, rows]
-
-    v_total = np.add.reduce(np.maximum(ratio * m_ord[:-1] - m_ord[1:], 0.0), axis=0)
-
     a_cum = np.add.accumulate(a_ord, axis=0)
     a_before = a_cum - a_ord                       # power of the weaker users
     a_after = a_cum[-1] - a_cum                    # power of the stronger users
     den = g_i * h_ord * a_after + g_r * h_ord * a_before + config.noise_power
-    gamma_min = np.minimum.reduce(g_s * a_ord * h_ord / den, axis=0)
-    return gamma_min - config.penalty_mu * v_total, gamma_min, v_total
-
+    return np.minimum.reduce(g_s * a_ord * h_ord / den, axis=0)

@@ -1,4 +1,4 @@
-"""Superposition-coding power domain: decoding order and SINR evaluation.
+"""Superposition-coding power domain: estimate error, decoding order and SINRs.
 
 Receivers cancel the signals of weaker-ordered users before decoding their
 own.  With estimate errors bounded by a relative fraction eps, the true
@@ -47,6 +47,18 @@ def robust_gains(eps, eta_i, eta_r) -> RobustGains:
                        signal_scale=(1.0 - eps) ** 2,
                        interference_scale=(1.0 + eta_i * eps) ** 2,
                        leakage_scale=eta_r * eps)
+
+
+def apply_csi_error(h, eps, rng):
+    """Perturb each channel of h inside the relative error disk |e| <= eps * |h|.
+
+    The error magnitude fraction is uniform on [0, 1] and its phase uniform
+    on [0, 2 pi), which exercises the whole uncertainty disk.  The draws are
+    one ``rng.random`` block of (rho, u) pairs, phase 2 pi u: the stream of a
+    scalar ``random()`` and ``uniform(0, 2 pi)`` per entry, in entry order.
+    """
+    draws = rng.random(np.shape(h) + (2,))
+    return h + draws[..., 0] * eps * np.abs(h) * np.exp(1j * (2.0 * np.pi * draws[..., 1]))
 
 
 def order_violations(mags_sorted, eps):

@@ -22,8 +22,8 @@ depend only on the seed, swarms of one seed at different evaluation points
 multipliers, which are drawn once.  ``optimize_realizations`` steps the
 swarms of several realizations in lockstep, ``LOCKSTEP_BUDGET`` permitting:
 one projection call and one kernel call per iteration, whose rows are the
-swarms' blocks, each on its own scenario.  ``optimize_points`` is its
-one-realization case and ``optimize`` its one-point case.
+swarms' blocks, each on its own scenario.  ``optimize`` is its
+one-realization, one-point case.
 
 The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
@@ -179,20 +179,7 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
     schemes share.  Deterministic given (scenario, config, params, seed).
     """
     point = search_point(config, robust)
-    return optimize_points(scenario, config, params, seed, [point])[0]
-
-
-def optimize_points(scenario: Scenario, config: SystemConfig, params: PsoParams,
-                    seed: int, points) -> list:
-    """One search per evaluation point (``noma.RobustGains``), in lockstep.
-
-    Returns one ``PsoResult`` per entry of ``points``, each bit-identical to
-    a separate search at that point.  The evaluation points come from
-    ``points`` alone; ``config`` supplies geometry and constants.  Equal
-    points are searched once and share one result.  This is the
-    one-realization case of ``optimize_realizations``.
-    """
-    return optimize_realizations([(scenario, seed, points)], config, params)[0]
+    return optimize_realizations([(scenario, seed, [point])], config, params)[0][0]
 
 
 def optimize_realizations(searches, config: SystemConfig, params: PsoParams) -> list:

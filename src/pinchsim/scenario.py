@@ -38,7 +38,6 @@ class Scenario:
     users: np.ndarray             # (K, 3) points, z = 0, y > 0; stacked (K, B, 3)
     obstacle_centers: np.ndarray  # (O, 3); stacked (O, B, 3)
     obstacle_radii: np.ndarray    # (O,); stacked (O, B)
-    seed: int                     # stacked: the tuple of the blocks' seeds
 
 
 def stack_scenarios(scenarios):
@@ -47,8 +46,7 @@ def stack_scenarios(scenarios):
     have equal user and obstacle counts."""
     return Scenario(users=np.stack([s.users for s in scenarios], axis=1),
                     obstacle_centers=np.stack([s.obstacle_centers for s in scenarios], axis=1),
-                    obstacle_radii=np.stack([s.obstacle_radii for s in scenarios], axis=1),
-                    seed=tuple(s.seed for s in scenarios))
+                    obstacle_radii=np.stack([s.obstacle_radii for s in scenarios], axis=1))
 
 
 def _open_unit(rng, shape):
@@ -83,8 +81,7 @@ def generate_scenario(config: SystemConfig, seed: int) -> Scenario:
                                               config.pa_height]
     lo, hi = config.obstacle_radius_range
     radii = obst_rng.uniform(lo, hi, o) if o else np.zeros(0)
-    return Scenario(users=users, obstacle_centers=centers,
-                    obstacle_radii=radii, seed=int(seed))
+    return Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii)
 
 
 def uniform_layout(config: SystemConfig) -> np.ndarray:

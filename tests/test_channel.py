@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from pinchsim import (SystemConfig, apply_csi_error, blockage_factor,
-                      compute_channels, effective_channel, generate_scenario,
-                      min_obstacle_distance, waveguide_attenuation)
+from pinchsim import SystemConfig, generate_scenario
+from pinchsim.channel import (blockage_factor, compute_channels, effective_channel,
+                              min_obstacle_distance, waveguide_attenuation)
+from pinchsim.noma import apply_csi_error
 from pinchsim.scenario import Scenario
 
 
 def empty_scene(users):
     return Scenario(users=np.atleast_2d(users).astype(float),
                     obstacle_centers=np.zeros((0, 3)),
-                    obstacle_radii=np.zeros(0), seed=0)
+                    obstacle_radii=np.zeros(0))
 
 
 def segment_distance_bruteforce(a, b, c, samples=2_000_001):
@@ -143,13 +144,12 @@ def test_apply_csi_error_zero_eps_is_exact():
 
 
 class _ForcedRng:
-    """Stub returning the boundary draw rho = 1, phi = 0."""
+    """Stub returning the boundary draw rho = 1, phi = 0 for every entry."""
 
-    def random(self):
-        return 1.0
-
-    def uniform(self, lo, hi):
-        return 0.0
+    def random(self, shape):
+        draws = np.zeros(shape)
+        draws[..., 0] = 1.0
+        return draws
 
 
 def test_apply_csi_error_boundary_case():
@@ -167,7 +167,7 @@ def test_csi_magnitude_bounds(eps):
             phi = rng.uniform(0, 2 * np.pi, n)
             h_hat = h + eps * np.abs(h) * np.exp(1j * phi)
         else:
-            h_hat = np.array([apply_csi_error(v, eps, rng) for v in h])
+            h_hat = apply_csi_error(h, eps, rng)
         assert np.all(np.abs(h_hat - h) <= eps * np.abs(h) * (1 + 1e-12))
         assert np.all(np.abs(h_hat) / (1 + eps) <= np.abs(h) * (1 + 1e-12))
         assert np.all(np.abs(h) <= np.abs(h_hat) / (1 - eps) * (1 + 1e-12))

@@ -1,17 +1,25 @@
 import copy
 import dataclasses
+import os
+import stat
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from pinchsim import pso
+from pinchsim import kernels, pso
 from pinchsim import (ExperimentSettings, PsoParams, SCHEMES, SystemConfig,
-                      aggregate_mean_db, convergence_trace, effective_channel,
-                      generate_scenario, optimize, robust_gains, run_scheme,
-                      score_candidate, split_theta, swarm_fitness,
-                      sweep_epsilon, sweep_users, uniform_layout)
+                      aggregate_mean_db, conservative_order, convergence_trace,
+                      draw_theta, generate_scenario, min_sinr, optimize,
+                      robust_gains, run_scheme, score_candidate, split_theta,
+                      swarm_fitness, sweep_epsilon, sweep_users, true_sinr,
+                      uniform_layout)
+from pinchsim.channel import compute_channels, effective_channel
 from pinchsim.experiments import (records_to_csv_text, realization_seeds,
-                                  write_text_atomic)
+                                  score_candidates, write_text_atomic)
+from pinchsim.scenario import stream
 
 CFG = SystemConfig()
 FAST_PSO = PsoParams(num_particles=10, max_iters=15)
@@ -198,6 +206,71 @@ def test_true_sampled_score_mode():
     assert rec.min_sinr_linear >= cons.min_sinr_linear
 
 
+def sampled_reference(x_pos, alpha, scenario, config, seed):
+    """The scalar ``true_sampled`` score of one candidate, and its users'
+    sorted estimate magnitudes."""
+    chans = compute_channels(x_pos, scenario, config, rng=stream(seed, "csi_sample"))
+    order = conservative_order(chans.h_hat, config.csi_eps).order
+    sinrs = true_sinr(np.abs(chans.h[order]) ** 2, alpha[order],
+                      config.tx_power, config.noise_power)
+    return min_sinr(sinrs), np.sort(np.abs(chans.h_hat))
+
+
+@st.composite
+def sampled_chunks(draw):
+    """A scoring chunk of one-row blocks, each with its own scenario (some
+    repeated), realization seed and error bound."""
+    rows = draw(st.integers(1, 8))
+    config = SystemConfig(num_users=draw(st.integers(1, 5)), num_pas=draw(st.integers(1, 9)),
+                          obstacle_count=draw(st.integers(0, 4)), min_spacing=0.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scenarios = [generate_scenario(config, int(s)) for s in rng.integers(0, 3, rows)]
+    seeds = [int(s) for s in rng.integers(0, 2 ** 63, rows)]
+    eps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.95]) | st.floats(0.0, 0.95),
+                        min_size=rows, max_size=rows))
+    thetas = np.stack([draw_theta(config, rng) for _ in range(rows)])
+    return (thetas, scenarios, [dataclasses.replace(config, csi_eps=e) for e in eps],
+            seeds)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sampled_chunks())
+def test_true_sampled_scores_match_scalar_composition(chunk):
+    thetas, scenarios, configs, seeds = chunk
+    n = configs[0].num_pas
+    want = []
+    for theta, scenario, config, seed in zip(thetas, scenarios, configs, seeds):
+        score, mags = sampled_reference(theta[:n], theta[n:], scenario, config, seed)
+        # skip near-ties in estimate magnitude, where the decoding order
+        # hinges on the last bits of either path's channels
+        assume(np.all(np.diff(mags) > 1e-9 * mags[1:]))
+        want.append(score)
+    got = score_candidates(thetas[:, :n], thetas[:, n:], scenarios, configs, seeds,
+                           mode="true_sampled")
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_true_sampled_takes_one_channel_call_per_scoring_chunk(monkeypatch):
+    scored = []
+    effective_channels = kernels.effective_channels
+
+    def recording(xs, *args):
+        if sys._getframe(1).f_code.co_name == "score_candidates":
+            scored.append(len(xs))
+        return effective_channels(xs, *args)
+
+    monkeypatch.setattr(kernels, "effective_channels", recording)
+    chunks = recorded_chunks(monkeypatch, 1800)
+    settings = ExperimentSettings(realizations=3, k_grid=(3, 2, 3),
+                                  score_mode="true_sampled")
+    sweep_users(CFG, FAST_PSO, settings, master_seed=13)
+    # chunks of 2 and 1 realizations at K = 3 (two grid points of 4 schemes
+    # each) and one of 3 realizations at K = 2
+    assert chunks == [2, 1, 3]
+    assert scored == [2 * 8, 1 * 8, 3 * 4]
+
+
 def test_fixed_candidates_degrade_with_eps():
     # for a fixed candidate the conservative evaluation is monotone in the
     # error bound, so per-realization Random/Uniform scores never improve
@@ -245,6 +318,17 @@ def test_csv_text_format():
     assert first[0] == "csi_eps" and first[2] == "RobustPSO"
     # 9 significant digits on floats
     assert len(first[4].replace(".", "").replace("-", "").lstrip("0").replace("e", "")) <= 11
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    # the mode a plain open() gives, not tempfile.mkstemp's 0600
+    previous = os.umask(umask)
+    try:
+        write_text_atomic(str(tmp_path / "out.csv"), "hello\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.csv").st_mode) == mode
 
 
 def test_atomic_write_no_partial_on_failure(tmp_path):

@@ -1,4 +1,5 @@
-"""The numpy fitness kernel against a scalar-loop oracle and the composed module ops."""
+"""The numpy fitness kernel and its stages against the scalar ``channel`` and
+``noma`` modules, the one scalar oracle of the pipeline."""
 
 import dataclasses
 import math
@@ -9,118 +10,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
-                      effective_channel, generate_scenario, robust_gains)
-from pinchsim.kernels import row_gains, swarm_fitness
+                      generate_scenario, robust_gains)
+from pinchsim.channel import compute_channels, effective_channel
+from pinchsim.kernels import effective_channels, row_gains, swarm_fitness
 from pinchsim.pso import draw_theta, split_theta
 from pinchsim.scenario import Scenario, stack_scenarios
-
-
-def fitness_loop(xs, alphas, users, obst_c, obst_r,
-                 wavelength, guide_wavelength, wg_loss_db, pa_height,
-                 beta, block_rate, tx_power, noise_power,
-                 ratio, g_s, g_i, g_r, mu,
-                 fitness, gamma_min, viol_sum):
-    """Scalar-loop oracle of the kernel pipeline, one candidate at a time.
-
-    It keeps the textbook formulas the kernel rearranges: the closest point
-    of each segment as a vector, the full phase through ``math.cos``/``sin``
-    and ``sqrt`` of the power-domain guide loss.  ratio, g_s, g_i and g_r
-    are the (P,) per-row weights of ``row_gains``; the results are written
-    into fitness, gamma_min and viol_sum.
-    """
-    n_part, n_pas = xs.shape
-    n_users = users.shape[0]
-    n_obst = obst_c.shape[0]
-    k_free = 2.0 * math.pi / wavelength
-    k_guide = 2.0 * math.pi / guide_wavelength
-    amp0 = wavelength / (4.0 * math.pi)
-
-    h_sq = np.empty(n_users)
-    mags = np.empty(n_users)
-    order = np.empty(n_users, np.int64)
-
-    for p in range(n_part):
-        for k in range(n_users):
-            ux = users[k, 0]
-            uy = users[k, 1]
-            uz = users[k, 2]
-            re = 0.0
-            im = 0.0
-            for n in range(n_pas):
-                x = xs[p, n]
-                vx = ux - x
-                vy = uy
-                vz = uz - pa_height
-                rsq = vx * vx + vy * vy + vz * vz
-                r = math.sqrt(rsq)
-                # clearance of the antenna-user segment from the obstacles
-                dmin = np.inf
-                for o in range(n_obst):
-                    wx = obst_c[o, 0] - x
-                    wy = obst_c[o, 1]
-                    wz = obst_c[o, 2] - pa_height
-                    t = (wx * vx + wy * vy + wz * vz) / rsq
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                    ex = wx - t * vx
-                    ey = wy - t * vy
-                    ez = wz - t * vz
-                    d = math.sqrt(ex * ex + ey * ey + ez * ez) - obst_r[o]
-                    if d < 0.0:
-                        d = 0.0
-                    if d < dmin:
-                        dmin = d
-                if n_obst == 0:
-                    b = 1.0
-                else:
-                    b = beta + (1.0 - beta) * (1.0 - math.exp(-block_rate * dmin))
-                amp = b * math.sqrt(10.0 ** (-wg_loss_db * x / 10.0)) * amp0 / r
-                phase = -k_free * r - k_guide * x
-                re += amp * math.cos(phase)
-                im += amp * math.sin(phase)
-            hv = re * re + im * im
-            h_sq[k] = hv
-            mags[k] = math.sqrt(hv)
-
-        # stable insertion argsort, ascending magnitude with index tie-break
-        for k in range(n_users):
-            order[k] = k
-        for i in range(1, n_users):
-            oi = order[i]
-            key = mags[oi]
-            j = i - 1
-            while j >= 0 and mags[order[j]] > key:
-                order[j + 1] = order[j]
-                j -= 1
-            order[j + 1] = oi
-
-        v_total = 0.0
-        for k in range(n_users - 1):
-            v = ratio[p] * mags[order[k]] - mags[order[k + 1]]
-            if v > 0.0:
-                v_total += v
-
-        a_total = 0.0
-        for k in range(n_users):
-            a_total += alphas[p, order[k]]
-        gmin = np.inf
-        a_before = 0.0
-        for k in range(n_users):
-            a_k = alphas[p, order[k]]
-            hv = h_sq[order[k]]
-            a_after = a_total - a_before - a_k
-            den = (g_i[p] * tx_power * hv * a_after
-                   + g_r[p] * tx_power * hv * a_before
-                   + noise_power)
-            s = g_s[p] * a_k * tx_power * hv / den
-            if s < gmin:
-                gmin = s
-            a_before += a_k
-        fitness[p] = gmin - mu * v_total
-        gamma_min[p] = gmin
-        viol_sum[p] = v_total
 
 
 def reference_fitness(theta, scenario, config, eps, eta_r):
@@ -138,21 +32,19 @@ def reference_fitness(theta, scenario, config, eps, eta_r):
     return gamma - config.penalty_mu * v_total, gamma, v_total
 
 
+def reference_rows(thetas, scenario, config, eps, eta_r):
+    """``reference_fitness`` of each row at its own (eps, eta_r), as (P,)
+    fitness, min-SINR and violation arrays."""
+    rows = [reference_fitness(theta, scenario, config, e, r)
+            for theta, e, r in zip(thetas, eps, eta_r)]
+    return [np.array(col) for col in zip(*rows)]
+
+
 def make_batch(config, seed, n_particles=40):
     scenario = generate_scenario(config, seed)
     rng = np.random.default_rng(seed + 1)
     thetas = np.stack([draw_theta(config, rng) for _ in range(n_particles)])
     return scenario, thetas
-
-
-def loop_args(thetas, scenario, config, gains):
-    """The loop oracle's positional arguments for a batch and its row gains."""
-    n = config.num_pas
-    return (thetas[:, :n], thetas[:, n:],
-            scenario.users, scenario.obstacle_centers, scenario.obstacle_radii,
-            config.wavelength, config.guide_wavelength, config.wg_loss,
-            config.pa_height, config.blockage_beta, config.blockage_alpha,
-            config.tx_power, config.noise_power, *gains, config.penalty_mu)
 
 
 def fitness(thetas, scenario, config, gains=None):
@@ -196,7 +88,7 @@ def test_penalty_weight_moves_fitness_only():
     config = SystemConfig(num_users=2, num_pas=1, obstacle_count=0)
     scenario = Scenario(users=np.array([[4.0, 3.0, 0.0], [6.0, 3.0, 0.0]]),
                         obstacle_centers=np.zeros((0, 3)),
-                        obstacle_radii=np.zeros(0), seed=0)
+                        obstacle_radii=np.zeros(0))
     theta = np.array([[5.0, 0.4, 0.4]])
     f, g, v = fitness(theta, scenario, config)
     assert v[0] > 0
@@ -239,10 +131,10 @@ def mixed_rows(n_rows):
 ])
 def test_fitness_loop_body_matches_numpy_kernel(config):
     scenario, thetas = make_batch(config, 17, n_particles=12)
-    gains = point_gains(config, *mixed_rows(thetas.shape[0]))
-    out = [np.empty(thetas.shape[0]) for _ in range(3)]
-    fitness_loop(*loop_args(thetas, scenario, config, gains), *out)
-    for got, want in zip(out, fitness(thetas, scenario, config, gains)):
+    eps, eta_r = mixed_rows(thetas.shape[0])
+    out = reference_rows(thetas, scenario, config, eps, eta_r)
+    for got, want in zip(out, fitness(thetas, scenario, config,
+                                      point_gains(config, eps, eta_r))):
         assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
@@ -337,7 +229,7 @@ def geometries(draw):
     eps = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.95]) | st.floats(0.0, 0.95),
                                  min_size=rows, max_size=rows)))
     eta_r = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
-    scenario = Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii, seed=0)
+    scenario = Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii)
     return scenario, config, np.hstack([xs, alphas]), eps, eta_r
 
 
@@ -364,7 +256,7 @@ def test_kernel_matches_scalar_oracle_on_random_geometry(case):
 
 @st.composite
 def loop_cases(draw):
-    """A batch for the loop oracle that reaches the kernel's edge cases.
+    """A batch that reaches the kernel's edge cases.
 
     N runs past 8, where numpy changes its summation order; O may be 0 and
     K may be 1; a row may put antennas at both ends of the guide; obstacles
@@ -393,7 +285,7 @@ def loop_cases(draw):
     eps = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.95]) | st.floats(0.0, 0.95),
                                  min_size=rows, max_size=rows)))
     eta_r = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
-    scenario = Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii, seed=0)
+    scenario = Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii)
     return scenario, config, np.hstack([xs, alphas]), eps, eta_r
 
 
@@ -407,14 +299,25 @@ def test_kernel_matches_loop_oracle_on_edge_geometry(case):
         mags = np.sort([abs(effective_channel(theta[:n], u, scenario, config))
                         for u in scenario.users])
         assume(np.all(np.diff(mags) > 1e-9 * mags[1:]))
-    gains = point_gains(config, eps, eta_r)
-    want = [np.empty(thetas.shape[0]) for _ in range(3)]
-    fitness_loop(*loop_args(thetas, scenario, config, gains), *want)
-    f, g, v = fitness(thetas, scenario, config, gains)
+    want = reference_rows(thetas, scenario, config, eps, eta_r)
+    f, g, v = fitness(thetas, scenario, config, point_gains(config, eps, eta_r))
     scale = np.abs(want[1]) + config.penalty_mu * np.abs(want[2])
     assert np.allclose(g, want[1], rtol=1e-9, atol=1e-300)
     assert np.all(np.abs(v - want[2]) <= 1e-9 * np.maximum(np.abs(want[2]), scale))
     assert np.all(np.abs(f - want[0]) <= 1e-9 * np.maximum(np.abs(want[0]), scale))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(loop_cases())
+def test_channel_stage_matches_scalar_channels_on_edge_geometry(case):
+    scenario, config, thetas, _, _ = case
+    n = config.num_pas
+    h = effective_channels(thetas[:, :n], scenario, config)
+    for i, theta in enumerate(thetas):
+        # complex values, so a flipped sign of the imaginary part fails
+        want = compute_channels(theta[:n], scenario, config).h
+        assert np.allclose(h[:, i], want, rtol=1e-9, atol=0.0)
 
 
 # one user off the near end of the guide, antenna 0 fixed at x = 0 and
@@ -466,7 +369,7 @@ def test_phase_matches_two_antenna_closed_form():
     alphas = np.full((len(x2), 1), 0.7)
     _, gamma, _ = swarm_fitness(xs, alphas, Scenario(
         users=np.array([PHASE_USER]), obstacle_centers=np.zeros((0, 3)),
-        obstacle_radii=np.zeros(0), seed=0), config)
+        obstacle_radii=np.zeros(0)), config)
 
     def link(x):  # amplitude and reduced phase of antenna-at-x's link
         vx = PHASE_USER[0] - x

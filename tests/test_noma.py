@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pinchsim import (conservative_order, conservative_sinr, min_sinr,
-                      order_violations, robust_gains, sic_decode_sinr,
+from pinchsim import (apply_csi_error, conservative_order, conservative_sinr,
+                      min_sinr, order_violations, robust_gains, sic_decode_sinr,
                       true_sinr)
 
 
@@ -214,3 +214,17 @@ def test_min_sinr():
     assert min_sinr([1.1, 1.1, 1.1]) == 1.1
     with pytest.raises(ValueError):
         min_sinr([])
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_apply_csi_error_draws_as_per_user_scalar_pairs(k):
+    # the block draw consumes a stream exactly as one random() and one
+    # uniform(0, 2 pi) per user, in user order, and leaves it in the same state
+    for seed in range(200):
+        h = np.random.default_rng(seed + 1).normal(size=(k, 2)) @ [1.0, 1j]
+        scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = np.array([(scalar.random(), scalar.uniform(0.0, 2.0 * np.pi))
+                          for _ in range(k)])
+        want = h + pairs[:, 0] * 0.3 * np.abs(h) * np.exp(1j * pairs[:, 1])
+        assert np.array_equal(apply_csi_error(h, 0.3, block), want)  # bitwise
+        assert block.random() == scalar.random()

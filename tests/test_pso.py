@@ -6,8 +6,8 @@ import pytest
 from pinchsim import (PsoParams, RobustGains, SystemConfig, generate_scenario,
                       kernels, optimize, robust_gains, swarm_fitness)
 from pinchsim import pso
-from pinchsim.pso import (draw_theta, optimize_points, optimize_realizations,
-                          project_theta_batch, search_point, split_theta)
+from pinchsim.pso import (draw_theta, optimize_realizations, project_theta_batch,
+                          search_point, split_theta)
 from pinchsim.scenario import STREAMS
 
 CFG = SystemConfig()
@@ -123,8 +123,9 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
                                                       points, stacked_rows):
     scenario = generate_scenario(config, 8)
     swarms = recorded_swarms(monkeypatch)
-    results = optimize_points(scenario, config, params, 9,
-                              [robust_gains(e, config.eta_i, r) for e, r in points])
+    results = optimize_realizations(
+        [(scenario, 9, [robust_gains(e, config.eta_i, r) for e, r in points])],
+        config, params)[0]
     monkeypatch.undo()
     # distinct points share a kernel call unless the budget splits them
     assert max(len(swarm) for swarm in swarms) == stacked_rows
@@ -165,7 +166,7 @@ def test_stacked_realizations_match_one_realization_at_a_time(monkeypatch, budge
     assert [len(swarm) for swarm in swarms] == [
         size * SMALL.num_particles for size in chunks for _ in range(SMALL.max_iters + 1)]
     for (scenario, seed, points), results in zip(searches, stacked):
-        alone = optimize_points(scenario, CFG, SMALL, seed, points)
+        alone = optimize_realizations([(scenario, seed, points)], CFG, SMALL)[0]
         assert len(results) == len(points)
         for res, want in zip(results, alone):
             assert np.array_equal(res.trace, want.trace)
@@ -191,8 +192,8 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
         return row_gains(*args)
 
     monkeypatch.setattr(kernels, "row_gains", counting)
-    optimize_points(SCENARIO, CFG, SMALL, 9, [robust_gains(0.1, CFG.eta_i, 0.2),
-                                              robust_gains(0.0, CFG.eta_i, 0.0)])
+    optimize_realizations([(SCENARIO, 9, [robust_gains(0.1, CFG.eta_i, 0.2),
+                                          robust_gains(0.0, CFG.eta_i, 0.0)])], CFG, SMALL)
     assert len(built) == 1  # not once per iteration
 
 

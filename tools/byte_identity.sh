@@ -9,7 +9,8 @@
 # stdout file with `diff -r`.  Exits 0 when all are identical and 1 on any
 # difference.  The matrix covers every subcommand that writes a CSV, both
 # score modes, a mixed error-bound grid with repeats and a zero bound (with
-# and without leakage), a zero-bound converge (where both PSO schemes are one
+# and without leakage, and in true_sampled mode, whose scoring calls mix the
+# rows' error bounds), a zero-bound converge (where both PSO schemes are one
 # search), a one-user grid point, 8-realization sweep-users and converge
 # runs, whose realizations are searched in more than one stacked chunk (at
 # K = 5, and in converge, whose re-scoring rows bound its chunks), and user
@@ -49,6 +50,7 @@ matrix=(
     "example_converge_zero_bound|converge --config $example --realizations 2 --override csi_eps=0"
     "example_sweep_eps_mixed|sweep-eps --config $example --realizations 2 --override experiments.eps_grid=[0.2,0.0,0.1,0.1]"
     "example_sweep_eps_mixed_no_leakage|sweep-eps --config $example --realizations 3 --override eta_r=0 --override experiments.eps_grid=[0.2,0.0,0.1,0.1]"
+    "example_sweep_eps_mixed_sampled|sweep-eps --config $example --realizations 2 --override experiments.eps_grid=[0.2,0.0,0.1,0.1] --override experiments.score_mode=true_sampled"
     "small_optimize|optimize --config $small"
     "small_sweep_eps|sweep-eps --config $small"
     "small_sweep_users|sweep-users --config $small"
