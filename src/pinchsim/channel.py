@@ -6,14 +6,12 @@ free-space line-of-sight amplitude lambda/(4 pi r), and is attenuated by a
 soft-blockage transmission factor derived from the clearance between the
 antenna-user segment and the nearest obstacle.  The effective channel is the
 phase-correct sum over antennas, including the in-guide phase accumulated up
-to each tap point.  Estimates carry a relative bounded error, drawn by
-``noma.apply_csi_error``.
+to each tap point.
 
 The package computes channels in ``kernels.effective_channels``; this module
 computes them one antenna at a time with the textbook formulas, sharing no
 code with the kernel, as the reference that tests and benchmark checks use.
-
-All functions are pure; randomness enters only through an explicit rng.
+All functions are pure.
 """
 
 from dataclasses import dataclass
@@ -21,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .noma import apply_csi_error
 from .scenario import Scenario
 
 
@@ -30,7 +27,7 @@ class ChannelSet:
     """Channels of all users for one antenna layout."""
 
     h: np.ndarray       # (K,) complex effective channels
-    h_hat: np.ndarray   # (K,) complex estimates, |h_hat - h| <= eps * |h|
+    h_hat: np.ndarray   # (K,) complex estimates, exact: a copy of h
 
 
 def waveguide_attenuation(x, loss_db_per_m):
@@ -107,12 +104,8 @@ def effective_channel(x_pos, user, scenario: Scenario, config: SystemConfig):
     return complex(np.sum(gains * guide_phase))
 
 
-def compute_channels(x_pos, scenario: Scenario, config: SystemConfig, rng=None):
-    """Channels of every user for one layout; estimates are exact when rng is None."""
+def compute_channels(x_pos, scenario: Scenario, config: SystemConfig):
+    """Channels of every user for one layout, with exact estimates."""
     h = np.array([effective_channel(x_pos, user, scenario, config)
                   for user in scenario.users], dtype=complex)
-    if rng is None:
-        h_hat = h.copy()
-    else:
-        h_hat = apply_csi_error(h, config.csi_eps, rng)
-    return ChannelSet(h=h, h_hat=h_hat)
+    return ChannelSet(h=h, h_hat=h.copy())

@@ -243,12 +243,8 @@ class RunConfig:
 
     def to_dict(self):
         d = dataclasses.asdict(self.system)
-        d["obstacle_radius_range"] = list(self.system.obstacle_radius_range)
         d["pso"] = dataclasses.asdict(self.pso)
-        exp = dataclasses.asdict(self.experiments)
-        exp["eps_grid"] = list(self.experiments.eps_grid)
-        exp["k_grid"] = list(self.experiments.k_grid)
-        d["experiments"] = exp
+        d["experiments"] = dataclasses.asdict(self.experiments)
         return d
 
 
@@ -257,7 +253,8 @@ def _check_sizes(run: RunConfig):
     from them, exceed ``MAX_ELEMENTS``.  The arrays are the realization
     seeds, the fitness kernel's obstacle block at the largest user count,
     the multiplier block and one realization's search trajectories (up to
-    one search per error bound, plus the non-robust one)."""
+    one search per error bound, plus the non-robust one).  The obstacle
+    block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``."""
     system, pso, exp = run.system, run.pso, run.experiments
     users = max(system.num_users, *exp.k_grid)
     sizes = {

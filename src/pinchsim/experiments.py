@@ -15,11 +15,11 @@ the configs sharing a scenario once per realization.
 
 Realizations are stacked: a chunk of them, in seed order, is searched as
 one lockstep swarm (``pso.optimize_realizations``), and the chunk's final
-candidates are scored in one kernel call, each on its own scenario.  Each
-realization derives its own seeds from the master seed and no row depends
-on its batch, so a sweep's rows depend only on the config and the master
-seed.  The CSV schema is one row per (sweep point, realization, scheme) with
-linear and dB min-SINR, and no wall time.
+candidates are scored each on its own scenario, ``pso.kernel_rows`` to a
+kernel call.  Each realization derives its own seeds from the master seed
+and no row depends on its batch, so a sweep's rows depend only on the config
+and the master seed.  The CSV schema is one row per (sweep point,
+realization, scheme) with linear and dB min-SINR, and no wall time.
 """
 
 import dataclasses
@@ -90,8 +90,9 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
 def score_candidates(xs, alphas, scenarios, configs, seeds, mode="conservative"):
     """Final scores of candidates, row i being (xs[i], alphas[i]) on
     scenarios[i] under configs[i], realization seed seeds[i], each row a
-    block of its own in one kernel call.  The configs may differ in the
-    error bound only.  Floating-point warnings are silenced, as in the kernel.
+    block of its own, at most ``pso.kernel_rows`` rows to a kernel call.  The
+    configs may differ in the error bound only.  Floating-point warnings are
+    silenced, as in the kernel.
 
     conservative: worst-case min-SINR at the row's configured error bound
     with the nominal channel as the estimate.  true_sampled: draw one
@@ -99,6 +100,11 @@ def score_candidates(xs, alphas, scenarios, configs, seeds, mode="conservative")
     by the estimates (ties in index order), and evaluate the nominal SINR
     of the true channels in that order.
     """
+    step = pso.kernel_rows(configs[0])
+    if len(xs) > step:  # no row depends on its batch, so each call is exact
+        rows = (xs, alphas, scenarios, configs, seeds)
+        return [score for i in range(0, len(xs), step)
+                for score in score_candidates(*(a[i:i + step] for a in rows), mode)]
     xs, alphas, scenario = np.asarray(xs), np.asarray(alphas), stack_scenarios(scenarios)
     if mode == "conservative":
         gains = kernels.row_gains([robust_gains(c.csi_eps, c.eta_i, c.eta_r)
@@ -183,7 +189,7 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
                     score_mode)[0]
 
 
-def _search_chunks(configs, seeds, pso_params: PsoParams, score_rows):
+def _search_chunks(configs, seeds, pso_params: PsoParams):
     """The PSO searches of ``configs``, which share each realization's
     scenario and differ at most in the error bound, for every seed of
     ``seeds``: the one search step of sweeps and ``converge``.
@@ -191,15 +197,13 @@ def _search_chunks(configs, seeds, pso_params: PsoParams, score_rows):
     Yields ``(indices, scenarios, found)`` per chunk of realizations, in
     seed order, where ``found[j]`` maps each ``RobustGains`` point to its
     ``PsoResult`` on realization ``indices[j]``.  A chunk is as many
-    realizations as ``pso.swarms_per_call`` steps together, and as many as
-    keep the caller's ``score_rows`` kernel rows per realization within the
-    same kernel batch; at least one.  Each distinct point is searched once per
-    realization, all in one ``pso.optimize_realizations`` call per chunk.
+    realizations as ``pso.swarms_per_call`` steps together, and at least one.
+    Each distinct point is searched once per realization, all in one
+    ``pso.optimize_realizations`` call per chunk.
     """
     points = list(dict.fromkeys(pso.search_point(config, scheme == "RobustPSO")
                                 for config in configs for scheme in _SEARCH_SCHEMES))
-    swarms = pso.swarms_per_call(configs[0], pso_params)
-    size = max(1, min(swarms // len(points), swarms * pso_params.num_particles // score_rows))
+    size = max(1, pso.swarms_per_call(configs[0], pso_params) // len(points))
     for start in range(0, len(seeds), size):
         indices = range(start, min(start + size, len(seeds)))
         scenarios = [generate_scenario(configs[0], seeds[j]) for j in indices]
@@ -227,7 +231,7 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
     for members in groups.values():
         cases = [(i, scheme) for i in members for scheme in SCHEMES]
         for indices, scenarios, found in _search_chunks(
-                [configs[i] for i in members], seeds, pso_params, len(cases)):
+                [configs[i] for i in members], seeds, pso_params):
             keys = [(i, j) for j in indices for i, _ in cases]
             records = _records([(scheme, f, scenario, configs[i], seeds[j], grid[i])
                                 for j, scenario, f in zip(indices, scenarios, found)
@@ -269,30 +273,31 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
 
     Both the internal fitness trace and the worst-case re-scored min-SINR of
     the running global best are aggregated; the latter is what makes the two
-    modes comparable at the configured error bound.
+    modes comparable at the configured error bound.  ``score_candidates``
+    re-scores only the rows where a global best moved; the others repeat.
     """
     schemes = _SEARCH_SCHEMES
     points = [pso.search_point(config, scheme == "RobustPSO") for scheme in schemes]
     seeds = realization_seeds(master_seed, num_realizations)
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
-    for indices, scenarios, found in _search_chunks(
-            [config], seeds, pso_params, len(schemes) * (pso_params.max_iters + 1)):
-        # one kernel call re-scores the chunk's trajectories, a block each
-        results = [f[point] for f in found for point in points]
-        thetas = np.concatenate([result.gbest_thetas for result in results])
-        _, rescored, _ = kernels.swarm_fitness(
-            *pso.split_theta(thetas, config.num_pas),
-            stack_scenarios([scenario for scenario in scenarios for _ in schemes]), config)
-        rescored = rescored.reshape(len(indices), len(schemes), -1)
+    for indices, scenarios, found in _search_chunks([config], seeds, pso_params):
+        gbests = np.stack([[f[point].gbest_thetas for point in points] for f in found])
+        moved = np.ones(gbests.shape[:3], dtype=bool)  # (realization, scheme, iteration)
+        moved[..., 1:] = np.any(gbests[..., 1:, :] != gbests[..., :-1, :], axis=-1)
+        which = np.nonzero(moved)[0]  # the realization of each scored row
+        xs, alphas = pso.split_theta(gbests[moved], config.num_pas)
+        scores = score_candidates(xs, alphas, [scenarios[j] for j in which],
+                                  [config] * len(xs), [seeds[indices[j]] for j in which])
+        # each row takes the score of the last row at or before it that moved
+        rescored = np.array(scores)[np.cumsum(moved).reshape(moved.shape) - 1]
         for r, f, rescored_r in zip(indices, found, rescored):
             for scheme, point, trace in zip(schemes, points, rescored_r):
-                result = f[point]
                 # a degenerate config shows in the first realization: stop there
                 _require_reportable_traces(
                     f"converge realization {r + 1}/{num_realizations} seed={seeds[r]} "
-                    f"scheme={scheme}", "", result.trace, trace, positive=False)
-                traces[scheme].append(result.trace)
+                    f"scheme={scheme}", "", f[point].trace, trace, positive=False)
+                traces[scheme].append(f[point].trace)
                 rescored_traces[scheme].append(trace)
             if progress is not None:
                 progress(f"realization {r + 1}/{num_realizations} done")

@@ -20,7 +20,7 @@ A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``noma.RobustGains``) start from the same particles and use the same
 multipliers, which are drawn once.  ``optimize_realizations`` steps the
-swarms of several realizations in lockstep, ``LOCKSTEP_BUDGET`` permitting:
+swarms of several realizations in lockstep, ``kernel_rows`` permitting:
 one projection call and one kernel call per iteration, whose rows are the
 swarms' blocks, each on its own scenario.  ``optimize`` is its
 one-realization, one-point case.
@@ -45,18 +45,25 @@ from .config import MAX_ELEMENTS, ConfigError, PsoParams, SystemConfig
 from .noma import RobustGains, robust_gains
 from .scenario import Scenario, stack_scenarios, stream
 
-# Largest kernel batch, in rows x users x antennas x max(obstacles, 1), up to
-# which a lockstep call stacks swarms.  Stacking saves per-call overhead on
-# small swarms.  Measured on stacked realizations (default geometry, 60
-# particles, 100 iterations, 24 realizations of 2 searches; numpy, 2 CPUs):
-# the searches took 1.47 / 0.96 / 0.82 / 0.75 s at 2^13 / 2^15 / 2^16 / 2^17
-# with 3 users and 2.95 / 1.93 / 1.60 / 1.31 s with 5, and the process peaked
-# at 39 / 42 / 44 / 51 MB and 39 / 41 / 43 / 48 MB.  2^17 saves another
-# 10-18% of the time but costs 5-7 MB (12-16%) more memory, and a
-# 240 x 8 x 16 x 8 swarm (about 2^18) gains nothing from stacking.  At 2^16
-# the benchmark's peak_rss_mb is 40.3 MB on eps_desk and 39.9 MB on
-# users_sampled_t2, against 39.3 and 39.0 MB unstacked (BENCH_9.json).
+# Kernel batch, in rows x users x antennas x max(obstacles, 1), up to which
+# lockstep calls stack swarms and scoring calls candidates (``kernel_rows``);
+# stacking saves per-call overhead on small swarms.
+# Measured on stacked realizations (default geometry, 60 particles, 100
+# iterations, 24 realizations of 2 searches; numpy, 2 CPUs): the searches took
+# 1.47 / 0.96 / 0.82 / 0.75 s at 2^13 / 2^15 / 2^16 / 2^17 with 3 users and
+# 2.95 / 1.93 / 1.60 / 1.31 s with 5, and the process peaked at 39 / 42 / 44 /
+# 51 MB and 39 / 41 / 43 / 48 MB.  2^17 saves another 10-18% of the time but
+# costs 5-7 MB (12-16%) more memory, and a 240 x 8 x 16 x 8 swarm (about
+# 2^18) gains nothing from stacking.  At 2^16 the benchmark's peak_rss_mb is
+# 40.3 MB on eps_desk and 39.9 MB on users_sampled_t2, against 39.3 and
+# 39.0 MB unstacked (BENCH_9.json).
 LOCKSTEP_BUDGET = 2 ** 16
+
+
+def kernel_rows(config: SystemConfig) -> int:
+    """Most rows a kernel call stacks: ``LOCKSTEP_BUDGET`` permitting, at least one."""
+    return max(1, LOCKSTEP_BUDGET // (config.num_users * config.num_pas
+                                      * max(config.obstacle_count, 1)))
 
 
 def project_positions(x, waveguide_len, min_spacing):
@@ -155,7 +162,7 @@ class PsoResult:
     best_alpha: np.ndarray
     best_fitness: float          # final penalized fitness (internal objective)
     trace: np.ndarray            # (T+1,) global-best fitness after init and each iteration
-    gbest_thetas: np.ndarray = field(repr=False, default=None)  # (T+1, N+K)
+    gbest_thetas: np.ndarray = field(repr=False)  # (T+1, N+K)
 
 
 def search_point(config: SystemConfig, robust: bool) -> RobustGains:
@@ -210,13 +217,11 @@ def optimize_realizations(searches, config: SystemConfig, params: PsoParams) -> 
 
 def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
     """How many swarms one lockstep call steps together: as many as keep its
-    kernel batch within ``LOCKSTEP_BUDGET`` and their multipliers and
+    kernel batch within ``kernel_rows`` and their multipliers and
     trajectories within ``MAX_ELEMENTS``, and at least one."""
-    tests = (params.num_particles * config.num_users * config.num_pas
-             * max(config.obstacle_count, 1))
     state = max(params.num_particles * params.max_iters * 2,
                 (params.max_iters + 1) * (config.num_pas + config.num_users))
-    return max(1, min(LOCKSTEP_BUDGET // tests, MAX_ELEMENTS // state))
+    return max(1, min(kernel_rows(config) // params.num_particles, MAX_ELEMENTS // state))
 
 
 def _particles(config, params, seed):

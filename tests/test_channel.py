@@ -177,7 +177,9 @@ def test_compute_channels_consistency():
     cfg = SystemConfig()
     sc = generate_scenario(cfg, 5)
     x = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
-    chans = compute_channels(x, sc, cfg, rng=np.random.default_rng(1))
+    chans = compute_channels(x, sc, cfg)
     # every user's channel is exactly its single-user effective channel
     assert np.array_equal(chans.h, [effective_channel(x, u, sc, cfg) for u in sc.users])
-    assert np.all(np.abs(chans.h_hat - chans.h) <= cfg.csi_eps * np.abs(chans.h) * (1 + 1e-12))
+    assert np.array_equal(chans.h_hat, chans.h)
+    h_hat = apply_csi_error(chans.h, cfg.csi_eps, np.random.default_rng(1))
+    assert np.all(np.abs(h_hat - chans.h) <= cfg.csi_eps * np.abs(chans.h) * (1 + 1e-12))

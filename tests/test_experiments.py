@@ -9,13 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import kernels, pso
+from pinchsim import experiments, kernels, pso
 from pinchsim import (ExperimentSettings, PsoParams, SCHEMES, SystemConfig,
-                      aggregate_mean_db, conservative_order, convergence_trace,
-                      draw_theta, generate_scenario, min_sinr, optimize,
-                      robust_gains, run_scheme, score_candidate, split_theta,
-                      swarm_fitness, sweep_epsilon, sweep_users, true_sinr,
-                      uniform_layout)
+                      aggregate_mean_db, apply_csi_error, conservative_order,
+                      convergence_trace, draw_theta, generate_scenario, min_sinr,
+                      optimize, robust_gains, run_scheme, score_candidate,
+                      split_theta, swarm_fitness, sweep_epsilon, sweep_users,
+                      true_sinr, uniform_layout)
 from pinchsim.channel import compute_channels, effective_channel
 from pinchsim.experiments import (records_to_csv_text, realization_seeds,
                                   score_candidates, write_text_atomic)
@@ -155,10 +155,11 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
             rescored.append(swarm_fitness(*split_theta(res.gbest_thetas, config.num_pas),
                                           scenario, config)[1])
         want[scheme] = np.stack(fitness), np.stack(rescored)
-    # the default budget takes all 3 realizations in one chunk; 3150 kernel
-    # tests (7 swarms of 450, or 70 re-scoring rows) fit two realizations'
-    # 32 re-scoring rows, so 3 take two chunks
-    for budget, want_chunks in [(None, [3]), (3150, [2, 1])]:
+    # the default budget takes all 3 realizations in one chunk; a budget of
+    # two realizations' searches (one swarm of 450 kernel tests per distinct
+    # search point) takes them in chunks of 2 and 1
+    points = len({pso.search_point(config, robust) for robust in (True, False)})
+    for budget, want_chunks in [(None, [3]), (2 * points * 450, [2, 1])]:
         with monkeypatch.context() as patch:
             chunks = recorded_chunks(patch, budget)
             traces = convergence_trace(config, FAST_PSO, num_realizations=3, master_seed=14)
@@ -167,6 +168,31 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
             assert np.array_equal(traces.per_realization_fitness[scheme], fitness)
             assert np.array_equal(traces.fitness[scheme], fitness.mean(axis=0))
             assert np.array_equal(traces.rescored_min_sinr[scheme], rescored.mean(axis=0))
+
+
+def test_convergence_trace_scores_each_distinct_global_best_once(monkeypatch):
+    # the rows handed to scoring are each trajectory's first global best and
+    # those where it moved, in (realization, scheme, iteration) order
+    want = []
+    for seed in realization_seeds(15, 3):
+        scenario = generate_scenario(CFG, seed)
+        for robust in (True, False):
+            gbests = optimize(scenario, CFG, FAST_PSO, seed, robust=robust).gbest_thetas
+            moved = np.r_[True, np.any(gbests[1:] != gbests[:-1], axis=1)]
+            want.append(gbests[moved])
+    want = np.concatenate(want)
+    scored = []
+    score_candidates = experiments.score_candidates
+
+    def recording(xs, alphas, *args):
+        scored.append(np.concatenate([xs, alphas], axis=1))
+        return score_candidates(xs, alphas, *args)
+
+    monkeypatch.setattr(experiments, "score_candidates", recording)
+    convergence_trace(CFG, FAST_PSO, num_realizations=3, master_seed=15)
+    assert len(scored) == 1
+    assert np.array_equal(scored[0], want)
+    assert len(want) < 3 * 2 * (FAST_PSO.max_iters + 1)  # some rows repeat
 
 
 def test_random_streams_of_a_realization_are_distinct(monkeypatch):
@@ -209,11 +235,12 @@ def test_true_sampled_score_mode():
 def sampled_reference(x_pos, alpha, scenario, config, seed):
     """The scalar ``true_sampled`` score of one candidate, and its users'
     sorted estimate magnitudes."""
-    chans = compute_channels(x_pos, scenario, config, rng=stream(seed, "csi_sample"))
-    order = conservative_order(chans.h_hat, config.csi_eps).order
-    sinrs = true_sinr(np.abs(chans.h[order]) ** 2, alpha[order],
+    h = compute_channels(x_pos, scenario, config).h
+    h_hat = apply_csi_error(h, config.csi_eps, stream(seed, "csi_sample"))
+    order = conservative_order(h_hat, config.csi_eps).order
+    sinrs = true_sinr(np.abs(h[order]) ** 2, alpha[order],
                       config.tx_power, config.noise_power)
-    return min_sinr(sinrs), np.sort(np.abs(chans.h_hat))
+    return min_sinr(sinrs), np.sort(np.abs(h_hat))
 
 
 @st.composite
@@ -249,6 +276,36 @@ def test_true_sampled_scores_match_scalar_composition(chunk):
     got = score_candidates(thetas[:, :n], thetas[:, n:], scenarios, configs, seeds,
                            mode="true_sampled")
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sampled_chunks(), st.integers(1, 8))
+def test_split_scoring_matches_one_call_within_row_bound(chunk, step):
+    # a budget of ``step`` rows splits the chunk into kernel calls of at most
+    # that many rows, and every score stays bitwise that of one call
+    thetas, scenarios, configs, seeds = chunk
+    config = configs[0]
+    args = (thetas[:, :config.num_pas], thetas[:, config.num_pas:], scenarios, configs,
+            seeds)
+    tests = config.num_users * config.num_pas * max(config.obstacle_count, 1)
+    effective_channels = kernels.effective_channels
+    for mode in ("conservative", "true_sampled"):
+        whole = score_candidates(*args, mode=mode)
+        rows = []
+
+        def recording(xs, *rest):
+            rows.append(len(xs))
+            return effective_channels(xs, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pso, "LOCKSTEP_BUDGET", step * tests)
+            patch.setattr(kernels, "effective_channels", recording)
+            split = score_candidates(*args, mode=mode)
+            assert pso.kernel_rows(config) == step
+        assert split == whole
+        assert len(rows) == -(-len(thetas) // step) and sum(rows) == len(thetas)
+        assert max(rows) <= step
 
 
 def test_true_sampled_takes_one_channel_call_per_scoring_chunk(monkeypatch):
