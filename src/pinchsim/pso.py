@@ -48,12 +48,14 @@ from .scenario import Scenario, stack_scenarios, stream
 # Kernel batch, in rows x users x antennas x max(obstacles, 1), up to which
 # lockstep calls stack swarms and scoring calls candidates (``kernel_rows``);
 # stacking saves per-call overhead on small swarms.
-# Measured on stacked realizations (default geometry, 60 particles, 100
-# iterations, 24 realizations of 2 searches; numpy, 2 CPUs): the searches took
-# 1.47 / 0.96 / 0.82 / 0.75 s at 2^13 / 2^15 / 2^16 / 2^17 with 3 users and
-# 2.95 / 1.93 / 1.60 / 1.31 s with 5, and the process peaked at 39 / 42 / 44 /
-# 51 MB and 39 / 41 / 43 / 48 MB.  2^17 saves another 10-18% of the time but
-# costs 5-7 MB (12-16%) more memory, and a 240 x 8 x 16 x 8 swarm (about
+# Measured on stacked realizations, with the search's kernel scratch (default
+# geometry, 60 particles, 100 iterations, 24 realizations of 2 searches;
+# numpy, 2 CPUs; medians of 5 runs, which spread by up to 30%): the searches
+# took 1.37 / 0.64 / 0.58 / 0.59 s at 2^13 / 2^15 / 2^16 / 2^17 with 3 users
+# and 2.92 / 1.08 / 1.16 / 0.95 s with 5, and the process peaked at 39.9 /
+# 39.9 / 41.5 / 45.3 MB and 40.0 / 40.0 / 41.2 / 44.7 MB.  From 2^15 on the
+# times are within their noise, but for 2^17 at 5 users, which is 18% faster
+# than 2^16 and peaks 3.5 MB (8%) higher; a 240 x 8 x 16 x 8 swarm (about
 # 2^18) gains nothing from stacking.  At 2^16 the benchmark's peak_rss_mb is
 # 40.3 MB on eps_desk and 39.9 MB on users_sampled_t2, against 39.3 and
 # 39.0 MB unstacked (BENCH_9.json).
@@ -246,6 +248,7 @@ def _lockstep(config, params, swarms, theta0, draws):
     theta = np.ascontiguousarray(theta0[which].transpose(1, 0, 2))  # (D, S, P)
     d, s, p = theta.shape
     gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
+    scratch = kernels.Scratch()    # the kernel temporaries, of the same fixed shape
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])[:, None, None]
 
@@ -272,7 +275,7 @@ def _lockstep(config, params, swarms, theta0, draws):
             theta = project_theta_batch(theta.reshape(d, -1).T, config).T.reshape(d, s, p)
         flat = theta.reshape(d, -1)
         fitness, _, _ = kernels.swarm_fitness(flat[:n].T, flat[n:].T, scenario, config,
-                                              gains=gains)
+                                              gains=gains, scratch=scratch)
         fitness = fitness.reshape(s, p)
         # a particle's first evaluation is its personal best; later ones must beat it
         improved = (fitness > best_fitness) | (t == 0)

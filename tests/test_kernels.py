@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
                       generate_scenario, robust_gains)
 from pinchsim.channel import compute_channels, effective_channel
-from pinchsim.kernels import effective_channels, row_gains, swarm_fitness
+from pinchsim.kernels import Scratch, effective_channels, row_gains, swarm_fitness
 from pinchsim.pso import draw_theta, split_theta
 from pinchsim.scenario import Scenario, stack_scenarios
 
@@ -252,6 +252,55 @@ def test_kernel_matches_scalar_oracle_on_random_geometry(case):
         assert g[i] == pytest.approx(g_ref, rel=1e-9, abs=1e-300)
         assert v[i] == pytest.approx(v_ref, rel=1e-9, abs=1e-9 * scale)
         assert f[i] == pytest.approx(f_ref, rel=1e-9, abs=1e-9 * scale)
+
+
+# the configs of test_cli.py::test_nonfinite_result_is_config_error: guide
+# phases that overflow to nan, and SINRs that underflow to 0
+OVERFLOWS = [{}, {"waveguide_len": 1e308}, {"tx_power": 1e-320}]
+
+
+@st.composite
+def scratch_sequences(draw):
+    """Kernel calls whose K, N, O, block count and rows change from call to call."""
+    calls = []
+    for _ in range(draw(st.integers(2, 5))):
+        k, n, o = draw(st.integers(1, 5)), draw(st.integers(1, 10)), draw(st.integers(0, 4))
+        blocks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o, min_spacing=0.0,
+                              **draw(st.sampled_from(OVERFLOWS)))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        scenario = stack_scenarios([generate_scenario(config, seed + b)
+                                    for b in range(blocks)])
+        rng = np.random.default_rng(seed)
+        thetas = np.stack([draw_theta(config, rng) for _ in range(blocks * rows)])
+        gains = None
+        if draw(st.booleans()):
+            gains = point_gains(config, *mixed_rows(blocks * rows))
+        calls.append((thetas, scenario, config, gains))
+    return calls
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scratch_sequences())
+def test_reused_scratch_equals_fresh_scratch_bitwise(calls):
+    scratch = Scratch()
+    kept = []
+    with np.errstate(all="ignore"):
+        for thetas, scenario, config, gains in calls:
+            n = config.num_pas
+            xs, alphas = thetas[:, :n], thetas[:, n:]
+            reused = (effective_channels(xs, scenario, config, scratch),
+                      *swarm_fitness(xs, alphas, scenario, config, gains, scratch))
+            fresh = (effective_channels(xs, scenario, config),
+                     *swarm_fitness(xs, alphas, scenario, config, gains))
+            for got, want in zip(reused, fresh):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            kept.append((reused, [a.tobytes() for a in reused]))
+    # no output is a view of the scratch: later calls left every one as it was
+    for outputs, saved in kept:
+        assert [a.tobytes() for a in outputs] == saved
 
 
 @st.composite

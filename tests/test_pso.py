@@ -197,6 +197,35 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
     assert len(built) == 1  # not once per iteration
 
 
+def test_each_lockstep_call_reuses_one_scratch(monkeypatch):
+    # the channel stage's temporaries are allocated by a call's first kernel
+    # call and reused by the other T, not faulted in afresh on every one
+    calls = []
+
+    def recording(*args, scratch=None, **kwargs):
+        out = swarm_fitness(*args, scratch=scratch, **kwargs)
+        calls.append((scratch, dict(scratch._buffers)))
+        return out
+
+    tests_per_swarm = SMALL.num_particles * CFG.num_users * CFG.num_pas * CFG.obstacle_count
+    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 3 * tests_per_swarm)
+    monkeypatch.setattr(kernels, "swarm_fitness", recording)
+    searches = [(generate_scenario(CFG, seed + 100), seed,
+                 [robust_gains(e, CFG.eta_i, r) for e, r in points])
+                for seed, points in REALIZATION_POINTS]
+    optimize_realizations(searches, CFG, SMALL)
+    steps = SMALL.max_iters + 1
+    assert len(calls) == 3 * steps    # lockstep calls of 3, 3 and 1 swarms
+    for i in range(0, len(calls), steps):
+        (scratch, first), *rest = calls[i:i + steps]
+        assert first                   # the channel stage used it
+        for same, buffers in rest:
+            assert same is scratch
+            assert buffers.keys() == first.keys()
+            assert all(buffers[name] is first[name] for name in first)
+    assert len({id(scratch) for scratch, _ in calls}) == 3
+
+
 def test_search_point_of_each_mode():
     assert search_point(CFG, robust=True) == robust_gains(CFG.csi_eps, CFG.eta_i, CFG.eta_r)
     nominal = RobustGains(order_ratio=1.0, signal_scale=1.0, interference_scale=1.0,
