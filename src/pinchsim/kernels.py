@@ -39,9 +39,10 @@ operating system at the end of each call, and the next call faulted their
 pages in again: a 600-row call at K/N/O = 3/5/3 took 272 minor page faults
 and 1.39-1.52 ms, against none and 0.91-0.96 ms with a reused scratch
 (medians of 300 calls; numpy 2.4.6, 2 CPUs), and a full-scale ``sweep-eps``
-took 1,197,461 minor faults where it now takes about 2,300.  The scratch
+took 1,197,461 minor faults where it now takes 2,332-2,337.  The scratch
 holds memory, never values, so reusing it cannot change a result; one-off
 callers such as scoring pass None and get a fresh one.
+
 The tests hold the kernel to the scalar ``channel`` and ``noma`` modules
 and check the phase against a closed form.
 """
