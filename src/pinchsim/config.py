@@ -96,9 +96,6 @@ class SystemConfig:
         if isinstance(self.obstacle_radius_range, list):
             object.__setattr__(self, "obstacle_radius_range",
                                tuple(self.obstacle_radius_range))
-        self.validate()
-
-    def validate(self):
         _check_field_types(self)
         if self.num_users < 1:
             raise ConfigError(f"num_users must be >= 1, got {self.num_users}")
@@ -254,7 +251,10 @@ def _check_sizes(run: RunConfig):
     seeds, the fitness kernel's obstacle block at the largest user count,
     the multiplier block and one realization's search trajectories (up to
     one search per error bound, plus the non-robust one).  The obstacle
-    block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``."""
+    block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``.
+    The seeds are the only one of these that grows with ``realizations``:
+    ``pso.optimize_realizations`` draws the scenarios and particles of only
+    as many realizations at a time as one lockstep call steps."""
     system, pso, exp = run.system, run.pso, run.experiments
     users = max(system.num_users, *exp.k_grid)
     sizes = {

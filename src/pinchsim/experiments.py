@@ -10,13 +10,13 @@ error bound.
 A PSO scheme searches at ``pso.search_point``: the configured bound for
 RobustPSO, the perfect-estimate bound 0 for NonRobustPSO; a RobustPSO at a
 zero bound has the same gains.  The scenario does not depend on the bound,
-so ``_search_chunks``, the one search step, searches each distinct point of
+so ``_searches``, the one search step, searches each distinct point of
 the configs sharing a scenario once per realization.
 
-Realizations are stacked: a chunk of them, in seed order, is searched as
-one lockstep swarm (``pso.optimize_realizations``), and the chunk's final
-candidates are scored each on its own scenario, ``pso.kernel_rows`` to a
-kernel call.  Each realization derives its own seeds from the master seed
+``pso.optimize_realizations`` decides how many realizations it searches
+together and hands them back one at a time, in seed order; each
+realization's final candidates are then scored together, ``pso.kernel_rows``
+to a kernel call.  Each realization derives its own seeds from the master seed
 and no row depends on its batch, so a sweep's rows depend only on the config
 and the master seed.  The CSV schema is one row per (sweep point,
 realization, scheme) with linear and dB min-SINR, and no wall time.
@@ -189,38 +189,24 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
                     score_mode)[0]
 
 
-def _search_chunks(configs, seeds, pso_params: PsoParams):
+def _searches(configs, seeds, pso_params: PsoParams):
     """The PSO searches of ``configs``, which share each realization's
     scenario and differ at most in the error bound, for every seed of
-    ``seeds``: the one search step of sweeps and ``converge``.
-
-    Yields ``(indices, scenarios, found)`` per chunk of realizations, in
-    seed order, where ``found[j]`` maps each ``RobustGains`` point to its
-    ``PsoResult`` on realization ``indices[j]``.  A chunk is as many
-    realizations as ``pso.swarms_per_call`` steps together, and at least one.
-    Each distinct point is searched once per realization, all in one
-    ``pso.optimize_realizations`` call per chunk.
-    """
-    points = list(dict.fromkeys(pso.search_point(config, scheme == "RobustPSO")
-                                for config in configs for scheme in _SEARCH_SCHEMES))
-    size = max(1, pso.swarms_per_call(configs[0], pso_params) // len(points))
-    for start in range(0, len(seeds), size):
-        indices = range(start, min(start + size, len(seeds)))
-        scenarios = [generate_scenario(configs[0], seeds[j]) for j in indices]
-        results = pso.optimize_realizations(
-            [(scenario, seeds[j], points) for scenario, j in zip(scenarios, indices)],
-            configs[0], pso_params)
-        yield indices, scenarios, [dict(zip(points, found)) for found in results]
+    ``seeds``: the one search step of sweeps and ``converge``.  Yields each
+    realization's scenario and ``{RobustGains: PsoResult}``, in seed order."""
+    points = [pso.search_point(config, scheme == "RobustPSO")
+              for config in configs for scheme in _SEARCH_SCHEMES]
+    scenarios = (generate_scenario(configs[0], seed) for seed in seeds)
+    return pso.optimize_realizations(scenarios, seeds, points, configs[0], pso_params)
 
 
-def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
-           make_config, master_seed, settings: ExperimentSettings,
-           progress=None):
+def _sweep(pso_params: PsoParams, sweep_var, grid, make_config, master_seed,
+           settings: ExperimentSettings, progress=None):
     """Records in (grid point, realization, scheme) order.
 
     Grid points whose configs differ only in the error bound share each
-    realization's scenario, so their PSO schemes run as one
-    ``_search_chunks`` step, and each chunk's records are scored together.
+    realization's scenario, so their PSO schemes run as one ``_searches``
+    step, and each realization's records are scored together.
     """
     seeds = realization_seeds(master_seed, settings.realizations)
     configs = [make_config(value) for value in grid]
@@ -230,14 +216,12 @@ def _sweep(config: SystemConfig, pso_params: PsoParams, sweep_var, grid,
     rows = {}
     for members in groups.values():
         cases = [(i, scheme) for i in members for scheme in SCHEMES]
-        for indices, scenarios, found in _search_chunks(
-                [configs[i] for i in members], seeds, pso_params):
-            keys = [(i, j) for j in indices for i, _ in cases]
-            records = _records([(scheme, f, scenario, configs[i], seeds[j], grid[i])
-                                for j, scenario, f in zip(indices, scenarios, found)
+        for j, (scenario, found) in enumerate(
+                _searches([configs[i] for i in members], seeds, pso_params)):
+            records = _records([(scheme, found, scenario, configs[i], seeds[j], grid[i])
                                 for i, scheme in cases], sweep_var, settings.score_mode)
-            for key, record in zip(keys, records):
-                rows.setdefault(key, []).append(record)
+            for (i, _), record in zip(cases, records):
+                rows.setdefault((i, j), []).append(record)
         if progress is not None:
             for i in members:
                 progress(f"{sweep_var}={grid[i]} done")
@@ -253,7 +237,7 @@ def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
     realization index reuses the same geometry at every grid point (paired
     comparison).
     """
-    return _sweep(config, pso_params, "csi_eps", settings.eps_grid,
+    return _sweep(pso_params, "csi_eps", settings.eps_grid,
                   lambda e: dataclasses.replace(config, csi_eps=float(e)),
                   master_seed, settings, progress)
 
@@ -261,7 +245,7 @@ def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
 def sweep_users(config: SystemConfig, pso_params: PsoParams,
                 settings: ExperimentSettings, master_seed, progress=None):
     """All schemes across the user-count grid."""
-    return _sweep(config, pso_params, "num_users", settings.k_grid,
+    return _sweep(pso_params, "num_users", settings.k_grid,
                   lambda k: dataclasses.replace(config, num_users=int(k)),
                   master_seed, settings, progress)
 
@@ -281,26 +265,24 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     seeds = realization_seeds(master_seed, num_realizations)
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
-    for indices, scenarios, found in _search_chunks([config], seeds, pso_params):
-        gbests = np.stack([[f[point].gbest_thetas for point in points] for f in found])
-        moved = np.ones(gbests.shape[:3], dtype=bool)  # (realization, scheme, iteration)
-        moved[..., 1:] = np.any(gbests[..., 1:, :] != gbests[..., :-1, :], axis=-1)
-        which = np.nonzero(moved)[0]  # the realization of each scored row
+    for r, (scenario, found) in enumerate(_searches([config], seeds, pso_params)):
+        gbests = np.stack([found[point].gbest_thetas for point in points])
+        moved = np.ones(gbests.shape[:2], dtype=bool)  # (scheme, iteration)
+        moved[:, 1:] = np.any(gbests[:, 1:] != gbests[:, :-1], axis=-1)
         xs, alphas = pso.split_theta(gbests[moved], config.num_pas)
-        scores = score_candidates(xs, alphas, [scenarios[j] for j in which],
-                                  [config] * len(xs), [seeds[indices[j]] for j in which])
+        scores = score_candidates(xs, alphas, [scenario] * len(xs), [config] * len(xs),
+                                  [seeds[r]] * len(xs))
         # each row takes the score of the last row at or before it that moved
         rescored = np.array(scores)[np.cumsum(moved).reshape(moved.shape) - 1]
-        for r, f, rescored_r in zip(indices, found, rescored):
-            for scheme, point, trace in zip(schemes, points, rescored_r):
-                # a degenerate config shows in the first realization: stop there
-                _require_reportable_traces(
-                    f"converge realization {r + 1}/{num_realizations} seed={seeds[r]} "
-                    f"scheme={scheme}", "", f[point].trace, trace, positive=False)
-                traces[scheme].append(f[point].trace)
-                rescored_traces[scheme].append(trace)
-            if progress is not None:
-                progress(f"realization {r + 1}/{num_realizations} done")
+        for scheme, point, trace in zip(schemes, points, rescored):
+            # a degenerate config shows in the first realization: stop there
+            _require_reportable_traces(
+                f"converge realization {r + 1}/{num_realizations} seed={seeds[r]} "
+                f"scheme={scheme}", "", found[point].trace, trace, positive=False)
+            traces[scheme].append(found[point].trace)
+            rescored_traces[scheme].append(trace)
+        if progress is not None:
+            progress(f"realization {r + 1}/{num_realizations} done")
     stacks = {scheme: np.stack(traces[scheme]) for scheme in schemes}
     fitness = {scheme: stacks[scheme].mean(axis=0) for scheme in schemes}
     rescored = {scheme: np.stack(rescored_traces[scheme]).mean(axis=0)

@@ -19,10 +19,11 @@ would, so a run is reproducible regardless of evaluation schedule.
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``noma.RobustGains``) start from the same particles and use the same
-multipliers, which are drawn once.  ``optimize_realizations`` steps the
-swarms of several realizations in lockstep, ``kernel_rows`` permitting:
-one projection call and one kernel call per iteration, whose rows are the
-swarms' blocks, each on its own scenario.  ``optimize`` is its
+multipliers, which are drawn once.  ``optimize_realizations`` alone
+decides how many realizations are searched together: it steps their swarms
+in lockstep, ``kernel_rows`` permitting, with one projection call and one
+kernel call per iteration whose rows are the swarms' blocks, each on its
+own scenario, and yields one realization at a time.  ``optimize`` is its
 one-realization, one-point case.
 
 The lockstep state (positions, velocities, personal bests) is held
@@ -36,6 +37,7 @@ call; the projection works candidate by candidate, so the batch does not
 change their bits.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,33 +190,39 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
     schemes share.  Deterministic given (scenario, config, params, seed).
     """
     point = search_point(config, robust)
-    return optimize_realizations([(scenario, seed, [point])], config, params)[0][0]
+    _, found = next(optimize_realizations([scenario], [seed], [point], config, params))
+    return found[point]
 
 
-def optimize_realizations(searches, config: SystemConfig, params: PsoParams) -> list:
-    """The searches of several realizations, stepped together in lockstep.
+def optimize_realizations(scenarios, seeds, points, config: SystemConfig,
+                          params: PsoParams):
+    """Search each realization at each distinct point of ``points``, the
+    swarms of several realizations stepped together in lockstep.
 
-    ``searches`` holds one (scenario, seed, points) per realization, with
-    equal user and obstacle counts; the result holds, per realization, one
-    ``PsoResult`` per entry of its ``points``, each bit-identical to a
-    separate search.  A swarm is one (scenario, seed, distinct point).  Its
-    particles and multipliers come from its seed alone, so the swarms of one
-    realization start from the same particles, drawn once.  The swarms are stepped
-    in chunks of ``swarms_per_call`` in (realization, point) order, each
-    chunk with one projection call and one kernel call per iteration.
+    ``scenarios`` (consumed lazily) and ``seeds`` give the realizations in
+    order, with equal user and obstacle counts.  Yields per realization its
+    scenario and a dict from each distinct point to its ``PsoResult``, each
+    bit-identical to a separate search.  A swarm is one (scenario, seed,
+    point); its particles and multipliers come from its seed alone, so a
+    realization's swarms start from the same particles, drawn once.  Whole
+    realizations are taken as many at a time as fill one lockstep call of
+    ``swarms_per_call`` swarms, and at least one; their swarms are stepped in
+    (realization, point) order in calls of at most ``swarms_per_call``, each
+    with one projection call and one kernel call per iteration.
     """
-    swarms = [(scenario, r, point) for r, (scenario, _, points) in enumerate(searches)
-              for point in dict.fromkeys(points)]
-    theta0, draws = (np.stack(arrays) for arrays in zip(
-        *[_particles(config, params, seed) for _, seed, _ in searches]))
+    points = list(dict.fromkeys(points))
     per_call = swarms_per_call(config, params)
-    found = {}
-    for i in range(0, len(swarms), per_call):
-        chunk = swarms[i:i + per_call]
-        found.update(zip([(r, point) for _, r, point in chunk],
-                         _lockstep(config, params, chunk, theta0, draws)))
-    return [[found[r, point] for point in points]
-            for r, (_, _, points) in enumerate(searches)]
+    realizations = zip(scenarios, seeds)
+    while chunk := list(itertools.islice(realizations, max(1, per_call // len(points)))):
+        theta0, draws = (np.stack(arrays) for arrays in zip(
+            *[_particles(config, params, seed) for _, seed in chunk]))
+        swarms = [(scenario, r, point) for r, (scenario, _) in enumerate(chunk)
+                  for point in points]
+        found = []
+        for i in range(0, len(swarms), per_call):
+            found += _lockstep(config, params, swarms[i:i + per_call], theta0, draws)
+        for r, (scenario, _) in enumerate(chunk):
+            yield scenario, dict(zip(points, found[r * len(points):(r + 1) * len(points)]))
 
 
 def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:

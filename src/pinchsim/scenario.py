@@ -69,7 +69,6 @@ def generate_scenario(config: SystemConfig, seed: int) -> Scenario:
     row-wise, so a sweep that varies the user count keeps the obstacles and
     the first k users identical across grid points (paired comparison).
     """
-    config.validate()
     user_rng = stream(seed, "users")
     k = config.num_users
     users = np.zeros((k, 3))

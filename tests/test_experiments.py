@@ -108,20 +108,20 @@ def reference_sweep(config, params, settings, master_seed, sweep_var, grid):
     return records
 
 
-def recorded_chunks(monkeypatch, budget):
+def recorded_calls(monkeypatch, budget):
     """Set ``pso.LOCKSTEP_BUDGET`` (None keeps it) and record the number of
-    realizations each ``pso.optimize_realizations`` call steps."""
+    swarms each ``pso._lockstep`` call steps."""
     if budget is not None:
         monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", budget)
-    chunks = []
-    optimize_realizations = pso.optimize_realizations
+    calls = []
+    lockstep = pso._lockstep
 
-    def recording(searches, *args):
-        chunks.append(len(searches))
-        return optimize_realizations(searches, *args)
+    def recording(config, params, swarms, *args):
+        calls.append(len(swarms))
+        return lockstep(config, params, swarms, *args)
 
-    monkeypatch.setattr(pso, "optimize_realizations", recording)
-    return chunks
+    monkeypatch.setattr(pso, "_lockstep", recording)
+    return calls
 
 
 @pytest.mark.parametrize("score_mode", ["conservative", "true_sampled"])
@@ -130,16 +130,17 @@ def test_sweeps_match_one_search_per_scheme(monkeypatch, score_mode):
                                   k_grid=(3, 2, 3), score_mode=score_mode)
     want_eps = reference_sweep(CFG, FAST_PSO, settings, 12, "csi_eps", settings.eps_grid)
     want_users = reference_sweep(CFG, FAST_PSO, settings, 13, "num_users", settings.k_grid)
-    # the default budget takes all 3 realizations in one chunk; at 1800
-    # kernel tests (4 swarms of 450 at K = 3), the eps sweep's three points
-    # per realization fit one realization per chunk and the K = 3 points of
-    # the user sweep two, so its 3 realizations take two chunks
-    for budget, want_chunks in [(None, [3, 3, 3]), (1800, [1, 1, 1, 2, 1, 3])]:
+    # the default budget takes all 3 realizations in one lockstep call: 3
+    # points each in the eps sweep, 2 in each user group; at 1800 kernel
+    # tests (4 swarms of 450 at K = 3), the eps sweep's 3 points per
+    # realization fit one realization per call and the K = 3 points of the
+    # user sweep two, so its 3 realizations take two calls
+    for budget, want_calls in [(None, [9, 6, 6]), (1800, [3, 3, 3, 4, 2, 6])]:
         with monkeypatch.context() as patch:
-            chunks = recorded_chunks(patch, budget)
+            calls = recorded_calls(patch, budget)
             assert sweep_epsilon(CFG, FAST_PSO, settings, master_seed=12) == want_eps
             assert sweep_users(CFG, FAST_PSO, settings, master_seed=13) == want_users
-            assert chunks == want_chunks
+            assert calls == want_calls
 
 
 @pytest.mark.parametrize("csi_eps", [0.1, 0.0])
@@ -155,15 +156,15 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
             rescored.append(swarm_fitness(*split_theta(res.gbest_thetas, config.num_pas),
                                           scenario, config)[1])
         want[scheme] = np.stack(fitness), np.stack(rescored)
-    # the default budget takes all 3 realizations in one chunk; a budget of
-    # two realizations' searches (one swarm of 450 kernel tests per distinct
-    # search point) takes them in chunks of 2 and 1
+    # the default budget takes all 3 realizations in one lockstep call; a
+    # budget of two realizations' searches (one swarm of 450 kernel tests per
+    # distinct search point) takes them in calls of 2 and 1
     points = len({pso.search_point(config, robust) for robust in (True, False)})
-    for budget, want_chunks in [(None, [3]), (2 * points * 450, [2, 1])]:
+    for budget, want_calls in [(None, [3 * points]), (2 * points * 450, [2 * points, points])]:
         with monkeypatch.context() as patch:
-            chunks = recorded_chunks(patch, budget)
+            calls = recorded_calls(patch, budget)
             traces = convergence_trace(config, FAST_PSO, num_realizations=3, master_seed=14)
-        assert chunks == want_chunks
+        assert calls == want_calls
         for scheme, (fitness, rescored) in want.items():
             assert np.array_equal(traces.per_realization_fitness[scheme], fitness)
             assert np.array_equal(traces.fitness[scheme], fitness.mean(axis=0))
@@ -172,15 +173,17 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
 
 def test_convergence_trace_scores_each_distinct_global_best_once(monkeypatch):
     # the rows handed to scoring are each trajectory's first global best and
-    # those where it moved, in (realization, scheme, iteration) order
+    # those where it moved, in (scheme, iteration) order, one call per
+    # realization
     want = []
     for seed in realization_seeds(15, 3):
         scenario = generate_scenario(CFG, seed)
+        rows = []
         for robust in (True, False):
             gbests = optimize(scenario, CFG, FAST_PSO, seed, robust=robust).gbest_thetas
             moved = np.r_[True, np.any(gbests[1:] != gbests[:-1], axis=1)]
-            want.append(gbests[moved])
-    want = np.concatenate(want)
+            rows.append(gbests[moved])
+        want.append(np.concatenate(rows))
     scored = []
     score_candidates = experiments.score_candidates
 
@@ -190,9 +193,9 @@ def test_convergence_trace_scores_each_distinct_global_best_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "score_candidates", recording)
     convergence_trace(CFG, FAST_PSO, num_realizations=3, master_seed=15)
-    assert len(scored) == 1
-    assert np.array_equal(scored[0], want)
-    assert len(want) < 3 * 2 * (FAST_PSO.max_iters + 1)  # some rows repeat
+    assert [len(rows) for rows in scored] == [len(rows) for rows in want]
+    assert np.array_equal(np.concatenate(scored), np.concatenate(want))
+    assert sum(map(len, want)) < 3 * 2 * (FAST_PSO.max_iters + 1)  # some rows repeat
 
 
 def test_random_streams_of_a_realization_are_distinct(monkeypatch):
@@ -318,14 +321,15 @@ def test_true_sampled_takes_one_channel_call_per_scoring_chunk(monkeypatch):
         return effective_channels(xs, *args)
 
     monkeypatch.setattr(kernels, "effective_channels", recording)
-    chunks = recorded_chunks(monkeypatch, 1800)
+    calls = recorded_calls(monkeypatch, 1800)
     settings = ExperimentSettings(realizations=3, k_grid=(3, 2, 3),
                                   score_mode="true_sampled")
     sweep_users(CFG, FAST_PSO, settings, master_seed=13)
-    # chunks of 2 and 1 realizations at K = 3 (two grid points of 4 schemes
-    # each) and one of 3 realizations at K = 2
-    assert chunks == [2, 1, 3]
-    assert scored == [2 * 8, 1 * 8, 3 * 4]
+    # lockstep calls of 2 and 1 realizations (2 points each) at K = 3 and one
+    # of 3 realizations at K = 2; each realization is scored in one call, of
+    # 8 rows at K = 3 (two grid points of 4 schemes each) and 4 at K = 2
+    assert calls == [4, 2, 6]
+    assert scored == [8, 8, 8, 4, 4, 4]
 
 
 def test_fixed_candidates_degrade_with_eps():

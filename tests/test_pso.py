@@ -122,15 +122,15 @@ WIDE_PSO = PsoParams(num_particles=70, max_iters=4)
 def test_optimize_points_matches_one_search_per_point(monkeypatch, config, params,
                                                       points, stacked_rows):
     scenario = generate_scenario(config, 8)
+    gains = [robust_gains(e, config.eta_i, r) for e, r in points]
     swarms = recorded_swarms(monkeypatch)
-    results = optimize_realizations(
-        [(scenario, 9, [robust_gains(e, config.eta_i, r) for e, r in points])],
-        config, params)[0]
+    [(searched, results)] = optimize_realizations([scenario], [9], gains, config, params)
     monkeypatch.undo()
     # distinct points share a kernel call unless the budget splits them
     assert max(len(swarm) for swarm in swarms) == stacked_rows
-    assert len(results) == len(points)
-    for point, res in zip(points, results):
+    assert searched is scenario
+    assert list(results) == list(dict.fromkeys(gains))
+    for point, res in zip(points, (results[g] for g in gains)):
         alone = optimize(scenario, dataclasses.replace(config, csi_eps=point[0],
                                                        eta_r=point[1]),
                          params, seed=9, robust=True)
@@ -139,39 +139,62 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
         assert np.array_equal(res.best_theta, alone.best_theta)
 
 
-# per realization: its seed and points; realization 1 repeats a point, and
-# realization 2 has one point only
-REALIZATION_POINTS = [(40, [(0.1, 0.2), (0.0, 0.0)]),
-                      (41, [(0.2, 0.5), (0.2, 0.5), (0.0, 0.0)]),
-                      (42, [(0.3, 0.2)]),
-                      (43, [(0.0, 0.0), (0.1, 0.2)])]
+# the points every realization is searched at: 4 distinct ones, as (0.1, 0.2)
+# repeats and at eps = 0 every eta_r has the same gains
+REALIZATION_SEEDS = [40, 41, 42, 43]
+REALIZATION_POINTS = [robust_gains(e, CFG.eta_i, r) for e, r in
+                      [(0.1, 0.2), (0.0, 0.0), (0.2, 0.5), (0.1, 0.2), (0.3, 0.2), (0.0, 0.7)]]
+TESTS_PER_SWARM = SMALL.num_particles * CFG.num_users * CFG.num_pas * CFG.obstacle_count
+
+
+def realization_scenarios():
+    return [generate_scenario(CFG, seed + 100) for seed in REALIZATION_SEEDS]
 
 
 @pytest.mark.parametrize("budget_swarms,chunks", [
-    (None, [7]),       # the default budget: all 7 distinct swarms in one call
-    (3, [3, 3, 1]),    # realizations 1 and 3 each split across two calls
+    (None, [16]),                    # the default budget: all 16 swarms in one call
+    (3, [3, 1, 3, 1, 3, 1, 3, 1]),  # each realization's 4 swarms span two calls
 ])
 def test_stacked_realizations_match_one_realization_at_a_time(monkeypatch, budget_swarms,
                                                               chunks):
     if budget_swarms is not None:
-        tests_per_swarm = (SMALL.num_particles * CFG.num_users * CFG.num_pas
-                           * CFG.obstacle_count)
-        monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", budget_swarms * tests_per_swarm)
-    searches = [(generate_scenario(CFG, seed + 100), seed,
-                 [robust_gains(e, CFG.eta_i, r) for e, r in points])
-                for seed, points in REALIZATION_POINTS]
+        monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", budget_swarms * TESTS_PER_SWARM)
+    scenarios = realization_scenarios()
     swarms = recorded_swarms(monkeypatch)
-    stacked = optimize_realizations(searches, CFG, SMALL)
+    stacked = list(optimize_realizations(scenarios, REALIZATION_SEEDS, REALIZATION_POINTS,
+                                         CFG, SMALL))
     monkeypatch.undo()
     assert [len(swarm) for swarm in swarms] == [
         size * SMALL.num_particles for size in chunks for _ in range(SMALL.max_iters + 1)]
-    for (scenario, seed, points), results in zip(searches, stacked):
-        alone = optimize_realizations([(scenario, seed, points)], CFG, SMALL)[0]
-        assert len(results) == len(points)
-        for res, want in zip(results, alone):
-            assert np.array_equal(res.trace, want.trace)
-            assert np.array_equal(res.gbest_thetas, want.gbest_thetas)
-            assert np.array_equal(res.best_theta, want.best_theta)
+    assert [id(scenario) for scenario, _ in stacked] == [id(s) for s in scenarios]
+    for scenario, seed, (_, results) in zip(scenarios, REALIZATION_SEEDS, stacked):
+        [(_, alone)] = optimize_realizations([scenario], [seed], REALIZATION_POINTS, CFG,
+                                             SMALL)
+        assert list(results) == list(alone) == list(dict.fromkeys(REALIZATION_POINTS))
+        for point, want in alone.items():
+            assert np.array_equal(results[point].trace, want.trace)
+            assert np.array_equal(results[point].gbest_thetas, want.gbest_thetas)
+            assert np.array_equal(results[point].best_theta, want.best_theta)
+
+
+def test_realizations_drawn_one_chunk_at_a_time(monkeypatch):
+    # a run of up to 2^24 realizations holds only one lockstep call's
+    # scenarios: a budget of 8 swarms takes 2 realizations of 4 points a call
+    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 8 * TESTS_PER_SWARM)
+    seeds = list(range(10))
+    drawn = []
+
+    def scenarios():
+        for seed in seeds:
+            drawn.append(seed)
+            yield generate_scenario(CFG, seed + 100)
+
+    found = optimize_realizations(scenarios(), seeds, REALIZATION_POINTS, CFG,
+                                  dataclasses.replace(SMALL, max_iters=2))
+    assert drawn == []
+    for seen in ([0, 1], [0, 1], [0, 1, 2, 3]):
+        next(found)
+        assert drawn == seen
 
 
 def test_swarms_per_call_bounds_kernel_batch_and_stacked_state():
@@ -192,8 +215,9 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
         return row_gains(*args)
 
     monkeypatch.setattr(kernels, "row_gains", counting)
-    optimize_realizations([(SCENARIO, 9, [robust_gains(0.1, CFG.eta_i, 0.2),
-                                          robust_gains(0.0, CFG.eta_i, 0.0)])], CFG, SMALL)
+    list(optimize_realizations([SCENARIO], [9], [robust_gains(0.1, CFG.eta_i, 0.2),
+                                                 robust_gains(0.0, CFG.eta_i, 0.0)],
+                               CFG, SMALL))
     assert len(built) == 1  # not once per iteration
 
 
@@ -207,15 +231,12 @@ def test_each_lockstep_call_reuses_one_scratch(monkeypatch):
         calls.append((scratch, dict(scratch._buffers)))
         return out
 
-    tests_per_swarm = SMALL.num_particles * CFG.num_users * CFG.num_pas * CFG.obstacle_count
-    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 3 * tests_per_swarm)
+    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 3 * TESTS_PER_SWARM)
     monkeypatch.setattr(kernels, "swarm_fitness", recording)
-    searches = [(generate_scenario(CFG, seed + 100), seed,
-                 [robust_gains(e, CFG.eta_i, r) for e, r in points])
-                for seed, points in REALIZATION_POINTS]
-    optimize_realizations(searches, CFG, SMALL)
+    list(optimize_realizations(realization_scenarios(), REALIZATION_SEEDS,
+                               REALIZATION_POINTS, CFG, SMALL))
     steps = SMALL.max_iters + 1
-    assert len(calls) == 3 * steps    # lockstep calls of 3, 3 and 1 swarms
+    assert len(calls) == 8 * steps    # lockstep calls of 3 and 1 swarms per realization
     for i in range(0, len(calls), steps):
         (scratch, first), *rest = calls[i:i + steps]
         assert first                   # the channel stage used it
@@ -223,7 +244,7 @@ def test_each_lockstep_call_reuses_one_scratch(monkeypatch):
             assert same is scratch
             assert buffers.keys() == first.keys()
             assert all(buffers[name] is first[name] for name in first)
-    assert len({id(scratch) for scratch, _ in calls}) == 3
+    assert len({id(scratch) for scratch, _ in calls}) == 8
 
 
 def test_search_point_of_each_mode():

@@ -15,8 +15,10 @@
 # runs, whose realizations are searched in more than one stacked chunk (at
 # K = 5, and in converge), user counts of 8 and 9 on 9 antennas, where
 # numpy's sums over a power block switch from one term after another to
-# pairwise, and a converge and a 40-point sweep-eps at K = 8, N = 16, O = 8,
-# whose row bound of 64 splits their scoring into several kernel calls.
+# pairwise, a converge and a 40-point sweep-eps at K = 8, N = 16, O = 8,
+# whose row bound of 64 splits their scoring into several kernel calls, and
+# a 36-point sweep-eps of 2-particle swarms at that shape, where each
+# realization's 36 searches take lockstep calls of 32 and 4 swarms.
 set -euo pipefail
 set -f  # the matrix's arguments are split into words but never globbed
 
@@ -38,9 +40,11 @@ cat > "$small" <<'EOF'
 {"pso": {"num_particles": 8, "max_iters": 10},
  "experiments": {"realizations": 2, "eps_grid": [0.0, 0.1], "k_grid": [1, 2, 3]}}
 EOF
-# K = 8, N = 16, O = 8 (64 rows to a kernel call), and the grid 0.00, 0.02, ..., 0.78
+# K = 8, N = 16, O = 8 (64 rows to a kernel call), and the grids 0.00, 0.02, ..., 0.78
+# and 0.00, 0.01, ..., 0.35
 wide="--override num_users=8 --override num_pas=16 --override obstacle_count=8"
 grid40="[$(LC_ALL=C seq -s, -f '%.2f' 0 0.02 0.78)]"
+grid36="[$(LC_ALL=C seq -s, -f '%.2f' 0 0.01 0.35)]"
 
 # name | subcommand and arguments (the seed and --out are added)
 matrix=(
@@ -64,6 +68,7 @@ matrix=(
     "small_sweep_users_k8_9_sampled|sweep-users --config $small --override experiments.k_grid=[8,9] --override num_pas=9 --override experiments.score_mode=true_sampled"
     "wide_converge_split|converge --config $example --realizations 6 $wide --override pso.num_particles=8 --override pso.max_iters=60"
     "wide_sweep_eps_split|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=1 --override pso.max_iters=2 --override experiments.eps_grid=$grid40"
+    "wide_sweep_eps_span|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=2 --override pso.max_iters=2 --override experiments.eps_grid=$grid36"
 )
 
 run_tree() {  # run_tree <tree> <output directory>
