@@ -115,8 +115,9 @@ def score_candidates(xs, alphas, scenarios, configs, seeds, mode="conservative")
     h_hat = np.stack([apply_csi_error(h[:, i], c.csi_eps, stream(seed, "csi_sample"))
                       for i, (c, seed) in enumerate(zip(configs, seeds))], axis=1)
     order = np.argsort(np.abs(h_hat), axis=0, kind="stable")
+    gather = order * len(xs) + np.arange(len(xs))
     nominal = kernels.row_gains([robust_gains(0.0, 1.0, 0.0)], len(xs))[1:]
-    return kernels.ordered_min_sinr(np.abs(h) ** 2, order, alphas, nominal,
+    return kernels.ordered_min_sinr(np.abs(h) ** 2, gather, alphas, nominal,
                                     configs[0]).tolist()
 
 

@@ -73,30 +73,69 @@ def row_gains(points, rows_per_point):
     return tuple(np.ascontiguousarray(np.repeat(table, rows_per_point, axis=0).T))
 
 
-class Scratch:
-    """Work memory of the channel stage, kept for as long as its owner.
+class Plan:
+    """Everything a kernel call computes that is fixed for a whole search.
 
-    ``buffer(name, shape)`` hands out an uninitialized float64 array of
-    ``shape``: a view of the name's flat buffer, which is replaced by a
-    larger one when a call asks for more.  The object holds memory only,
-    never values: the kernel writes every element of a buffer before it
-    reads it in the same call, and returns no view of one.
+    A search's stacked scenario, row gains and batch shape do not change over
+    its T + 1 iterations, so ``pso._lockstep`` builds one plan per call and
+    hands it to each of its kernel calls.  The plan holds the block shape;
+    the block geometry relative to the antenna plane, expanded over each
+    block's rows so that it meets the rows elementwise; the amplitude and
+    phase factors; the flat-gather base ``arange(P)``; and the channel
+    stage's work buffers.  Each value comes from the float expression the
+    kernel evaluated on every call before, so a plan moves no bit.
+
+    gains is the ``gains`` argument of the kernel calls: a ``row_gains``
+    tuple, or None for the config's own point, in which case ``rows`` gives
+    the batch's row count (by default that of gains).  The buffers hold
+    memory, never values: the kernel writes each element before it reads it
+    in the same call and returns no view of one.  A plan is bound to the
+    ``scenario``, ``config`` and ``gains`` objects it was built from; a
+    kernel call with others raises ValueError.  Their arrays must not be
+    written to while the plan is in use.
     """
 
-    def __init__(self):
-        self._buffers = {}
+    def __init__(self, scenario: Scenario, config: SystemConfig, gains, rows=None):
+        self.scenario, self.config, self.gains = scenario, config, gains
+        if gains is None:
+            gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], rows)
+        self.row_gains = gains
+        k, o = scenario.users.shape[0], scenario.obstacle_centers.shape[0]
+        antenna_plane = [0.0, 0.0, config.pa_height]
+        users = scenario.users.reshape(k, -1, 3) - antenna_plane        # (K, B, 3)
+        blocks = users.shape[1]
+        rows = len(gains[0]) // blocks
+        self.shape = k, o, blocks, rows
+        ux, uy, uz = users[..., 0, None], users[..., 1, None], users[..., 2, None]  # (K, B, 1)
+        self.ux = _expand(ux, (k, blocks, rows))
+        self.u_sq = _expand(uy * uy + uz * uz, (k, blocks, rows))
+        centers = scenario.obstacle_centers.reshape(o, blocks, 3) - antenna_plane
+        ox, oy, oz = (centers[:, None, :, i, None] for i in range(3))   # (O, 1, B, 1)
+        self.ox = _expand(ox, (o, 1, blocks, rows))
+        self.o_sq = _expand(oy * oy + oz * oz, (o, 1, blocks, rows))
+        # w.v = wx * vx + c_ko, with c_ko = oy * uy + oz * uz per (obstacle, user)
+        self.c_ko = _expand((oy * uy + oz * uz)[:, None], (o, 1, k, blocks, rows))
+        self.radii = _expand(scenario.obstacle_radii.reshape(o, 1, 1, blocks, 1),
+                             (o, 1, k, blocks, rows))
+        self.wavelength, self.guide_wavelength = config.wavelength, config.guide_wavelength
+        self.amp_scale = config.wavelength / (4.0 * math.pi)
+        self.loss_exp = -config.wg_loss / 20.0
+        self.base = np.arange(blocks * rows)
+        n = config.num_pas
+        link, obstacle, pair = (n, k, blocks, rows), (o, n, blocks, rows), (o, n, k, blocks, rows)
+        self.vx, self.rsq, self.r, self.amp, self.dmin = (np.empty(link) for _ in range(5))
+        self.wx, self.w_sq = np.empty(obstacle), np.empty(obstacle)
+        self.wv, self.t, self.gap = (np.empty(pair) for _ in range(3))
 
-    def buffer(self, name, shape):
-        size = math.prod(shape)
-        flat = self._buffers.get(name)
-        if flat is None or flat.size < size:
-            flat = self._buffers[name] = np.empty(size)
-        return flat[:size].reshape(shape)
+
+def _expand(a, shape):
+    """A contiguous copy of ``a`` broadcast to ``shape``."""
+    return np.ascontiguousarray(np.broadcast_to(a, shape))
 
 
 @np.errstate(all="ignore")
 def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=None,
-                  scratch=None):
+                  plan=None):
     """Penalized fitness, worst-case min-SINR, and violation sum per candidate.
 
     xs is (P, N) antenna positions and alphas (P, K) per-user power
@@ -104,72 +143,76 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     ones (``scenario.stack_scenarios``), block b holding rows
     [b P/B, (b + 1) P/B).  gains is the ``row_gains`` of the rows'
     evaluation points, so swarms searching at different points share one
-    call; None evaluates every row at the config's own point.  scratch is
-    the ``Scratch`` of the channel stage; None takes a fresh one.  A row's
-    result does not depend on the rest of its batch.  Floating-point
-    warnings are silenced: a config whose channels overflow yields
-    non-finite results, which the harness refuses to report.
+    call; None evaluates every row at the config's own point.  plan is the
+    ``Plan`` of (scenario, config, gains); None builds one.  A row's result
+    does not depend on the rest of its batch.  Floating-point warnings are
+    silenced: a config whose channels overflow yields non-finite results,
+    which the harness refuses to report.
     """
-    if gains is None:
-        gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], len(xs))
-    ratio, *weights = gains
-    h = effective_channels(xs, scenario, config, scratch)
-    h_sq = h.real * h.real + h.imag * h.imag
+    if plan is None:
+        plan = Plan(scenario, config, gains, len(xs))
+    elif gains is not plan.gains:
+        raise ValueError("the kernel plan was built for other row gains")
+    ratio, *weights = plan.row_gains
+    h_sq, im = effective_channels(xs, scenario, config, plan, True)  # parts, not complex h
+    h_sq *= h_sq                                   # |h|^2 = re re + im im
+    im *= im
+    h_sq += im
     mags = np.sqrt(h_sq)
-    # users in ascending channel magnitude, ties in index order
-    order = np.argsort(mags, axis=0, kind="stable")
-    m_ord = mags[order, np.arange(h.shape[1])]
-    v_total = np.add.reduce(np.maximum(ratio * m_ord[:-1] - m_ord[1:], 0.0), axis=0)
-    gamma_min = ordered_min_sinr(h_sq, order, alphas, weights, config)
+    # users in ascending channel magnitude, ties in index order, as flat
+    # indices into the (K, P) arrays
+    gather = np.argsort(mags, axis=0, kind="stable")
+    gather *= len(plan.base)
+    gather += plan.base
+    m_ord = mags.take(gather)
+    excess = np.multiply(ratio, m_ord[:-1])
+    excess -= m_ord[1:]
+    v_total = np.add.reduce(np.maximum(excess, 0.0, out=excess), axis=0)
+    gamma_min = ordered_min_sinr(h_sq, gather, alphas, weights, config)
     return gamma_min - config.penalty_mu * v_total, gamma_min, v_total
 
 
-def effective_channels(xs, scenario: Scenario, config: SystemConfig, scratch=None):
+def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
+                       parts=False):
     """The channel stage of ``swarm_fitness``: the (K, P) complex effective
     channels of each row's layout, with the model's phase sign,
-    exp(-j 2 pi (r / lambda + x / lambda_g)) per link.  The temporaries of
-    the link and obstacle blocks are buffers of ``scratch`` (a fresh
-    ``Scratch`` if None); the result is a new array."""
-    buf = (Scratch() if scratch is None else scratch).buffer
-    wavelength, antenna_plane = config.wavelength, [0.0, 0.0, config.pa_height]
-    k, o = scenario.users.shape[0], scenario.obstacle_centers.shape[0]
-    users = scenario.users.reshape(k, -1, 3) - antenna_plane       # (K, B, 3)
-    blocks = users.shape[1]
+    exp(-j 2 pi (r / lambda + x / lambda_g)) per link.  plan is a ``Plan``
+    of (scenario, config), whose buffers hold the link and obstacle blocks;
+    None builds one.  parts=True returns the real and imaginary parts as two
+    (K, P) arrays instead.  The results are new arrays."""
+    if plan is None:
+        plan = Plan(scenario, config, None, len(xs))
+    elif scenario is not plan.scenario or config is not plan.config:
+        raise ValueError("the kernel plan was built for another scenario or config")
+    k, o, blocks, rows = plan.shape
     x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)
-    x = x.reshape(x.shape[0], blocks, -1)          # (N, B, P/B)
-    n, rows = x.shape[0], x.shape[2]
-    link = (n, k, blocks, rows)
-    ux, uy, uz = users[..., 0, None], users[..., 1, None], users[..., 2, None]  # (K, B, 1)
-    vx = np.subtract(ux, x[:, None], out=buf("vx", link))  # antenna -> user
-    rsq = np.multiply(vx, vx, out=buf("rsq", link))
-    rsq += uy * uy + uz * uz
-    r = np.sqrt(rsq, out=buf("r", link))
+    x = x.reshape(x.shape[0], blocks, rows)        # (N, B, P/B)
+    vx = np.subtract(plan.ux, x[:, None], out=plan.vx)  # antenna -> user
+    rsq = np.multiply(vx, vx, out=plan.rsq)
+    rsq += plan.u_sq
+    r = np.sqrt(rsq, out=plan.r)
 
-    amp = 10.0 ** (-config.wg_loss / 20.0 * x) * (wavelength / (4.0 * math.pi))
-    amp = np.divide(amp[:, None], r, out=buf("amp", link))
+    amp = 10.0 ** (plan.loss_exp * x) * plan.amp_scale
+    amp = np.divide(amp[:, None], r, out=plan.amp)
     if o:
-        centers = scenario.obstacle_centers.reshape(o, blocks, 3) - antenna_plane
-        ox, oy, oz = (centers[:, None, :, i, None] for i in range(3))  # (O, 1, B, 1)
-        wx = np.subtract(ox, x, out=buf("wx", (o, n, blocks, rows)))  # antenna -> centre
-        w_sq = np.multiply(wx, wx, out=buf("w_sq", wx.shape))
-        w_sq += oy * oy + oz * oz
-        # w.v = wx * vx + c_ko, with c_ko = oy * uy + oz * uz per (obstacle, user)
-        pair = (o,) + link                         # (O, N, K, B, P/B)
-        wv = np.multiply(wx[:, :, None], vx, out=buf("wv", pair))
-        wv += (oy * uy + oz * uz)[:, None]          # (O, 1, K, B, 1)
-        t = np.divide(wv, rsq, out=buf("t", pair))
-        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        wx = np.subtract(plan.ox, x, out=plan.wx)  # antenna -> centre
+        w_sq = np.multiply(wx, wx, out=plan.w_sq)
+        w_sq += plan.o_sq
+        wv = np.multiply(wx[:, :, None], vx, out=plan.wv)  # (O, N, K, B, P/B)
+        wv += plan.c_ko
+        t = np.divide(wv, rsq, out=plan.t)
+        np.clip(t, 0.0, 1.0, out=t)
         # squared distance from the centre to the segment's closest point,
         # |w|^2 - t (2 w.v - t |v|^2), then its clearance from the sphere
-        gap = np.multiply(t, rsq, out=buf("gap", pair))
+        gap = np.multiply(t, rsq, out=plan.gap)
         wv *= 2.0                                  # not read again
         gap -= wv
         gap *= t
         gap += w_sq[:, :, None]
         np.maximum(gap, 0.0, out=gap)
         np.sqrt(gap, out=gap)
-        gap -= scenario.obstacle_radii.reshape(o, 1, 1, blocks, 1)
-        dmin = np.minimum.reduce(gap, axis=0, out=buf("dmin", link))
+        gap -= plan.radii
+        dmin = np.minimum.reduce(gap, axis=0, out=plan.dmin)
         # blockage factor beta + (1 - beta)(1 - exp(-alpha dmin)), in place
         np.maximum(dmin, 0.0, out=dmin)
         dmin *= -config.blockage_alpha
@@ -183,8 +226,8 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, scratch=Non
     # tangent t = tan(pi c): re and im sum amp (1 - t^2) / (1 + t^2) and
     # -2 amp t / (1 + t^2).  At c = +-1/2, t is about 1.6e16 and t^2 stays
     # finite.  vx and rsq are free by now and serve as scratch.
-    angle = np.divide(r, wavelength, out=r)
-    angle += (x / config.guide_wavelength)[:, None]
+    angle = np.divide(r, plan.wavelength, out=r)
+    angle += (x / plan.guide_wavelength)[:, None]
     angle -= np.rint(angle, out=vx)
     angle *= math.pi
     t = np.tan(angle, out=angle)
@@ -193,24 +236,41 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, scratch=Non
     cos_amp = np.subtract(1.0, t_sq, out=t_sq)
     cos_amp *= amp
     t *= amp
+    re = np.add.reduce(cos_amp, axis=0).reshape(k, -1)
+    im = np.add.reduce(t, axis=0).reshape(k, -1)
+    im *= -2.0
+    if parts:
+        return re, im
     # the parts are assigned, as multiplying by 1j would turn an overflow's
     # inf * 0 into nan
-    h = np.empty((k, x.shape[1] * x.shape[2]), dtype=complex)
-    h.real = np.add.reduce(cos_amp, axis=0).reshape(k, -1)
-    h.imag = -2.0 * np.add.reduce(t, axis=0).reshape(k, -1)
+    h = np.empty(re.shape, dtype=complex)
+    h.real, h.imag = re, im
     return h
 
 
-def ordered_min_sinr(h_sq, order, alphas, weights, config: SystemConfig):
+def ordered_min_sinr(h_sq, gather, alphas, weights, config: SystemConfig):
     """The SINR stage of ``swarm_fitness``: each row's min-SINR, its users
-    decoded in the (K, P) ``order``, weakest first.  h_sq is the (K, P) |h|^2,
-    alphas (P, K), and weights the last three ``row_gains`` arrays."""
+    decoded weakest first.  h_sq is the (K, P) |h|^2, gather the decoding
+    order as flat indices into (K, P) arrays, order * P + arange(P) for a
+    (K, P) order, alphas (P, K), and weights the last three ``row_gains``
+    arrays."""
     g_s, g_i, g_r = weights
-    rows = np.arange(h_sq.shape[1])
-    h_ord = config.tx_power * h_sq[order, rows]
-    a_ord = np.transpose(alphas)[order, rows]
-    a_cum = np.add.accumulate(a_ord, axis=0)
-    a_before = a_cum - a_ord                       # power of the weaker users
-    a_after = a_cum[-1] - a_cum                    # power of the stronger users
-    den = g_i * h_ord * a_after + g_r * h_ord * a_before + config.noise_power
-    return np.minimum.reduce(g_s * a_ord * h_ord / den, axis=0)
+    h_ord = h_sq.take(gather)
+    h_ord *= config.tx_power
+    a_ord = np.transpose(alphas).take(gather)
+    a_cum = a_ord.copy()
+    for i in range(1, len(a_cum)):
+        np.add(a_cum[i - 1], a_ord[i], out=a_cum[i])
+    a_after = np.subtract(a_cum[-1], a_cum)        # power of the stronger users
+    a_before = np.subtract(a_cum, a_ord, out=a_cum)  # power of the weaker users
+    # g_i h a_after + g_r h a_before + noise, in that order
+    den = np.multiply(g_i, h_ord)
+    den *= a_after
+    leak = np.multiply(g_r, h_ord, out=a_after)
+    leak *= a_before
+    den += leak
+    den += config.noise_power
+    sinr = np.multiply(g_s, a_ord, out=a_ord)
+    sinr *= h_ord
+    sinr /= den
+    return np.minimum.reduce(sinr, axis=0)

@@ -237,11 +237,13 @@ def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
 def _particles(config, params, seed):
     """The initial (D, P) particles of a seed, projected in one call, and
     their (T, P, 2) multipliers: iteration t's cognitive/social draws, in
-    stream order."""
+    stream order, scaled in place by ``cognitive`` and ``social``."""
     rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
     raw = np.stack([_raw_theta(config, rng) for rng in rngs])
     theta = project_theta_batch(raw, config).T
-    return theta, np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=1)
+    pulls = np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=1)
+    pulls *= (params.cognitive, params.social)
+    return theta, pulls
 
 
 def _lockstep(config, params, swarms, theta0, draws):
@@ -256,7 +258,7 @@ def _lockstep(config, params, swarms, theta0, draws):
     theta = np.ascontiguousarray(theta0[which].transpose(1, 0, 2))  # (D, S, P)
     d, s, p = theta.shape
     gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
-    scratch = kernels.Scratch()    # the kernel temporaries, of the same fixed shape
+    plan = kernels.Plan(scenario, config, gains)  # and so is everything else but the particles
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])[:, None, None]
 
@@ -269,21 +271,20 @@ def _lockstep(config, params, swarms, theta0, draws):
     ids = np.arange(s)
     for t in range(params.max_iters + 1):
         if t > 0:
-            r = draws[which, t - 1]                # (S, P, 2)
             # inertia * v + cognitive r1 (pbest - theta) + social r2 (gbest - theta)
             velocity *= params.inertia
             np.subtract(best_theta, theta, out=pull)
-            pull *= params.cognitive * r[..., 0]
+            pull *= draws[which, t - 1, :, 0]      # (S, P)
             velocity += pull
             np.subtract(gbest_thetas[:, t - 1].T[:, :, None], theta, out=pull)
-            pull *= params.social * r[..., 1]
+            pull *= draws[which, t - 1, :, 1]
             velocity += pull
             np.clip(velocity, -bound, bound, out=velocity)
             theta += velocity
             theta = project_theta_batch(theta.reshape(d, -1).T, config).T.reshape(d, s, p)
         flat = theta.reshape(d, -1)
         fitness, _, _ = kernels.swarm_fitness(flat[:n].T, flat[n:].T, scenario, config,
-                                              gains=gains, scratch=scratch)
+                                              gains=gains, plan=plan)
         fitness = fitness.reshape(s, p)
         # a particle's first evaluation is its personal best; later ones must beat it
         improved = (fitness > best_fitness) | (t == 0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
                       generate_scenario, robust_gains)
 from pinchsim.channel import compute_channels, effective_channel
-from pinchsim.kernels import Scratch, effective_channels, row_gains, swarm_fitness
+from pinchsim.kernels import Plan, effective_channels, row_gains, swarm_fitness
 from pinchsim.pso import draw_theta, split_theta
 from pinchsim.scenario import Scenario, stack_scenarios
 
@@ -260,47 +260,74 @@ OVERFLOWS = [{}, {"waveguide_len": 1e308}, {"tx_power": 1e-320}]
 
 
 @st.composite
-def scratch_sequences(draw):
-    """Kernel calls whose K, N, O, block count and rows change from call to call."""
-    calls = []
-    for _ in range(draw(st.integers(2, 5))):
-        k, n, o = draw(st.integers(1, 5)), draw(st.integers(1, 10)), draw(st.integers(0, 4))
-        blocks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-        config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o, min_spacing=0.0,
-                              **draw(st.sampled_from(OVERFLOWS)))
-        seed = draw(st.integers(0, 2 ** 32 - 1))
-        scenario = stack_scenarios([generate_scenario(config, seed + b)
-                                    for b in range(blocks)])
-        rng = np.random.default_rng(seed)
-        thetas = np.stack([draw_theta(config, rng) for _ in range(blocks * rows)])
-        gains = None
-        if draw(st.booleans()):
-            gains = point_gains(config, *mixed_rows(blocks * rows))
-        calls.append((thetas, scenario, config, gains))
-    return calls
+def plan_cases(draw):
+    """One (scenario, config, gains) and several particle batches on it; K, N,
+    O, the block count and the rows vary from case to case."""
+    k, n, o = draw(st.integers(1, 5)), draw(st.integers(1, 10)), draw(st.integers(0, 4))
+    blocks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o, min_spacing=0.0,
+                          **draw(st.sampled_from(OVERFLOWS)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scenario = stack_scenarios([generate_scenario(config, seed + b) for b in range(blocks)])
+    rng = np.random.default_rng(seed)
+    batches = [np.stack([draw_theta(config, rng) for _ in range(blocks * rows)])
+               for _ in range(draw(st.integers(2, 5)))]
+    gains = None
+    if draw(st.booleans()):
+        gains = point_gains(config, *mixed_rows(blocks * rows))
+    return scenario, config, gains, batches
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(scratch_sequences())
-def test_reused_scratch_equals_fresh_scratch_bitwise(calls):
-    scratch = Scratch()
+@given(plan_cases())
+def test_reused_plan_equals_fresh_plan_bitwise(case):
+    scenario, config, gains, batches = case
+    n = config.num_pas
+    plan = Plan(scenario, config, gains, len(batches[0]))
     kept = []
     with np.errstate(all="ignore"):
-        for thetas, scenario, config, gains in calls:
-            n = config.num_pas
+        for thetas in batches:
             xs, alphas = thetas[:, :n], thetas[:, n:]
-            reused = (effective_channels(xs, scenario, config, scratch),
-                      *swarm_fitness(xs, alphas, scenario, config, gains, scratch))
+            reused = (effective_channels(xs, scenario, config, plan),
+                      *swarm_fitness(xs, alphas, scenario, config, gains, plan))
             fresh = (effective_channels(xs, scenario, config),
                      *swarm_fitness(xs, alphas, scenario, config, gains))
             for got, want in zip(reused, fresh):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
             kept.append((reused, [a.tobytes() for a in reused]))
-    # no output is a view of the scratch: later calls left every one as it was
+    # no output is a view of the plan: later calls left every one as it was
     for outputs, saved in kept:
         assert [a.tobytes() for a in outputs] == saved
+
+
+def test_plan_of_other_objects_is_refused():
+    config = SystemConfig()
+    scenario = generate_scenario(config, 5)
+    _, thetas = make_batch(config, 5, n_particles=6)
+    xs, alphas = thetas[:, :config.num_pas], thetas[:, config.num_pas:]
+    gains = point_gains(config, *mixed_rows(len(thetas)))
+    plan = Plan(scenario, config, gains)
+    others = {
+        "scenario": (generate_scenario(config, 5), config, gains),  # equal, not the same
+        "config": (scenario, dataclasses.replace(config), gains),
+        "gains": (scenario, config, tuple(np.copy(g) for g in gains)),
+        "no gains": (scenario, config, None),
+    }
+    for label, (sc, cfg, g) in others.items():
+        with pytest.raises(ValueError, match="plan"):
+            swarm_fitness(xs, alphas, sc, cfg, gains=g, plan=plan)
+        if label in ("scenario", "config"):
+            with pytest.raises(ValueError, match="plan"):
+                effective_channels(xs, sc, cfg, plan=plan)
+    # the objects it was built from pass, and so does the four-argument call
+    # with a plan of gains None
+    swarm_fitness(xs, alphas, scenario, config, gains=gains, plan=plan)
+    nominal = Plan(scenario, config, None, len(xs))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        swarm_fitness(xs, alphas, scenario, config, plan=nominal),
+        swarm_fitness(xs, alphas, scenario, config)))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from pinchsim import (PsoParams, RobustGains, SystemConfig, generate_scenario,
 from pinchsim import pso
 from pinchsim.pso import (draw_theta, optimize_realizations, project_theta_batch,
                           search_point, split_theta)
-from pinchsim.scenario import STREAMS
+from pinchsim.scenario import STREAMS, Scenario, stream
 
 CFG = SystemConfig()
 SCENARIO = generate_scenario(CFG, 42)
@@ -221,15 +221,14 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
     assert len(built) == 1  # not once per iteration
 
 
-def test_each_lockstep_call_reuses_one_scratch(monkeypatch):
-    # the channel stage's temporaries are allocated by a call's first kernel
-    # call and reused by the other T, not faulted in afresh on every one
+def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
+    # the per-search constants are computed once per lockstep call and reused
+    # by all T + 1 of its kernel calls
     calls = []
 
-    def recording(*args, scratch=None, **kwargs):
-        out = swarm_fitness(*args, scratch=scratch, **kwargs)
-        calls.append((scratch, dict(scratch._buffers)))
-        return out
+    def recording(xs, alphas, scenario, config, gains=None, plan=None):
+        calls.append((plan, scenario, config, gains))
+        return swarm_fitness(xs, alphas, scenario, config, gains=gains, plan=plan)
 
     monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 3 * TESTS_PER_SWARM)
     monkeypatch.setattr(kernels, "swarm_fitness", recording)
@@ -238,13 +237,45 @@ def test_each_lockstep_call_reuses_one_scratch(monkeypatch):
     steps = SMALL.max_iters + 1
     assert len(calls) == 8 * steps    # lockstep calls of 3 and 1 swarms per realization
     for i in range(0, len(calls), steps):
-        (scratch, first), *rest = calls[i:i + steps]
-        assert first                   # the channel stage used it
-        for same, buffers in rest:
-            assert same is scratch
-            assert buffers.keys() == first.keys()
-            assert all(buffers[name] is first[name] for name in first)
-    assert len({id(scratch) for scratch, _ in calls}) == 8
+        (plan, scenario, config, gains), *rest = calls[i:i + steps]
+        assert isinstance(plan, kernels.Plan)
+        assert (plan.scenario, plan.config, plan.gains) == (scenario, config, gains)
+        assert all(same is plan for same, _, _, _ in rest)
+    assert len({id(plan) for plan, _, _, _ in calls}) == 8
+
+
+def test_kernel_calls_keep_the_harness_contract(monkeypatch):
+    # perfbench's tracer wraps kernels.swarm_fitness and reads the scenario
+    # at args[2]; one-off callers use the four-argument form
+    xs, alphas = one_row(draw_theta(CFG, np.random.default_rng(4)))
+    f, gamma, v = kernels.swarm_fitness(xs, alphas, SCENARIO, CFG)
+    assert f.shape == gamma.shape == v.shape == (1,)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(args)
+        return swarm_fitness(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "swarm_fitness", recording)
+    params = PsoParams(num_particles=5, max_iters=7)
+    list(optimize_realizations(realization_scenarios()[:2], REALIZATION_SEEDS[:2],
+                               REALIZATION_POINTS, CFG, params))
+    assert len(seen) == params.max_iters + 1   # one lockstep call of all 8 swarms
+    for args in seen:
+        assert isinstance(args[2], Scenario)
+        assert len(args[0]) == 8 * params.num_particles
+
+
+def test_particles_return_scaled_multipliers():
+    params = PsoParams(num_particles=4, max_iters=6, cognitive=1.3, social=0.7)
+    _, pulls = pso._particles(CFG, params, 11)
+    assert pulls.shape == (params.max_iters, params.num_particles, 2)
+    for i in range(params.num_particles):
+        rng = stream(11, "particles", i)
+        pso._raw_theta(CFG, rng)
+        draws = rng.random((params.max_iters, 2))
+        assert (params.cognitive * draws[:, 0]).tobytes() == pulls[:, i, 0].tobytes()
+        assert (params.social * draws[:, 1]).tobytes() == pulls[:, i, 1].tobytes()
 
 
 def test_search_point_of_each_mode():

@@ -12,10 +12,11 @@ matrix covers ten (K, N, O) shapes, obstacle-free ones included, 1-4
 stacked blocks, ``gains=None`` and mixed per-row evaluation points, rows
 with antennas at both ends of the guide, and two configs whose results are
 not finite (a guide of 1e308 m, whose phases overflow, and a transmit power
-of 1e-320 W, whose SINRs underflow).  Where a tree's kernel takes a
-``scratch``, every case is evaluated twice: with a fresh one, and with one
-object shared by all cases in turn, so that reuse across shapes is compared
-as well.  Exits 0 when every input and output is byte-identical and 1 on
+of 1e-320 W, whose SINRs underflow).  A case is one (scenario, config,
+gains) with several draws of particles.  Every draw is evaluated twice:
+with ``plan=None``, and with one ``Plan`` of its case reused over all of
+the case's draws.  Where a tree's kernel takes a ``scratch`` instead, the
+second evaluation uses one scratch shared by all cases in turn.  Exits 0 when every input and output is byte-identical and 1 on
 any difference; `tools/byte_identity.sh` cannot see last-bit changes, as
 the CSVs keep 9 significant digits.
 """
@@ -38,7 +39,8 @@ OVERFLOWS = [{"waveguide_len": 1e308}, {"tx_power": 1e-320}]
 
 
 def cases():
-    """Yield (name, xs, alphas, scenario, config, gains) in a fixed order."""
+    """Yield (name, scenario, config, gains, draws) in a fixed order: each
+    case's draws are DRAWS (xs, alphas) batches on its scenario and gains."""
     from pinchsim import SystemConfig, generate_scenario, robust_gains
     from pinchsim.kernels import row_gains
     from pinchsim.pso import draw_theta
@@ -51,23 +53,23 @@ def cases():
     for label, config in configs:
         n = config.num_pas
         for blocks in range(1, 5):
-            for draw in range(DRAWS):
-                seed = 1000 * blocks + draw
-                scenario = stack_scenarios([generate_scenario(config, seed + b)
-                                            for b in range(blocks)])
-                rng = np.random.default_rng(seed)
-                rows = blocks * ROWS_PER_BLOCK
+            scenario = stack_scenarios([generate_scenario(config, 1000 * blocks + b)
+                                        for b in range(blocks)])
+            rng = np.random.default_rng(blocks)
+            rows = blocks * ROWS_PER_BLOCK
+            draws = []
+            for _ in range(DRAWS):
                 thetas = np.stack([draw_theta(config, rng) for _ in range(rows)])
                 # antennas at both ends of the guide
                 thetas[0, :n] = np.linspace(0.0, config.waveguide_len, n)
                 thetas[1, n - 1] = config.waveguide_len
-                eps = rng.choice([0.0, 0.05, 0.1, 0.3], rows)
-                eta_r = rng.choice([0.0, 0.2, 0.5], rows)
-                mixed = row_gains([robust_gains(float(e), config.eta_i, float(r))
-                                   for e, r in zip(eps, eta_r)], 1)
-                for gains_label, gains in (("nominal", None), ("mixed", mixed)):
-                    yield (f"{label}/B{blocks}/draw{draw}/{gains_label}",
-                           thetas[:, :n], thetas[:, n:], scenario, config, gains)
+                draws.append((thetas[:, :n], thetas[:, n:]))
+            eps = rng.choice([0.0, 0.05, 0.1, 0.3], rows)
+            eta_r = rng.choice([0.0, 0.2, 0.5], rows)
+            mixed = row_gains([robust_gains(float(e), config.eta_i, float(r))
+                               for e, r in zip(eps, eta_r)], 1)
+            for gains_label, gains in (("nominal", None), ("mixed", mixed)):
+                yield f"{label}/B{blocks}/{gains_label}", scenario, config, gains, draws
 
 
 @np.errstate(all="ignore")  # the overflow configs overflow
@@ -75,28 +77,32 @@ def dump(out_path):
     """Evaluate every case with the importable pinchsim; save inputs and outputs."""
     from pinchsim import kernels
 
-    takes_scratch = "scratch" in inspect.signature(kernels.swarm_fitness).parameters
-    shared = kernels.Scratch() if takes_scratch else None
+    takes = inspect.signature(kernels.swarm_fitness).parameters
+    shared = kernels.Scratch() if "scratch" in takes else None
     arrays = {}
-    for name, xs, alphas, scenario, config, gains in cases():
-        arrays[f"{name}/xs"] = np.ascontiguousarray(xs)
-        arrays[f"{name}/alphas"] = np.ascontiguousarray(alphas)
+    for name, scenario, config, gains, draws in cases():
         arrays[f"{name}/users"] = scenario.users
         arrays[f"{name}/obstacles"] = scenario.obstacle_centers
         arrays[f"{name}/radii"] = scenario.obstacle_radii
         calls = {"fresh": {}}
-        if takes_scratch:
-            calls["shared"] = {"scratch": shared}
-        for mode, kwargs in calls.items():
-            h = kernels.effective_channels(xs, scenario, config, **kwargs)
-            f, gamma, v = kernels.swarm_fitness(xs, alphas, scenario, config,
-                                                gains=gains, **kwargs)
-            for out, value in (("h", h), ("fitness", f), ("min_sinr", gamma),
-                               ("violation", v)):
-                arrays[f"{name}/{mode}/{out}"] = value
-        if not takes_scratch:  # the same call stands for both
-            for out in ("h", "fitness", "min_sinr", "violation"):
-                arrays[f"{name}/shared/{out}"] = arrays[f"{name}/fresh/{out}"]
+        if "plan" in takes:
+            calls["reused"] = {"plan": kernels.Plan(scenario, config, gains, len(draws[0][0]))}
+        elif shared is not None:
+            calls["reused"] = {"scratch": shared}
+        for d, (xs, alphas) in enumerate(draws):
+            key = f"{name}/draw{d}"
+            arrays[f"{key}/xs"] = np.ascontiguousarray(xs)
+            arrays[f"{key}/alphas"] = np.ascontiguousarray(alphas)
+            for mode, kwargs in calls.items():
+                h = kernels.effective_channels(xs, scenario, config, **kwargs)
+                f, gamma, v = kernels.swarm_fitness(xs, alphas, scenario, config,
+                                                    gains=gains, **kwargs)
+                for out, value in (("h", h), ("fitness", f), ("min_sinr", gamma),
+                                   ("violation", v)):
+                    arrays[f"{key}/{mode}/{out}"] = value
+            if "reused" not in calls:  # the same call stands for both
+                for out in ("h", "fitness", "min_sinr", "violation"):
+                    arrays[f"{key}/reused/{out}"] = arrays[f"{key}/fresh/{out}"]
     np.savez(out_path, **arrays)
 
 
@@ -129,14 +135,14 @@ def main(argv):
                        if old[key].dtype != new[key].dtype
                        or old[key].shape != new[key].shape
                        or old[key].tobytes() != new[key].tobytes()]
-            outputs = sum(key.count("/fresh/") + key.count("/shared/") for key in new.files)
-            cases_count = len({key.rsplit("/", 2)[0] for key in new.files if "/fresh/" in key})
+            outputs = sum(key.count("/fresh/") + key.count("/reused/") for key in new.files)
+            draw_count = len({key.rsplit("/", 2)[0] for key in new.files if "/fresh/" in key})
     if differ:
         print(f"kernel outputs differ from {rev} in {len(differ)} arrays:", file=sys.stderr)
         for key in differ[:20]:
             print(f"  {key}", file=sys.stderr)
         return 1
-    print(f"identical: {outputs} output arrays of {cases_count} cases against {rev}")
+    print(f"identical: {outputs} output arrays of {draw_count} draws against {rev}")
     return 0
 
 
