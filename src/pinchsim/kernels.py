@@ -19,9 +19,9 @@ and the rows come last, as B blocks of P/B: the obstacle-clearance block is
 (O, N, K, B, P/B) and the link block is (N, K, B, P/B).  So the min over
 obstacles and the sum over antennas are elementwise passes over contiguous
 planes, not strided reductions over a short last axis, and a block's
-geometry broadcasts as a scalar over its rows.  The search hands its
-(D, rows) state over as transposed views, so taking the (N, rows)
-positions costs no copy.
+geometry, expanded over its rows once per search, meets them elementwise.
+The search hands its (D, rows) state over as transposed views, so taking
+the (N, rows) positions costs no copy.
 
 The link phase takes one transcendental per link: with the phase reduced
 to c cycles in [-1/2, 1/2] and t = tan(pi c), its cosine and sine are
@@ -31,17 +31,19 @@ AVX-512, float64 tan is a vectorized loop while cos and sin are scalar
 libm loops (28 against 150 and 163 us on 9,000 doubles); elsewhere it is
 still one call where cos and sin were two.
 
-The channel stage's large temporaries, the link and obstacle blocks, live
-in a ``Scratch`` owned by the caller.  A search makes one per lockstep
-call, whose batch shape is fixed for all of its iterations, and hands it to
-every kernel call.  Allocated afresh, these arrays went back to the
-operating system at the end of each call, and the next call faulted their
-pages in again: a 600-row call at K/N/O = 3/5/3 took 272 minor page faults
-and 1.39-1.52 ms, against none and 0.91-0.96 ms with a reused scratch
-(medians of 300 calls; numpy 2.4.6, 2 CPUs), and a full-scale ``sweep-eps``
-took 1,197,461 minor faults where it now takes 2,332-2,337.  The scratch
-holds memory, never values, so reusing it cannot change a result; one-off
-callers such as scoring pass None and get a fresh one.
+What a call computes that does not depend on the particles lives in a
+``Plan``: the block geometry, expanded over the rows, the amplitude and
+phase factors, the flat-gather base and the work buffers of the link and
+obstacle blocks.  A search builds one per lockstep call, whose scenario,
+row gains and batch shape are fixed for all of its iterations, and hands it
+to every kernel call; one-off callers such as scoring pass None and get a
+fresh one.  Reused buffers spare each call the page faults of fresh ones:
+a 600-row call at K/N/O = 3/5/3 took 272 minor faults and 1.39-1.52 ms
+with fresh buffers, against none and 0.91-0.96 ms with reused ones
+(medians of 300 calls; numpy 2.4.6, 2 CPUs).  Building the rest once as
+well, and gathering the decoding order with flat ``take``s, took the same
+call from 651 to 530 us (medians of 900 calls of each tree, interleaved in
+one process) and a 240-row call at K = 4 from 350 to 285 us.
 
 The tests hold the kernel to the scalar ``channel`` and ``noma`` modules
 and check the phase against a closed form.
@@ -82,8 +84,8 @@ class Plan:
     the block geometry relative to the antenna plane, expanded over each
     block's rows so that it meets the rows elementwise; the amplitude and
     phase factors; the flat-gather base ``arange(P)``; and the channel
-    stage's work buffers.  Each value comes from the float expression the
-    kernel evaluated on every call before, so a plan moves no bit.
+    stage's work buffers.  Each value is computed with the float expression
+    a call would otherwise evaluate itself, so a plan moves no bit.
 
     gains is the ``gains`` argument of the kernel calls: a ``row_gains``
     tuple, or None for the config's own point, in which case ``rows`` gives

@@ -14,7 +14,8 @@ RNG stream of the seed, apart from the scenario's and the schemes' streams
 (``scenario.STREAMS``).  Right after its initial draw, each particle draws
 all of its cognitive/social multipliers from that stream as one (T, 2)
 block, which consumes the stream exactly as two scalar draws per iteration
-would, so a run is reproducible regardless of evaluation schedule.
+would, so a run is reproducible regardless of evaluation schedule.  The
+block is scaled by the cognitive and social weights once, in place.
 
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
@@ -24,7 +25,9 @@ decides how many realizations are searched together: it steps their swarms
 in lockstep, ``kernel_rows`` permitting, with one projection call and one
 kernel call per iteration whose rows are the swarms' blocks, each on its
 own scenario, and yields one realization at a time.  ``optimize`` is its
-one-realization, one-point case.
+one-realization, one-point case.  A lockstep call's scenario, row gains
+and batch shape are fixed for all of its iterations, so it builds one
+``kernels.Plan`` and hands it to each kernel call.
 
 The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
@@ -50,7 +53,7 @@ from .scenario import Scenario, stack_scenarios, stream
 # Kernel batch, in rows x users x antennas x max(obstacles, 1), up to which
 # lockstep calls stack swarms and scoring calls candidates (``kernel_rows``);
 # stacking saves per-call overhead on small swarms.
-# Measured on stacked realizations, with the search's kernel scratch (default
+# Measured on stacked realizations, with reused kernel work buffers (default
 # geometry, 60 particles, 100 iterations, 24 realizations of 2 searches;
 # numpy, 2 CPUs; medians of 5 runs, which spread by up to 30%): the searches
 # took 1.37 / 0.64 / 0.58 / 0.59 s at 2^13 / 2^15 / 2^16 / 2^17 with 3 users
@@ -60,7 +63,10 @@ from .scenario import Scenario, stack_scenarios, stream
 # than 2^16 and peaks 3.5 MB (8%) higher; a 240 x 8 x 16 x 8 swarm (about
 # 2^18) gains nothing from stacking.  At 2^16 the benchmark's peak_rss_mb is
 # 40.3 MB on eps_desk and 39.9 MB on users_sampled_t2, against 39.3 and
-# 39.0 MB unstacked (BENCH_9.json).
+# 39.0 MB unstacked (BENCH_9.json).  Those runs predate ``kernels.Plan``,
+# whose geometry expanded over the rows adds 2 (O K + O + K) doubles per row
+# to the work buffers' 5 N K + 2 O N + 3 O N K (at K/N/O = 3/5/3, 30 to 240);
+# the budget was not re-measured with it.
 LOCKSTEP_BUDGET = 2 ** 16
 
 
