@@ -32,8 +32,7 @@ import numpy as np
 from . import kernels, pso
 from .config import ConfigError, ExperimentSettings, PsoParams, SystemConfig
 from .noma import apply_csi_error, robust_gains
-from .scenario import (Scenario, generate_scenario, stack_scenarios, stream,
-                       uniform_layout)
+from .scenario import Scenario, generate_scenario, stream, uniform_layout
 
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
 _SEARCH_SCHEMES = SCHEMES[:2]
@@ -83,42 +82,43 @@ def score_candidate(x_pos, alpha, scenario: Scenario, config: SystemConfig,
                     mode="conservative", seed=0):
     """Final scoring shared by all schemes: the one-candidate case of
     ``score_candidates``."""
-    return score_candidates([x_pos], [alpha], [scenario], [config], [seed], mode)[0]
+    return score_candidates([x_pos], [alpha], scenario, config, [config.csi_eps], seed,
+                            mode)[0]
 
 
 @np.errstate(all="ignore")
-def score_candidates(xs, alphas, scenarios, configs, seeds, mode="conservative"):
-    """Final scores of candidates, row i being (xs[i], alphas[i]) on
-    scenarios[i] under configs[i], realization seed seeds[i], each row a
-    block of its own, at most ``pso.kernel_rows`` rows to a kernel call.  The
-    configs may differ in the error bound only.  Floating-point warnings are
-    silenced, as in the kernel.
+def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, seed,
+                     mode="conservative"):
+    """Final scores of candidates on one realization: row i is (xs[i],
+    alphas[i]) on scenario, realization seed seed, under config at the error
+    bound eps[i], at most ``pso.kernel_rows`` rows to a kernel call.
+    Floating-point warnings are silenced, as in the kernel.
 
-    conservative: worst-case min-SINR at the row's configured error bound
-    with the nominal channel as the estimate.  true_sampled: draw one
-    estimate-error realization from the row's ``csi_sample`` stream, order
-    by the estimates (ties in index order), and evaluate the nominal SINR
-    of the true channels in that order.
+    conservative: worst-case min-SINR at the row's error bound with the
+    nominal channel as the estimate.  true_sampled: draw one estimate-error
+    realization from the ``csi_sample`` stream at the row's bound, order by
+    the estimates (ties in index order), and evaluate the nominal SINR of
+    the true channels in that order.
     """
-    step = pso.kernel_rows(configs[0])
+    step = pso.kernel_rows(config)
     if len(xs) > step:  # no row depends on its batch, so each call is exact
-        rows = (xs, alphas, scenarios, configs, seeds)
         return [score for i in range(0, len(xs), step)
-                for score in score_candidates(*(a[i:i + step] for a in rows), mode)]
-    xs, alphas, scenario = np.asarray(xs), np.asarray(alphas), stack_scenarios(scenarios)
+                for score in score_candidates(xs[i:i + step], alphas[i:i + step], scenario,
+                                              config, eps[i:i + step], seed, mode)]
+    xs, alphas = np.asarray(xs), np.asarray(alphas)
     if mode == "conservative":
-        gains = kernels.row_gains([robust_gains(c.csi_eps, c.eta_i, c.eta_r)
-                                   for c in configs], 1)
-        _, gmin, _ = kernels.swarm_fitness(xs, alphas, scenario, configs[0], gains=gains)
+        gains = kernels.row_gains([robust_gains(e, config.eta_i, config.eta_r)
+                                   for e in eps], 1)
+        _, gmin, _ = kernels.swarm_fitness(xs, alphas, scenario, config, gains=gains)
         return gmin.tolist()
-    h = kernels.effective_channels(xs, scenario, configs[0])
-    h_hat = np.stack([apply_csi_error(h[:, i], c.csi_eps, stream(seed, "csi_sample"))
-                      for i, (c, seed) in enumerate(zip(configs, seeds))], axis=1)
+    h = kernels.effective_channels(xs, scenario, config)
+    h_hat = np.stack([apply_csi_error(h[:, i], e, stream(seed, "csi_sample"))
+                      for i, e in enumerate(eps)], axis=1)
     order = np.argsort(np.abs(h_hat), axis=0, kind="stable")
     gather = order * len(xs) + np.arange(len(xs))
     nominal = kernels.row_gains([robust_gains(0.0, 1.0, 0.0)], len(xs))[1:]
     return kernels.ordered_min_sinr(np.abs(h) ** 2, gather, alphas, nominal,
-                                    configs[0]).tolist()
+                                    config).tolist()
 
 
 def _require_reportable(where, column, value, positive=True):
@@ -157,16 +157,19 @@ def _candidate(scheme, found, config: SystemConfig, seed):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _records(cases, sweep_var, score_mode):
-    """Score each (scheme, found, scenario, config, seed, sweep_value) case of
-    ``cases`` in one ``score_candidates`` call; the first case in order whose
-    score cannot be reported is refused."""
-    schemes, founds, scenarios, configs, seeds, values = zip(*cases)
-    picks = [_candidate(*case) for case in zip(schemes, founds, configs, seeds)]
-    gmins = score_candidates([x for x, _ in picks], [a for _, a in picks],
-                             scenarios, configs, seeds, score_mode)
+def _records(scenario: Scenario, seed, cases, sweep_var, score_mode):
+    """Score each (scheme, found, config, sweep_value) case of ``cases`` on
+    one realization in one ``score_candidates`` call.  The configs differ at
+    most in the error bound.  The first case in order whose score cannot be
+    reported is refused."""
+    schemes, founds, configs, values = zip(*cases)
+    picks = [_candidate(scheme, found, config, seed)
+             for scheme, found, config in zip(schemes, founds, configs)]
+    gmins = score_candidates([x for x, _ in picks], [a for _, a in picks], scenario,
+                             configs[0], [config.csi_eps for config in configs], seed,
+                             score_mode)
     records = []
-    for scheme, seed, value, gmin in zip(schemes, seeds, values, gmins):
+    for scheme, value, gmin in zip(schemes, values, gmins):
         _require_reportable(f"{sweep_var}={value:.9g} scheme={scheme} seed={seed}",
                             "min_sinr_linear", gmin)
         records.append(SweepRecord(sweep_var=sweep_var, sweep_value=float(value),
@@ -186,7 +189,7 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
         robust = scheme == "RobustPSO"
         found[pso.search_point(config, robust)] = pso.optimize(
             scenario, config, pso_params, seed, robust=robust)
-    return _records([(scheme, found, scenario, config, seed, sweep_value)], sweep_var,
+    return _records(scenario, seed, [(scheme, found, config, sweep_value)], sweep_var,
                     score_mode)[0]
 
 
@@ -219,8 +222,9 @@ def _sweep(pso_params: PsoParams, sweep_var, grid, make_config, master_seed,
         cases = [(i, scheme) for i in members for scheme in SCHEMES]
         for j, (scenario, found) in enumerate(
                 _searches([configs[i] for i in members], seeds, pso_params)):
-            records = _records([(scheme, found, scenario, configs[i], seeds[j], grid[i])
-                                for i, scheme in cases], sweep_var, settings.score_mode)
+            records = _records(scenario, seeds[j], [(scheme, found, configs[i], grid[i])
+                                                    for i, scheme in cases],
+                               sweep_var, settings.score_mode)
             for (i, _), record in zip(cases, records):
                 rows.setdefault((i, j), []).append(record)
         if progress is not None:
@@ -271,8 +275,8 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
         moved = np.ones(gbests.shape[:2], dtype=bool)  # (scheme, iteration)
         moved[:, 1:] = np.any(gbests[:, 1:] != gbests[:, :-1], axis=-1)
         xs, alphas = pso.split_theta(gbests[moved], config.num_pas)
-        scores = score_candidates(xs, alphas, [scenario] * len(xs), [config] * len(xs),
-                                  [seeds[r]] * len(xs))
+        scores = score_candidates(xs, alphas, scenario, config, [config.csi_eps] * len(xs),
+                                  seeds[r])
         # each row takes the score of the last row at or before it that moved
         rescored = np.array(scores)[np.cumsum(moved).reshape(moved.shape) - 1]
         for scheme, point, trace in zip(schemes, points, rescored):

@@ -34,16 +34,12 @@ still one call where cos and sin were two.
 What a call computes that does not depend on the particles lives in a
 ``Plan``: the block geometry, expanded over the rows, the amplitude and
 phase factors, the flat-gather base and the work buffers of the link and
-obstacle blocks.  A search builds one per lockstep call, whose scenario,
-row gains and batch shape are fixed for all of its iterations, and hands it
-to every kernel call; one-off callers such as scoring pass None and get a
-fresh one.  Reused buffers spare each call the page faults of fresh ones:
-a 600-row call at K/N/O = 3/5/3 took 272 minor faults and 1.39-1.52 ms
-with fresh buffers, against none and 0.91-0.96 ms with reused ones
-(medians of 300 calls; numpy 2.4.6, 2 CPUs).  Building the rest once as
-well, and gathering the decoding order with flat ``take``s, took the same
-call from 651 to 530 us (medians of 900 calls of each tree, interleaved in
-one process) and a 240-row call at K = 4 from 350 to 285 us.
+obstacle blocks.  A search builds one per lockstep call, whose scenario
+and batch shape are fixed for all of its iterations, and hands it to every
+kernel call; one-off callers such as scoring pass None and get a fresh
+one.  Reused buffers spare each call the page faults of fresh ones, and
+building the rest once spares it the recomputation; the measurements are
+in CHANGES.md and ``BENCH_13.json``/``BENCH_15.json``.
 
 The tests hold the kernel to the scalar ``channel`` and ``noma`` modules
 and check the phase against a closed form.
@@ -78,8 +74,8 @@ def row_gains(points, rows_per_point):
 class Plan:
     """Everything a kernel call computes that is fixed for a whole search.
 
-    A search's stacked scenario, row gains and batch shape do not change over
-    its T + 1 iterations, so ``pso._lockstep`` builds one plan per call and
+    A search's stacked scenario and batch shape do not change over its
+    T + 1 iterations, so ``pso._lockstep`` builds one plan per call and
     hands it to each of its kernel calls.  The plan holds the block shape;
     the block geometry relative to the antenna plane, expanded over each
     block's rows so that it meets the rows elementwise; the amplitude and
@@ -87,26 +83,21 @@ class Plan:
     stage's work buffers.  Each value is computed with the float expression
     a call would otherwise evaluate itself, so a plan moves no bit.
 
-    gains is the ``gains`` argument of the kernel calls: a ``row_gains``
-    tuple, or None for the config's own point, in which case ``rows`` gives
-    the batch's row count (by default that of gains).  The buffers hold
-    memory, never values: the kernel writes each element before it reads it
-    in the same call and returns no view of one.  A plan is bound to the
-    ``scenario``, ``config`` and ``gains`` objects it was built from; a
-    kernel call with others raises ValueError.  Their arrays must not be
-    written to while the plan is in use.
+    rows is the batch's row count P.  The buffers hold memory, never
+    values: the kernel writes each element before it reads it in the same
+    call and returns no view of one.  A plan is bound to the ``scenario``
+    and ``config`` objects it was built from; a kernel call with others
+    raises ValueError.  Their arrays must not be written to while the plan
+    is in use.
     """
 
-    def __init__(self, scenario: Scenario, config: SystemConfig, gains, rows=None):
-        self.scenario, self.config, self.gains = scenario, config, gains
-        if gains is None:
-            gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], rows)
-        self.row_gains = gains
+    def __init__(self, scenario: Scenario, config: SystemConfig, rows):
+        self.scenario, self.config = scenario, config
         k, o = scenario.users.shape[0], scenario.obstacle_centers.shape[0]
         antenna_plane = [0.0, 0.0, config.pa_height]
         users = scenario.users.reshape(k, -1, 3) - antenna_plane        # (K, B, 3)
         blocks = users.shape[1]
-        rows = len(gains[0]) // blocks
+        rows //= blocks
         self.shape = k, o, blocks, rows
         ux, uy, uz = users[..., 0, None], users[..., 1, None], users[..., 2, None]  # (K, B, 1)
         self.ux = _expand(ux, (k, blocks, rows))
@@ -146,16 +137,16 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     [b P/B, (b + 1) P/B).  gains is the ``row_gains`` of the rows'
     evaluation points, so swarms searching at different points share one
     call; None evaluates every row at the config's own point.  plan is the
-    ``Plan`` of (scenario, config, gains); None builds one.  A row's result
-    does not depend on the rest of its batch.  Floating-point warnings are
-    silenced: a config whose channels overflow yields non-finite results,
-    which the harness refuses to report.
+    ``Plan`` of (scenario, config) for P rows; None builds one.  A row's
+    result does not depend on the rest of its batch.  Floating-point
+    warnings are silenced: a config whose channels overflow yields
+    non-finite results, which the harness refuses to report.
     """
     if plan is None:
-        plan = Plan(scenario, config, gains, len(xs))
-    elif gains is not plan.gains:
-        raise ValueError("the kernel plan was built for other row gains")
-    ratio, *weights = plan.row_gains
+        plan = Plan(scenario, config, len(xs))
+    if gains is None:
+        gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], len(xs))
+    ratio, *weights = gains
     h_sq, im = effective_channels(xs, scenario, config, plan, True)  # parts, not complex h
     h_sq *= h_sq                                   # |h|^2 = re re + im im
     im *= im
@@ -169,9 +160,20 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
     m_ord = mags.take(gather)
     excess = np.multiply(ratio, m_ord[:-1])
     excess -= m_ord[1:]
-    v_total = np.add.reduce(np.maximum(excess, 0.0, out=excess), axis=0)
+    v_total = _sum_planes(np.maximum(excess, 0.0, out=excess))
     gamma_min = ordered_min_sinr(h_sq, gather, alphas, weights, config)
     return gamma_min - config.penalty_mu * v_total, gamma_min, v_total
+
+
+def _sum_planes(a):
+    """The sum over a's leading axis, each plane added in turn to 0.0: the
+    bits of ``np.add.reduce(a, axis=0)`` on planes of more than one element,
+    which on a one-element plane (one user, one row) sums 8 or more terms
+    pairwise, so that a row alone would not score as in a batch."""
+    total = np.zeros(a.shape[1:])
+    for plane in a:
+        total += plane
+    return total
 
 
 def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
@@ -183,7 +185,7 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
     None builds one.  parts=True returns the real and imaginary parts as two
     (K, P) arrays instead.  The results are new arrays."""
     if plan is None:
-        plan = Plan(scenario, config, None, len(xs))
+        plan = Plan(scenario, config, len(xs))
     elif scenario is not plan.scenario or config is not plan.config:
         raise ValueError("the kernel plan was built for another scenario or config")
     k, o, blocks, rows = plan.shape
@@ -238,8 +240,8 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
     cos_amp = np.subtract(1.0, t_sq, out=t_sq)
     cos_amp *= amp
     t *= amp
-    re = np.add.reduce(cos_amp, axis=0).reshape(k, -1)
-    im = np.add.reduce(t, axis=0).reshape(k, -1)
+    re = _sum_planes(cos_amp).reshape(k, -1)
+    im = _sum_planes(t).reshape(k, -1)
     im *= -2.0
     if parts:
         return re, im

@@ -26,8 +26,8 @@ in lockstep, ``kernel_rows`` permitting, with one projection call and one
 kernel call per iteration whose rows are the swarms' blocks, each on its
 own scenario, and yields one realization at a time.  ``optimize`` is its
 one-realization, one-point case.  A lockstep call's scenario, row gains
-and batch shape are fixed for all of its iterations, so it builds one
-``kernels.Plan`` and hands it to each kernel call.
+and batch shape are fixed for all of its iterations, so it builds its row
+gains and one ``kernels.Plan`` once and hands both to each kernel call.
 
 The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
@@ -63,10 +63,13 @@ from .scenario import Scenario, stack_scenarios, stream
 # than 2^16 and peaks 3.5 MB (8%) higher; a 240 x 8 x 16 x 8 swarm (about
 # 2^18) gains nothing from stacking.  At 2^16 the benchmark's peak_rss_mb is
 # 40.3 MB on eps_desk and 39.9 MB on users_sampled_t2, against 39.3 and
-# 39.0 MB unstacked (BENCH_9.json).  Those runs predate ``kernels.Plan``,
-# whose geometry expanded over the rows adds 2 (O K + O + K) doubles per row
-# to the work buffers' 5 N K + 2 O N + 3 O N K (at K/N/O = 3/5/3, 30 to 240);
-# the budget was not re-measured with it.
+# 39.0 MB unstacked (BENCH_9.json).  Re-measured with ``kernels.Plan``, whose
+# geometry expanded over the rows adds 2 (O K + O + K) doubles per row to the
+# work buffers' 5 N K + 2 O N + 3 O N K (at K/N/O = 3/5/3, 30 to 240): a
+# 24-realization one-column sweep-users, three runs per budget, took
+# 0.73-1.03 / 0.80-0.98 s at 2^16 / 2^17 with 3 users and 1.36-1.50 /
+# 1.38-1.43 s with 5, peaking at 43 / 48 and 41 / 45 MB.  So 2^17 is no
+# faster and costs 4-5 MB more; the CSVs were identical.
 LOCKSTEP_BUDGET = 2 ** 16
 
 
@@ -264,7 +267,7 @@ def _lockstep(config, params, swarms, theta0, draws):
     theta = np.ascontiguousarray(theta0[which].transpose(1, 0, 2))  # (D, S, P)
     d, s, p = theta.shape
     gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
-    plan = kernels.Plan(scenario, config, gains)  # and so is everything else but the particles
+    plan = kernels.Plan(scenario, config, s * p)  # and so is everything else but the particles
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])[:, None, None]
 

@@ -248,35 +248,35 @@ def sampled_reference(x_pos, alpha, scenario, config, seed):
 
 @st.composite
 def sampled_chunks(draw):
-    """A scoring chunk of one-row blocks, each with its own scenario (some
-    repeated), realization seed and error bound."""
+    """A scoring chunk: candidates on one scenario and realization seed, each
+    at its own error bound."""
     rows = draw(st.integers(1, 8))
-    config = SystemConfig(num_users=draw(st.integers(1, 5)), num_pas=draw(st.integers(1, 9)),
+    config = SystemConfig(num_users=draw(st.integers(1, 10)), num_pas=draw(st.integers(1, 12)),
                           obstacle_count=draw(st.integers(0, 4)), min_spacing=0.0)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scenarios = [generate_scenario(config, int(s)) for s in rng.integers(0, 3, rows)]
-    seeds = [int(s) for s in rng.integers(0, 2 ** 63, rows)]
+    scenario = generate_scenario(config, int(rng.integers(0, 3)))
+    seed = int(rng.integers(0, 2 ** 63))
     eps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.95]) | st.floats(0.0, 0.95),
                         min_size=rows, max_size=rows))
     thetas = np.stack([draw_theta(config, rng) for _ in range(rows)])
-    return (thetas, scenarios, [dataclasses.replace(config, csi_eps=e) for e in eps],
-            seeds)
+    return thetas, scenario, config, eps, seed
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(sampled_chunks())
 def test_true_sampled_scores_match_scalar_composition(chunk):
-    thetas, scenarios, configs, seeds = chunk
-    n = configs[0].num_pas
+    thetas, scenario, config, eps, seed = chunk
+    n = config.num_pas
     want = []
-    for theta, scenario, config, seed in zip(thetas, scenarios, configs, seeds):
-        score, mags = sampled_reference(theta[:n], theta[n:], scenario, config, seed)
+    for theta, e in zip(thetas, eps):
+        score, mags = sampled_reference(theta[:n], theta[n:], scenario,
+                                        dataclasses.replace(config, csi_eps=e), seed)
         # skip near-ties in estimate magnitude, where the decoding order
         # hinges on the last bits of either path's channels
         assume(np.all(np.diff(mags) > 1e-9 * mags[1:]))
         want.append(score)
-    got = score_candidates(thetas[:, :n], thetas[:, n:], scenarios, configs, seeds,
+    got = score_candidates(thetas[:, :n], thetas[:, n:], scenario, config, eps, seed,
                            mode="true_sampled")
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
@@ -287,10 +287,9 @@ def test_true_sampled_scores_match_scalar_composition(chunk):
 def test_split_scoring_matches_one_call_within_row_bound(chunk, step):
     # a budget of ``step`` rows splits the chunk into kernel calls of at most
     # that many rows, and every score stays bitwise that of one call
-    thetas, scenarios, configs, seeds = chunk
-    config = configs[0]
-    args = (thetas[:, :config.num_pas], thetas[:, config.num_pas:], scenarios, configs,
-            seeds)
+    thetas, scenario, config, eps, seed = chunk
+    args = (thetas[:, :config.num_pas], thetas[:, config.num_pas:], scenario, config, eps,
+            seed)
     tests = config.num_users * config.num_pas * max(config.obstacle_count, 1)
     effective_channels = kernels.effective_channels
     for mode in ("conservative", "true_sampled"):

@@ -222,12 +222,12 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
 
 
 def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
-    # the per-search constants are computed once per lockstep call and reused
-    # by all T + 1 of its kernel calls
+    # the per-search constants and row gains are computed once per lockstep
+    # call and reused by all T + 1 of its kernel calls
     calls = []
 
     def recording(xs, alphas, scenario, config, gains=None, plan=None):
-        calls.append((plan, scenario, config, gains))
+        calls.append((plan, scenario, config, gains, len(xs)))
         return swarm_fitness(xs, alphas, scenario, config, gains=gains, plan=plan)
 
     monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 3 * TESTS_PER_SWARM)
@@ -237,11 +237,15 @@ def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
     steps = SMALL.max_iters + 1
     assert len(calls) == 8 * steps    # lockstep calls of 3 and 1 swarms per realization
     for i in range(0, len(calls), steps):
-        (plan, scenario, config, gains), *rest = calls[i:i + steps]
+        (plan, scenario, config, gains, rows), *rest = calls[i:i + steps]
         assert isinstance(plan, kernels.Plan)
-        assert (plan.scenario, plan.config, plan.gains) == (scenario, config, gains)
-        assert all(same is plan for same, _, _, _ in rest)
-    assert len({id(plan) for plan, _, _, _ in calls}) == 8
+        assert plan.scenario is scenario and plan.config is config
+        _, _, blocks, per_block = plan.shape
+        assert blocks * per_block == len(plan.base) == rows    # S * P rows
+        assert rows in (3 * SMALL.num_particles, SMALL.num_particles)
+        assert all(same is plan and same_gains is gains and n == rows
+                   for same, _, _, same_gains, n in rest)
+    assert len({id(plan) for plan, _, _, _, _ in calls}) == 8
 
 
 def test_kernel_calls_keep_the_harness_contract(monkeypatch):

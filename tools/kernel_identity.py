@@ -8,17 +8,18 @@ script once per tree in a separate process, each importing that tree's
 ``pinchsim``.  Each process builds the same fixed case matrix with its own
 package (scenarios, particles and row gains from fixed seeds) and saves the
 bytes of every ``effective_channels`` and ``swarm_fitness`` output.  The
-matrix covers ten (K, N, O) shapes, obstacle-free ones included, 1-4
-stacked blocks, ``gains=None`` and mixed per-row evaluation points, rows
-with antennas at both ends of the guide, and two configs whose results are
-not finite (a guide of 1e308 m, whose phases overflow, and a transmit power
-of 1e-320 W, whose SINRs underflow).  A case is one (scenario, config,
-gains) with several draws of particles.  Every draw is evaluated twice:
-with ``plan=None``, and with one ``Plan`` of its case reused over all of
-the case's draws.  Where a tree's kernel takes a ``scratch`` instead, the
-second evaluation uses one scratch shared by all cases in turn.  Exits 0 when every input and output is byte-identical and 1 on
-any difference; `tools/byte_identity.sh` cannot see last-bit changes, as
-the CSVs keep 9 significant digits.
+matrix covers twelve (K, N, O) shapes, obstacle-free ones included, 1-4
+stacked blocks of 7 rows and one row alone, ``gains=None`` and mixed
+per-row evaluation points, rows with antennas at both ends of the guide,
+and two configs whose results are not finite (a guide of 1e308 m, whose
+phases overflow, and a transmit power of 1e-320 W, whose SINRs
+underflow).  A case is one (scenario, config, gains) with several draws of
+particles.  Every draw is evaluated twice: with ``plan=None``, and with
+one ``Plan`` of its case reused over all of the case's draws.  The plan is
+built from the signature of the tree's ``Plan``, which took the row gains
+before it took only the row count.  Exits 0 when every input and output
+is byte-identical and 1 on any difference; `tools/byte_identity.sh` cannot
+see last-bit changes, as the CSVs keep 9 significant digits.
 """
 
 import dataclasses
@@ -30,9 +31,11 @@ import tempfile
 
 import numpy as np
 
-# (K, N, O) shapes: the default, wide guides, no obstacles, one of each
+# (K, N, O) shapes: the default, wide guides, no obstacles, one of each,
+# and one user on 8 or more antennas, whose one-row antenna sum numpy's
+# reduce would pair up
 SHAPES = [(3, 5, 3), (8, 9, 4), (2, 16, 8), (1, 1, 0), (9, 9, 0), (5, 12, 0),
-          (4, 3, 6), (8, 8, 1), (2, 2, 2), (6, 10, 3)]
+          (4, 3, 6), (8, 8, 1), (2, 2, 2), (6, 10, 3), (1, 9, 0), (1, 12, 3)]
 ROWS_PER_BLOCK = 7
 DRAWS = 3
 OVERFLOWS = [{"waveguide_len": 1e308}, {"tx_power": 1e-320}]
@@ -70,6 +73,18 @@ def cases():
                                for e, r in zip(eps, eta_r)], 1)
             for gains_label, gains in (("nominal", None), ("mixed", mixed)):
                 yield f"{label}/B{blocks}/{gains_label}", scenario, config, gains, draws
+        # one row alone: every plane the kernel sums holds one element per user
+        scenario = generate_scenario(config, 5000)
+        rng = np.random.default_rng(5000)
+        draws = []
+        for d in range(DRAWS):
+            theta = draw_theta(config, rng)
+            if d == 0:  # antennas at both ends of the guide
+                theta[:n] = np.linspace(0.0, config.waveguide_len, n)
+            draws.append((theta[None, :n], theta[None, n:]))
+        point = row_gains([robust_gains(0.3, config.eta_i, 0.5)], 1)
+        for gains_label, gains in (("nominal", None), ("point", point)):
+            yield f"{label}/row1/{gains_label}", scenario, config, gains, draws
 
 
 @np.errstate(all="ignore")  # the overflow configs overflow
@@ -77,18 +92,16 @@ def dump(out_path):
     """Evaluate every case with the importable pinchsim; save inputs and outputs."""
     from pinchsim import kernels
 
-    takes = inspect.signature(kernels.swarm_fitness).parameters
-    shared = kernels.Scratch() if "scratch" in takes else None
+    plan_takes_gains = "gains" in inspect.signature(kernels.Plan).parameters
     arrays = {}
     for name, scenario, config, gains, draws in cases():
         arrays[f"{name}/users"] = scenario.users
         arrays[f"{name}/obstacles"] = scenario.obstacle_centers
         arrays[f"{name}/radii"] = scenario.obstacle_radii
-        calls = {"fresh": {}}
-        if "plan" in takes:
-            calls["reused"] = {"plan": kernels.Plan(scenario, config, gains, len(draws[0][0]))}
-        elif shared is not None:
-            calls["reused"] = {"scratch": shared}
+        rows = len(draws[0][0])
+        plan = (kernels.Plan(scenario, config, gains, rows) if plan_takes_gains
+                else kernels.Plan(scenario, config, rows))
+        calls = {"fresh": {}, "reused": {"plan": plan}}
         for d, (xs, alphas) in enumerate(draws):
             key = f"{name}/draw{d}"
             arrays[f"{key}/xs"] = np.ascontiguousarray(xs)
@@ -100,9 +113,6 @@ def dump(out_path):
                 for out, value in (("h", h), ("fitness", f), ("min_sinr", gamma),
                                    ("violation", v)):
                     arrays[f"{key}/{mode}/{out}"] = value
-            if "reused" not in calls:  # the same call stands for both
-                for out in ("h", "fitness", "min_sinr", "violation"):
-                    arrays[f"{key}/reused/{out}"] = arrays[f"{key}/fresh/{out}"]
     np.savez(out_path, **arrays)
 
 
