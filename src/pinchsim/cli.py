@@ -5,7 +5,9 @@ sweep-eps, sweep-users, converge, validate-config.  A run is fully described
 by (config file, master seed): sweep grids and optimizer settings live in
 the config, with --override for ad-hoc tweaks.  The effective config is
 echoed to a sidecar JSON next to the CSV so every output is reproducible
-from its own directory.
+from its own directory.  --threads N runs the searches in up to N forked
+worker processes (in [1, 64], and no more than the work units or the CPUs
+the run may use); the output bytes do not depend on it.
 
 Exit codes: 0 success, 1 usage error (including an --out that cannot be
 written), 2 config error.  Progress goes to stderr; stdout carries
@@ -24,6 +26,7 @@ from .config import (ConfigError, RunConfig, apply_overrides, load_run_config,
 
 USAGE_ERROR = 1
 CONFIG_ERROR = 2
+MAX_THREADS = 64
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -43,6 +46,17 @@ def _seed(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
+def _threads(text):
+    """--threads value: a worker process count in [1, MAX_THREADS]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_THREADS}], got {value}")
     return value
 
 
@@ -78,9 +92,9 @@ def _build_parser():
                            help="master seed, in [0, 2**64)")
             p.add_argument("--realizations", type=int, default=None,
                            help="override the configured realization count")
-            p.add_argument("--threads", type=int, default=1,
-                           help="accepted for compatibility and ignored; "
-                                "realizations always run serially")
+            p.add_argument("--threads", type=_threads, default=1,
+                           help=f"most worker processes, in [1, {MAX_THREADS}]; the "
+                                "output does not depend on it")
             p.add_argument("--override", action="append", default=[],
                            metavar="KEY=VALUE",
                            help="config override, repeatable; dotted keys "
@@ -145,7 +159,8 @@ def _cmd_optimize(args):
     """A one-point sweep-eps at the configured error bound."""
     run, doc = _load_effective_config(args)
     settings = dataclasses.replace(run.experiments, eps_grid=(run.system.csi_eps,))
-    records = experiments.sweep_epsilon(run.system, run.pso, settings, args.seed)
+    records = experiments.sweep_epsilon(run.system, run.pso, settings, args.seed,
+                                        workers=args.threads)
     _emit(args.out, experiments.records_to_csv_text(records), doc)
     _summarize(records)
     return 0
@@ -155,7 +170,7 @@ def _cmd_sweep(args, which):
     run, doc = _load_effective_config(args)
     fn = experiments.sweep_epsilon if which == "eps" else experiments.sweep_users
     records = fn(run.system, run.pso, run.experiments, args.seed,
-                 progress=_progress)
+                 progress=_progress, workers=args.threads)
     _emit(args.out, experiments.records_to_csv_text(records), doc)
     _summarize(records)
     return 0
@@ -165,7 +180,8 @@ def _cmd_converge(args):
     run, doc = _load_effective_config(args)
     traces = experiments.convergence_trace(run.system, run.pso,
                                            run.experiments.realizations,
-                                           args.seed, progress=_progress)
+                                           args.seed, progress=_progress,
+                                           workers=args.threads)
     _emit(args.out, experiments.convergence_to_csv_text(traces), doc)
     for scheme in traces.fitness:
         final = traces.rescored_min_sinr[scheme][-1]

@@ -13,16 +13,32 @@ zero bound has the same gains.  The scenario does not depend on the bound,
 so ``_searches``, the one search step, searches each distinct point of
 the configs sharing a scenario once per realization.
 
-``pso.optimize_realizations`` decides how many realizations it searches
-together and hands them back one at a time, in seed order; each
-realization's final candidates are then scored together, ``pso.kernel_rows``
-to a kernel call.  Each realization derives its own seeds from the master seed
-and no row depends on its batch, so a sweep's rows depend only on the config
-and the master seed.  The CSV schema is one row per (sweep point,
-realization, scheme) with linear and dB min-SINR, and no wall time.
+``pso.realizations_per_call`` decides how many realizations
+``pso.optimize_realizations`` searches together, and it hands them back one
+at a time, in seed order; each realization's final candidates are then
+scored together, ``pso.kernel_rows`` to a kernel call.  Each realization
+derives its own seeds from the master seed and no row depends on its batch,
+so a sweep's rows depend only on the config and the master seed.  The CSV
+schema is one row per (sweep point, realization, scheme) with linear and dB
+min-SINR, and no wall time.
+
+A run's work units are (sweep group, realization chunk) pairs, where a
+group is the configs that share a scenario and a chunk is the realizations
+one lockstep call searches together, so a unit never splits a kernel batch.
+A unit searches and scores its chunk and returns only scores (or, for
+``converge``, traces).  With ``workers`` > 1 and more than one unit, up to
+that many forked processes, no more than the CPUs the run may use, take the
+units in descending order of estimated kernel work, chunk realizations x
+distinct points x K x N x max(O, 1), each the next when idle.  The parent
+alone builds the records, prints progress, refuses the first unreportable
+result in (group, realization, scheme) order and leaves the writing to its
+caller, so the output does not depend on the worker count.  With one
+worker or one unit the units run in this process, one after another.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -157,19 +173,22 @@ def _candidate(scheme, found, config: SystemConfig, seed):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _records(scenario: Scenario, seed, cases, sweep_var, score_mode):
-    """Score each (scheme, found, config, sweep_value) case of ``cases`` on
-    one realization in one ``score_candidates`` call.  The configs differ at
-    most in the error bound.  The first case in order whose score cannot be
-    reported is refused."""
-    schemes, founds, configs, values = zip(*cases)
-    picks = [_candidate(scheme, found, config, seed)
-             for scheme, found, config in zip(schemes, founds, configs)]
-    gmins = score_candidates([x for x, _ in picks], [a for _, a in picks], scenario,
-                             configs[0], [config.csi_eps for config in configs], seed,
-                             score_mode)
+def _scores(scenario: Scenario, seed, cases, score_mode):
+    """Score each (scheme, found, config) case of ``cases`` on one realization
+    in one ``score_candidates`` call.  The configs differ at most in the
+    error bound."""
+    picks = [_candidate(scheme, found, config, seed) for scheme, found, config in cases]
+    return score_candidates([x for x, _ in picks], [a for _, a in picks], scenario,
+                            cases[0][2], [config.csi_eps for _, _, config in cases], seed,
+                            score_mode)
+
+
+def _records(sweep_var, seed, cases, gmins):
+    """The records of each (scheme, sweep_value) case of ``cases`` on one
+    realization and its score in ``gmins``.  The first case in order whose
+    score cannot be reported is refused."""
     records = []
-    for scheme, value, gmin in zip(schemes, values, gmins):
+    for (scheme, value), gmin in zip(cases, gmins):
         _require_reportable(f"{sweep_var}={value:.9g} scheme={scheme} seed={seed}",
                             "min_sinr_linear", gmin)
         records.append(SweepRecord(sweep_var=sweep_var, sweep_value=float(value),
@@ -189,8 +208,13 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
         robust = scheme == "RobustPSO"
         found[pso.search_point(config, robust)] = pso.optimize(
             scenario, config, pso_params, seed, robust=robust)
-    return _records(scenario, seed, [(scheme, found, config, sweep_value)], sweep_var,
-                    score_mode)[0]
+    gmins = _scores(scenario, seed, [(scheme, found, config)], score_mode)
+    return _records(sweep_var, seed, [(scheme, sweep_value)], gmins)[0]
+
+
+def _search_points(configs):
+    return [pso.search_point(config, scheme == "RobustPSO")
+            for config in configs for scheme in _SEARCH_SCHEMES]
 
 
 def _searches(configs, seeds, pso_params: PsoParams):
@@ -198,44 +222,100 @@ def _searches(configs, seeds, pso_params: PsoParams):
     scenario and differ at most in the error bound, for every seed of
     ``seeds``: the one search step of sweeps and ``converge``.  Yields each
     realization's scenario and ``{RobustGains: PsoResult}``, in seed order."""
-    points = [pso.search_point(config, scheme == "RobustPSO")
-              for config in configs for scheme in _SEARCH_SCHEMES]
     scenarios = (generate_scenario(configs[0], seed) for seed in seeds)
-    return pso.optimize_realizations(scenarios, seeds, points, configs[0], pso_params)
+    return pso.optimize_realizations(scenarios, seeds, _search_points(configs), configs[0],
+                                     pso_params)
+
+
+def _chunks(configs, seeds, pso_params: PsoParams):
+    """The (seeds, work) of each work unit of ``_searches(configs, seeds)``:
+    consecutive seeds, as many as one lockstep call searches together, and
+    their estimated kernel work."""
+    points = _search_points(configs)
+    step = pso.realizations_per_call(points, configs[0], pso_params)
+    config = configs[0]
+    work = (len(set(points)) * config.num_users * config.num_pas
+            * max(config.obstacle_count, 1))
+    return [(seeds[j:j + step], len(seeds[j:j + step]) * work)
+            for j in range(0, len(seeds), step)]
+
+
+@contextlib.contextmanager
+def _unit_results(run_unit, units, workers):
+    """An iterator over ``run_unit(*args)`` for each (args, work) unit of
+    ``units``, in order.
+
+    With more than one worker and unit, a pool of up to ``workers`` forked
+    processes, and no more than the CPUs this process may run on, runs the
+    units, submitted in descending order of work.  Otherwise each unit runs
+    here as the iterator reaches it.  Leaving the block cancels the units
+    not yet started and waits for the running ones, so no worker outlives
+    it.
+    """
+    workers = min(workers, len(units))
+    if workers > 1:
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        yield (run_unit(*args) for args, _ in units)
+        return
+    import multiprocessing  # imported here: they add 20-40 ms to the package's import
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {}
+        for i in sorted(range(len(units)), key=lambda i: -units[i][1]):
+            futures[i] = pool.submit(run_unit, *units[i][0])
+        try:
+            yield (futures[i].result() for i in range(len(units)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _sweep_unit(configs, seeds, pso_params: PsoParams, score_mode):
+    """One work unit of a sweep: for each seed of ``seeds``, the scores of
+    every (config, scheme) case of ``configs``, config by config."""
+    return [_scores(scenario, seed, [(scheme, found, config) for config in configs
+                                     for scheme in SCHEMES], score_mode)
+            for seed, (scenario, found) in zip(seeds, _searches(configs, seeds, pso_params))]
 
 
 def _sweep(pso_params: PsoParams, sweep_var, grid, make_config, master_seed,
-           settings: ExperimentSettings, progress=None):
+           settings: ExperimentSettings, progress=None, workers=1):
     """Records in (grid point, realization, scheme) order.
 
     Grid points whose configs differ only in the error bound share each
-    realization's scenario, so their PSO schemes run as one ``_searches``
-    step, and each realization's records are scored together.
+    realization's scenario, so they form one group, whose PSO schemes run as
+    one ``_searches`` step and whose records on a realization are scored
+    together.  ``workers`` is the most worker processes the units may use.
     """
     seeds = realization_seeds(master_seed, settings.realizations)
     configs = [make_config(value) for value in grid]
     groups = {}
     for i, point_config in enumerate(configs):
         groups.setdefault(dataclasses.replace(point_config, csi_eps=0.0), []).append(i)
-    rows = {}
+    units = []
     for members in groups.values():
-        cases = [(i, scheme) for i in members for scheme in SCHEMES]
-        for j, (scenario, found) in enumerate(
-                _searches([configs[i] for i in members], seeds, pso_params)):
-            records = _records(scenario, seeds[j], [(scheme, found, configs[i], grid[i])
-                                                    for i, scheme in cases],
-                               sweep_var, settings.score_mode)
-            for (i, _), record in zip(cases, records):
-                rows.setdefault((i, j), []).append(record)
-        if progress is not None:
-            for i in members:
-                progress(f"{sweep_var}={grid[i]} done")
+        group = [configs[i] for i in members]
+        units += [((group, chunk, pso_params, settings.score_mode), work)
+                  for chunk, work in _chunks(group, seeds, pso_params)]
+    rows = {}
+    with _unit_results(_sweep_unit, units, workers) as results:
+        scores = itertools.chain.from_iterable(results)  # one item per (group, seed)
+        for members in groups.values():
+            cases = [(i, scheme) for i in members for scheme in SCHEMES]
+            for j, seed in enumerate(seeds):
+                records = _records(sweep_var, seed, [(scheme, grid[i]) for i, scheme in cases],
+                                   next(scores))
+                for (i, _), record in zip(cases, records):
+                    rows.setdefault((i, j), []).append(record)
+            if progress is not None:
+                for i in members:
+                    progress(f"{sweep_var}={grid[i]} done")
     return [record for i in range(len(grid)) for j in range(len(seeds))
             for record in rows[i, j]]
 
 
 def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
-                  settings: ExperimentSettings, master_seed, progress=None):
+                  settings: ExperimentSettings, master_seed, progress=None, workers=1):
     """All schemes across the estimate-error grid.
 
     The scenario draw does not depend on the error bound, so each
@@ -244,50 +324,64 @@ def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
     """
     return _sweep(pso_params, "csi_eps", settings.eps_grid,
                   lambda e: dataclasses.replace(config, csi_eps=float(e)),
-                  master_seed, settings, progress)
+                  master_seed, settings, progress, workers)
 
 
 def sweep_users(config: SystemConfig, pso_params: PsoParams,
-                settings: ExperimentSettings, master_seed, progress=None):
+                settings: ExperimentSettings, master_seed, progress=None, workers=1):
     """All schemes across the user-count grid."""
     return _sweep(pso_params, "num_users", settings.k_grid,
                   lambda k: dataclasses.replace(config, num_users=int(k)),
-                  master_seed, settings, progress)
+                  master_seed, settings, progress, workers)
 
 
-def convergence_trace(config: SystemConfig, pso_params: PsoParams,
-                      num_realizations, master_seed,
-                      progress=None) -> ConvergenceTraces:
-    """Mean optimizer traces for the robust and non-robust search modes.
-
-    Both the internal fitness trace and the worst-case re-scored min-SINR of
-    the running global best are aggregated; the latter is what makes the two
-    modes comparable at the configured error bound.  ``score_candidates``
-    re-scores only the rows where a global best moved; the others repeat.
-    """
-    schemes = _SEARCH_SCHEMES
-    points = [pso.search_point(config, scheme == "RobustPSO") for scheme in schemes]
-    seeds = realization_seeds(master_seed, num_realizations)
-    traces = {scheme: [] for scheme in schemes}
-    rescored_traces = {scheme: [] for scheme in schemes}
-    for r, (scenario, found) in enumerate(_searches([config], seeds, pso_params)):
+def _converge_unit(config: SystemConfig, seeds, pso_params: PsoParams):
+    """One work unit of ``convergence_trace``: for each seed of ``seeds``,
+    each search scheme's (fitness trace, re-scored min-SINR trace).
+    ``score_candidates`` re-scores only the rows where a global best moved;
+    the others repeat."""
+    points = _search_points([config])
+    out = []
+    for seed, (scenario, found) in zip(seeds, _searches([config], seeds, pso_params)):
         gbests = np.stack([found[point].gbest_thetas for point in points])
         moved = np.ones(gbests.shape[:2], dtype=bool)  # (scheme, iteration)
         moved[:, 1:] = np.any(gbests[:, 1:] != gbests[:, :-1], axis=-1)
         xs, alphas = pso.split_theta(gbests[moved], config.num_pas)
         scores = score_candidates(xs, alphas, scenario, config, [config.csi_eps] * len(xs),
-                                  seeds[r])
+                                  seed)
         # each row takes the score of the last row at or before it that moved
         rescored = np.array(scores)[np.cumsum(moved).reshape(moved.shape) - 1]
-        for scheme, point, trace in zip(schemes, points, rescored):
-            # a degenerate config shows in the first realization: stop there
-            _require_reportable_traces(
-                f"converge realization {r + 1}/{num_realizations} seed={seeds[r]} "
-                f"scheme={scheme}", "", found[point].trace, trace, positive=False)
-            traces[scheme].append(found[point].trace)
-            rescored_traces[scheme].append(trace)
-        if progress is not None:
-            progress(f"realization {r + 1}/{num_realizations} done")
+        out.append([(found[point].trace, trace) for point, trace in zip(points, rescored)])
+    return out
+
+
+def convergence_trace(config: SystemConfig, pso_params: PsoParams,
+                      num_realizations, master_seed,
+                      progress=None, workers=1) -> ConvergenceTraces:
+    """Mean optimizer traces for the robust and non-robust search modes.
+
+    Both the internal fitness trace and the worst-case re-scored min-SINR of
+    the running global best are aggregated; the latter is what makes the two
+    modes comparable at the configured error bound.  ``workers`` is the most
+    worker processes the units may use.
+    """
+    schemes = _SEARCH_SCHEMES
+    seeds = realization_seeds(master_seed, num_realizations)
+    traces = {scheme: [] for scheme in schemes}
+    rescored_traces = {scheme: [] for scheme in schemes}
+    units = [((config, chunk, pso_params), work)
+             for chunk, work in _chunks([config], seeds, pso_params)]
+    with _unit_results(_converge_unit, units, workers) as results:
+        for r, found in enumerate(itertools.chain.from_iterable(results)):
+            for scheme, (fitness, trace) in zip(schemes, found):
+                # a degenerate config shows in the first realization: stop there
+                _require_reportable_traces(
+                    f"converge realization {r + 1}/{num_realizations} seed={seeds[r]} "
+                    f"scheme={scheme}", "", fitness, trace, positive=False)
+                traces[scheme].append(fitness)
+                rescored_traces[scheme].append(trace)
+            if progress is not None:
+                progress(f"realization {r + 1}/{num_realizations} done")
     stacks = {scheme: np.stack(traces[scheme]) for scheme in schemes}
     fitness = {scheme: stacks[scheme].mean(axis=0) for scheme in schemes}
     rescored = {scheme: np.stack(rescored_traces[scheme]).mean(axis=0)

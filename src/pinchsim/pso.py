@@ -20,11 +20,12 @@ block is scaled by the cognitive and social weights once, in place.
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``noma.RobustGains``) start from the same particles and use the same
-multipliers, which are drawn once.  ``optimize_realizations`` alone
-decides how many realizations are searched together: it steps their swarms
-in lockstep, ``kernel_rows`` permitting, with one projection call and one
-kernel call per iteration whose rows are the swarms' blocks, each on its
-own scenario, and yields one realization at a time.  ``optimize`` is its
+multipliers, which are drawn once.  ``realizations_per_call`` alone
+decides how many realizations are searched together, for
+``optimize_realizations`` and for the work units of ``experiments``.  The
+former steps their swarms in lockstep, ``kernel_rows`` permitting, with one
+projection call and one kernel call per iteration whose rows are the swarms'
+blocks, each on its own scenario, and yields one realization at a time.  ``optimize`` is its
 one-realization, one-point case.  A lockstep call's scenario, row gains
 and batch shape are fixed for all of its iterations, so it builds its row
 gains and one ``kernels.Plan`` once and hands both to each kernel call.
@@ -214,15 +215,16 @@ def optimize_realizations(scenarios, seeds, points, config: SystemConfig,
     bit-identical to a separate search.  A swarm is one (scenario, seed,
     point); its particles and multipliers come from its seed alone, so a
     realization's swarms start from the same particles, drawn once.  Whole
-    realizations are taken as many at a time as fill one lockstep call of
-    ``swarms_per_call`` swarms, and at least one; their swarms are stepped in
-    (realization, point) order in calls of at most ``swarms_per_call``, each
-    with one projection call and one kernel call per iteration.
+    realizations are taken ``realizations_per_call`` at a time; their swarms
+    are stepped in (realization, point) order in calls of at most
+    ``swarms_per_call``, each with one projection call and one kernel call
+    per iteration.
     """
     points = list(dict.fromkeys(points))
     per_call = swarms_per_call(config, params)
+    chunk_len = realizations_per_call(points, config, params)
     realizations = zip(scenarios, seeds)
-    while chunk := list(itertools.islice(realizations, max(1, per_call // len(points)))):
+    while chunk := list(itertools.islice(realizations, chunk_len)):
         theta0, draws = (np.stack(arrays) for arrays in zip(
             *[_particles(config, params, seed) for _, seed in chunk]))
         swarms = [(scenario, r, point) for r, (scenario, _) in enumerate(chunk)
@@ -232,6 +234,13 @@ def optimize_realizations(scenarios, seeds, points, config: SystemConfig,
             found += _lockstep(config, params, swarms[i:i + per_call], theta0, draws)
         for r, (scenario, _) in enumerate(chunk):
             yield scenario, dict(zip(points, found[r * len(points):(r + 1) * len(points)]))
+
+
+def realizations_per_call(points, config: SystemConfig, params: PsoParams) -> int:
+    """How many realizations ``optimize_realizations`` searches together: as
+    many whose swarms at the distinct ``points`` fill one lockstep call of
+    ``swarms_per_call`` swarms, and at least one."""
+    return max(1, swarms_per_call(config, params) // len(set(points)))
 
 
 def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:

@@ -1,7 +1,10 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
+import multiprocessing
+import os
 import re
 import tempfile
 
@@ -9,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import ExperimentSettings, PsoParams, SystemConfig, experiments
-from pinchsim.cli import main
+from pinchsim import ExperimentSettings, PsoParams, SystemConfig, experiments, pso
+from pinchsim.cli import _build_parser, main
 
 FAST_SECTIONS = {
     "pso": {"num_particles": 8, "max_iters": 10},
@@ -169,6 +172,124 @@ def test_threads_do_not_change_output(tmp_path):
                  "--threads", "8"]) == 0
     with open(out1, "rb") as f1, open(out8, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+# Five realizations, which 2 and 3 do not divide; with ``units`` below, each
+# run takes several work units (3 to 9 per command).
+SPLIT_SECTIONS = {
+    "pso": {"num_particles": 8, "max_iters": 10},
+    "experiments": {"realizations": 5, "eps_grid": [0.0, 0.1], "k_grid": [1, 2, 3]},
+}
+
+
+@pytest.fixture
+def units(tmp_path, monkeypatch):
+    """Small lockstep calls, so that a run takes several work units, a
+    3-CPU affinity, so that up to 3 workers fork on any host, and a log of
+    the pid each unit ran in; returns the log's reader, which clears it."""
+    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 2 ** 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    log = tmp_path / "unit_pids.txt"
+    for name in ("_sweep_unit", "_converge_unit"):
+        # wraps() keeps the unit's name, under which the pool pickles it
+        @functools.wraps(getattr(experiments, name))
+        def logged(*args, unit=getattr(experiments, name)):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return unit(*args)
+        monkeypatch.setattr(experiments, name, logged)
+
+    def pids():
+        found = [int(pid) for pid in log.read_text().split()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return found
+    return pids
+
+
+def _run_in_own_dir(tmp_path, monkeypatch, capsys, argv, threads):
+    """(exit code, stdout, stderr, {file name: bytes}) of a run that writes
+    r.csv in its own directory, so that its messages name the same path."""
+    run_dir = tmp_path / f"threads{threads}"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    code = main(argv + ["--seed", "5", "--out", "r.csv", "--threads", str(threads)])
+    out, err = capsys.readouterr()
+    return code, out, err, {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-eps"], ["sweep-users"],
+    ["sweep-users", "--override", "experiments.score_mode=true_sampled"],
+    ["converge"], ["optimize"]],
+    ids=["sweep-eps", "sweep-users", "sweep-users-sampled", "converge", "optimize"])
+def test_worker_processes_do_not_change_output(tmp_path, monkeypatch, capsys, units, argv):
+    cfg = write_config(tmp_path, SPLIT_SECTIONS)
+    runs = []
+    for threads in (1, 2, 3):
+        runs.append(_run_in_own_dir(tmp_path, monkeypatch, capsys,
+                                    argv[:1] + ["--config", cfg] + argv[1:], threads))
+        pids = units()
+        assert len(pids) >= 3
+        if threads == 1:
+            assert set(pids) == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(set(pids)) <= threads
+        assert multiprocessing.active_children() == []
+    assert runs[0][0] == 0 and sorted(runs[0][3]) == ["r.config.json", "r.csv"]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_workers_are_capped_by_the_cpus(tmp_path, monkeypatch, capsys, units):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = write_config(tmp_path, SPLIT_SECTIONS)
+    code, *_ = _run_in_own_dir(tmp_path, monkeypatch, capsys,
+                               ["sweep-eps", "--config", cfg], 3)
+    assert code == 0
+    assert set(units()) == {os.getpid()}
+
+
+def test_refusal_in_a_later_unit_does_not_depend_on_workers(tmp_path, monkeypatch, capsys,
+                                                            units):
+    # only the last group, K = 1, has no interference and overflows
+    cfg = write_config(tmp_path, SPLIT_SECTIONS)
+    argv = ["sweep-users", "--config", cfg, "--override", "tx_power=1e306",
+            "--override", "experiments.k_grid=[2,3,1]"]
+    runs = []
+    for threads in (1, 2, 3):
+        runs.append(_run_in_own_dir(tmp_path, monkeypatch, capsys, argv, threads))
+        assert (os.getpid() in units()) == (threads == 1)
+    code, out, err, files = runs[0]
+    assert code == 2 and out == "" and files == {}
+    progress, refusal = err.splitlines()[:2], err.splitlines()[2:]
+    assert progress == ["num_users=2 done", "num_users=3 done"]
+    assert len(refusal) == 1 and refusal[0].startswith("config error: num_users=1 ")
+    assert "min_sinr_linear is inf" in refusal[0]
+    assert runs[0] == runs[1] == runs[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_write_error_leaves_no_worker(tmp_path, monkeypatch, capsys, units):
+    def full_disk(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(experiments, "write_text_atomic", full_disk)
+    cfg = write_config(tmp_path, SPLIT_SECTIONS)
+    code, _, err, files = _run_in_own_dir(tmp_path, monkeypatch, capsys,
+                                          ["converge", "--config", cfg], 2)
+    assert code == 1 and files == {}
+    assert err.splitlines()[-1] == "error: cannot write r.csv: No space left on device"
+    assert os.getpid() not in units()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "65", str(10 ** 9)])
+def test_threads_out_of_range_is_usage_error(capsys, threads):
+    # the parser alone: an accepted value would start a run
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(["sweep-eps", "--config", "c.json", "--threads", threads])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument --threads: must be in [1, 64], got {int(threads)}" in err
 
 
 def test_optimize_is_one_point_eps_sweep(tmp_path):

@@ -19,6 +19,15 @@
 # whose row bound of 64 splits their scoring into several kernel calls, and
 # a 36-point sweep-eps of 2-particle swarms at that shape, where each
 # realization's 36 searches take lockstep calls of 32 and 4 swarms.
+#
+# Rows whose names end in _t2 or _t3 pass --threads 2 or 3 to the working
+# tree and split into several work units (realization chunks of one lockstep
+# call each), so they run in worker processes: a 10-realization sweep-eps
+# (chunks of 4), an 8-realization true-sampled sweep-users (K = 5 takes two
+# chunks), an 8-realization converge of 240-particle swarms (chunks of 3)
+# and the 40-point wide sweep-eps (one realization a chunk).  A revision
+# that ignores --threads runs them serially, so against such a revision
+# they compare parallel output with serial output.
 set -euo pipefail
 set -f  # the matrix's arguments are split into words but never globbed
 
@@ -68,6 +77,14 @@ matrix=(
     "small_sweep_users_k8_9_sampled|sweep-users --config $small --override experiments.k_grid=[8,9] --override num_pas=9 --override experiments.score_mode=true_sampled"
     "wide_converge_split|converge --config $example --realizations 6 $wide --override pso.num_particles=8 --override pso.max_iters=60"
     "wide_sweep_eps_split|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=1 --override pso.max_iters=2 --override experiments.eps_grid=$grid40"
+    "example_sweep_eps_t2|sweep-eps --config $example --realizations 10 --threads 2"
+    "example_sweep_eps_t3|sweep-eps --config $example --realizations 10 --threads 3"
+    "example_sweep_users_sampled_r8_t2|sweep-users --config $example --realizations 8 --override experiments.score_mode=true_sampled --threads 2"
+    "example_sweep_users_sampled_r8_t3|sweep-users --config $example --realizations 8 --override experiments.score_mode=true_sampled --threads 3"
+    "example_converge_r8_p240_t2|converge --config $example --realizations 8 --override pso.num_particles=240 --threads 2"
+    "example_converge_r8_p240_t3|converge --config $example --realizations 8 --override pso.num_particles=240 --threads 3"
+    "wide_sweep_eps_split_t2|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=1 --override pso.max_iters=2 --override experiments.eps_grid=$grid40 --threads 2"
+    "wide_sweep_eps_split_t3|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=1 --override pso.max_iters=2 --override experiments.eps_grid=$grid40 --threads 3"
     "wide_sweep_eps_span|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=2 --override pso.max_iters=2 --override experiments.eps_grid=$grid36"
 )
 
