@@ -231,9 +231,8 @@ def _chunks(configs, seeds, pso_params: PsoParams):
     """The (seeds, work) of each work unit of ``_searches(configs, seeds)``:
     consecutive seeds, as many as one lockstep call searches together, and
     their estimated kernel work."""
-    points = _search_points(configs)
-    step = pso.realizations_per_call(points, configs[0], pso_params)
-    config = configs[0]
+    config, points = configs[0], _search_points(configs)
+    step = pso.realizations_per_call(points, config, pso_params)
     work = (len(set(points)) * config.num_users * config.num_pas
             * max(config.obstacle_count, 1))
     return [(seeds[j:j + step], len(seeds[j:j + step]) * work)
@@ -248,7 +247,9 @@ def _unit_results(run_unit, units, workers):
     With more than one worker and unit, a pool of up to ``workers`` forked
     processes, and no more than the CPUs this process may run on, runs the
     units, submitted in descending order of work.  Otherwise each unit runs
-    here as the iterator reaches it.  Leaving the block cancels the units
+    here as the iterator reaches it.  The workers are forked, not spawned: a
+    spawned one would import numpy and the package again (0.2 s), and the
+    pool forks all of them before it starts its own thread.  Leaving the block cancels the units
     not yet started and waits for the running ones, so no worker outlives
     it.
     """
