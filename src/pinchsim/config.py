@@ -253,8 +253,9 @@ def _check_sizes(run: RunConfig):
     one search per error bound, plus the non-robust one).  The obstacle
     block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``.
     The seeds are the only one of these that grows with ``realizations``:
-    ``pso.optimize_realizations`` draws the scenarios and particles of only
-    as many realizations at a time as one lockstep call steps."""
+    a run draws the scenarios and particles of one work unit at a time,
+    only as many realizations as one lockstep call steps
+    (``experiments._chunks``)."""
     system, pso, exp = run.system, run.pso, run.experiments
     users = max(system.num_users, *exp.k_grid)
     sizes = {

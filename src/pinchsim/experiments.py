@@ -13,23 +13,25 @@ zero bound has the same gains.  The scenario does not depend on the bound,
 so ``_searches``, the one search step, searches each distinct point of
 the configs sharing a scenario once per realization.
 
-``pso.realizations_per_call`` decides how many realizations
-``pso.optimize_realizations`` searches together, and it hands them back one
-at a time, in seed order; each realization's final candidates are then
-scored together, ``pso.kernel_rows`` to a kernel call.  Each realization
-derives its own seeds from the master seed and no row depends on its batch,
-so a sweep's rows depend only on the config and the master seed.  The CSV
-schema is one row per (sweep point, realization, scheme) with linear and dB
-min-SINR, and no wall time.
+``pso.search`` searches the realizations of one work unit together and
+hands back their results in seed order; each realization's final
+candidates are then scored together, ``pso.kernel_rows`` to a kernel call.
+Each realization derives its own seeds from the master seed and no row
+depends on its batch, so a sweep's rows depend only on the config and the
+master seed.  The CSV schema is one row per (sweep point, realization,
+scheme) with linear and dB min-SINR, and no wall time.
 
 A run's work units are (sweep group, realization chunk) pairs, where a
-group is the configs that share a scenario and a chunk is the realizations
-one lockstep call searches together, so a unit never splits a kernel batch.
-A unit searches and scores its chunk and returns only scores (or, for
-``converge``, traces).  With ``workers`` > 1 and more than one unit, up to
-that many forked processes, no more than the CPUs the run may use, take the
-units in descending order of estimated kernel work, chunk realizations x
-distinct points x K x N x max(O, 1), each the next when idle.  The parent
+group is the configs that share a scenario and a chunk is as many
+realizations as one lockstep call of ``pso.swarms_per_call`` swarms
+searches at the group's distinct points, and at least one, so a unit never
+splits a kernel batch.  ``_chunks`` alone cuts the realizations into
+chunks, and a unit draws only its own scenarios.  A unit searches and
+scores its chunk and returns only scores (or, for ``converge``, traces).
+With ``workers`` > 1 and more than one unit, up to that many forked
+processes, no more than the CPUs the run may use, take the units in
+descending order of estimated kernel work, chunk realizations x distinct
+points x K x N x max(O, 1), each the next when idle.  The parent
 alone builds the records, prints progress, refuses the first unreportable
 result in (group, realization, scheme) order and leaves the writing to its
 caller, so the output does not depend on the worker count.  With one
@@ -220,21 +222,21 @@ def _search_points(configs):
 def _searches(configs, seeds, pso_params: PsoParams):
     """The PSO searches of ``configs``, which share each realization's
     scenario and differ at most in the error bound, for every seed of
-    ``seeds``: the one search step of sweeps and ``converge``.  Yields each
+    ``seeds``: the one search step of sweeps and ``converge``.  Returns each
     realization's scenario and ``{RobustGains: PsoResult}``, in seed order."""
-    scenarios = (generate_scenario(configs[0], seed) for seed in seeds)
-    return pso.optimize_realizations(scenarios, seeds, _search_points(configs), configs[0],
-                                     pso_params)
+    scenarios = [generate_scenario(configs[0], seed) for seed in seeds]
+    return zip(scenarios, pso.search(scenarios, seeds, _search_points(configs), configs[0],
+                                     pso_params))
 
 
 def _chunks(configs, seeds, pso_params: PsoParams):
     """The (seeds, work) of each work unit of ``_searches(configs, seeds)``:
-    consecutive seeds, as many as one lockstep call searches together, and
-    their estimated kernel work."""
-    config, points = configs[0], _search_points(configs)
-    step = pso.realizations_per_call(points, config, pso_params)
-    work = (len(set(points)) * config.num_users * config.num_pas
-            * max(config.obstacle_count, 1))
+    consecutive seeds, as many as fill one lockstep call with their swarms
+    at the distinct search points, and at least one, and their estimated
+    kernel work."""
+    config, points = configs[0], len(set(_search_points(configs)))
+    step = max(1, pso.swarms_per_call(config, pso_params) // points)
+    work = points * config.num_users * config.num_pas * max(config.obstacle_count, 1)
     return [(seeds[j:j + step], len(seeds[j:j + step]) * work)
             for j in range(0, len(seeds), step)]
 

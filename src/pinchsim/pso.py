@@ -20,15 +20,15 @@ block is scaled by the cognitive and social weights once, in place.
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``noma.RobustGains``) start from the same particles and use the same
-multipliers, which are drawn once.  ``realizations_per_call`` alone
-decides how many realizations are searched together, for
-``optimize_realizations`` and for the work units of ``experiments``.  The
-former steps their swarms in lockstep, ``kernel_rows`` permitting, with one
-projection call and one kernel call per iteration whose rows are the swarms'
-blocks, each on its own scenario, and yields one realization at a time.  ``optimize`` is its
-one-realization, one-point case.  A lockstep call's scenario, row gains
-and batch shape are fixed for all of its iterations, so it builds its row
-gains and one ``kernels.Plan`` once and hands both to each kernel call.
+multipliers, which are drawn once.  ``search`` steps the swarms of all the
+realizations it is handed in lockstep, ``swarms_per_call`` to a call, with
+one projection call and one kernel call per iteration whose rows are the
+swarms' blocks, each on its own scenario.  How many realizations it is
+handed is its caller's choice: ``experiments`` hands it one work unit.
+``optimize`` is its one-realization, one-point case.  A lockstep call's
+scenario, row gains and batch shape are fixed for all of its iterations, so
+it builds its row gains and one ``kernels.Plan`` once and hands both to each
+kernel call.
 
 The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
@@ -41,7 +41,6 @@ call; the projection works candidate by candidate, so the batch does not
 change their bits.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,47 +199,33 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
     schemes share.  Deterministic given (scenario, config, params, seed).
     """
     point = search_point(config, robust)
-    _, found = next(optimize_realizations([scenario], [seed], [point], config, params))
-    return found[point]
+    return search([scenario], [seed], [point], config, params)[0][point]
 
 
-def optimize_realizations(scenarios, seeds, points, config: SystemConfig,
-                          params: PsoParams):
+def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     """Search each realization at each distinct point of ``points``, the
-    swarms of several realizations stepped together in lockstep.
+    swarms of all realizations stepped together in lockstep.
 
-    ``scenarios`` (consumed lazily) and ``seeds`` give the realizations in
-    order, with equal user and obstacle counts.  Yields per realization its
-    scenario and a dict from each distinct point to its ``PsoResult``, each
-    bit-identical to a separate search.  A swarm is one (scenario, seed,
-    point); its particles and multipliers come from its seed alone, so a
-    realization's swarms start from the same particles, drawn once.  Whole
-    realizations are taken ``realizations_per_call`` at a time; their swarms
-    are stepped in (realization, point) order in calls of at most
-    ``swarms_per_call``, each with one projection call and one kernel call
-    per iteration.
+    ``scenarios`` and ``seeds`` give the realizations, with equal user and
+    obstacle counts.  Returns per realization, in order, a dict from each
+    distinct point to its ``PsoResult``, each bit-identical to a separate
+    search.  A swarm is one (scenario, seed, point); its particles and
+    multipliers come from its seed alone, so a realization's swarms start
+    from the same particles, drawn once.  The swarms are stepped in
+    (realization, point) order in calls of at most ``swarms_per_call``, each
+    with one projection call and one kernel call per iteration.
     """
     points = list(dict.fromkeys(points))
+    theta0, draws = (np.stack(arrays) for arrays in zip(
+        *[_particles(config, params, seed) for seed in seeds]))
+    swarms = [(scenario, r, point) for r, scenario in enumerate(scenarios)
+              for point in points]
     per_call = swarms_per_call(config, params)
-    chunk_len = realizations_per_call(points, config, params)
-    realizations = zip(scenarios, seeds)
-    while chunk := list(itertools.islice(realizations, chunk_len)):
-        theta0, draws = (np.stack(arrays) for arrays in zip(
-            *[_particles(config, params, seed) for _, seed in chunk]))
-        swarms = [(scenario, r, point) for r, (scenario, _) in enumerate(chunk)
-                  for point in points]
-        found = []
-        for i in range(0, len(swarms), per_call):
-            found += _lockstep(config, params, swarms[i:i + per_call], theta0, draws)
-        for r, (scenario, _) in enumerate(chunk):
-            yield scenario, dict(zip(points, found[r * len(points):(r + 1) * len(points)]))
-
-
-def realizations_per_call(points, config: SystemConfig, params: PsoParams) -> int:
-    """How many realizations ``optimize_realizations`` searches together: as
-    many whose swarms at the distinct ``points`` fill one lockstep call of
-    ``swarms_per_call`` swarms, and at least one."""
-    return max(1, swarms_per_call(config, params) // len(set(points)))
+    found = []
+    for i in range(0, len(swarms), per_call):
+        found += _lockstep(config, params, swarms[i:i + per_call], theta0, draws)
+    return [dict(zip(points, found[i:i + len(points)]))
+            for i in range(0, len(found), len(points))]
 
 
 def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:

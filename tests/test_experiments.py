@@ -171,6 +171,31 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
             assert np.array_equal(traces.rescored_min_sinr[scheme], rescored.mean(axis=0))
 
 
+def test_scenarios_drawn_one_unit_at_a_time(monkeypatch):
+    # a run of up to 2^24 realizations holds only one work unit's scenarios:
+    # a budget of 4 swarms of 450 kernel tests takes 2 realizations of 2
+    # points (RobustPSO at 0.1, NonRobustPSO at 0) a unit
+    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 4 * 450)
+    events = []
+    generate, search = experiments.generate_scenario, pso.search
+
+    def drawing(config, seed):
+        events.append("draw")
+        return generate(config, seed)
+
+    def searching(scenarios, *args):
+        events.append(("search", len(scenarios)))
+        return search(scenarios, *args)
+
+    monkeypatch.setattr(experiments, "generate_scenario", drawing)
+    monkeypatch.setattr(pso, "search", searching)
+    settings = ExperimentSettings(realizations=10, eps_grid=(0.1,))
+    records = sweep_epsilon(CFG, dataclasses.replace(FAST_PSO, max_iters=2), settings,
+                            master_seed=16, workers=1)
+    assert len(records) == 10 * len(SCHEMES)
+    assert events == ["draw", "draw", ("search", 2)] * 5
+
+
 def test_convergence_trace_scores_each_distinct_global_best_once(monkeypatch):
     # the rows handed to scoring are each trajectory's first global best and
     # those where it moved, in (scheme, iteration) order, one call per

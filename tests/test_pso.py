@@ -6,8 +6,7 @@ import pytest
 from pinchsim import (PsoParams, RobustGains, SystemConfig, generate_scenario,
                       kernels, optimize, robust_gains, swarm_fitness)
 from pinchsim import pso
-from pinchsim.pso import (draw_theta, optimize_realizations, project_theta_batch,
-                          search_point, split_theta)
+from pinchsim.pso import draw_theta, project_theta_batch, search, search_point, split_theta
 from pinchsim.scenario import STREAMS, Scenario, stream
 
 CFG = SystemConfig()
@@ -124,11 +123,10 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
     scenario = generate_scenario(config, 8)
     gains = [robust_gains(e, config.eta_i, r) for e, r in points]
     swarms = recorded_swarms(monkeypatch)
-    [(searched, results)] = optimize_realizations([scenario], [9], gains, config, params)
+    [results] = search([scenario], [9], gains, config, params)
     monkeypatch.undo()
     # distinct points share a kernel call unless the budget splits them
     assert max(len(swarm) for swarm in swarms) == stacked_rows
-    assert searched is scenario
     assert list(results) == list(dict.fromkeys(gains))
     for point, res in zip(points, (results[g] for g in gains)):
         alone = optimize(scenario, dataclasses.replace(config, csi_eps=point[0],
@@ -153,7 +151,8 @@ def realization_scenarios():
 
 @pytest.mark.parametrize("budget_swarms,chunks", [
     (None, [16]),                    # the default budget: all 16 swarms in one call
-    (3, [3, 1, 3, 1, 3, 1, 3, 1]),  # each realization's 4 swarms span two calls
+    # the 16 swarms in calls of 3, so a call can hold two realizations' swarms
+    (3, [3, 3, 3, 3, 3, 1]),
 ])
 def test_stacked_realizations_match_one_realization_at_a_time(monkeypatch, budget_swarms,
                                                               chunks):
@@ -161,40 +160,18 @@ def test_stacked_realizations_match_one_realization_at_a_time(monkeypatch, budge
         monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", budget_swarms * TESTS_PER_SWARM)
     scenarios = realization_scenarios()
     swarms = recorded_swarms(monkeypatch)
-    stacked = list(optimize_realizations(scenarios, REALIZATION_SEEDS, REALIZATION_POINTS,
-                                         CFG, SMALL))
+    stacked = search(scenarios, REALIZATION_SEEDS, REALIZATION_POINTS, CFG, SMALL)
     monkeypatch.undo()
     assert [len(swarm) for swarm in swarms] == [
         size * SMALL.num_particles for size in chunks for _ in range(SMALL.max_iters + 1)]
-    assert [id(scenario) for scenario, _ in stacked] == [id(s) for s in scenarios]
-    for scenario, seed, (_, results) in zip(scenarios, REALIZATION_SEEDS, stacked):
-        [(_, alone)] = optimize_realizations([scenario], [seed], REALIZATION_POINTS, CFG,
-                                             SMALL)
+    assert len(stacked) == len(scenarios)
+    for scenario, seed, results in zip(scenarios, REALIZATION_SEEDS, stacked):
+        [alone] = search([scenario], [seed], REALIZATION_POINTS, CFG, SMALL)
         assert list(results) == list(alone) == list(dict.fromkeys(REALIZATION_POINTS))
         for point, want in alone.items():
             assert np.array_equal(results[point].trace, want.trace)
             assert np.array_equal(results[point].gbest_thetas, want.gbest_thetas)
             assert np.array_equal(results[point].best_theta, want.best_theta)
-
-
-def test_realizations_drawn_one_chunk_at_a_time(monkeypatch):
-    # a run of up to 2^24 realizations holds only one lockstep call's
-    # scenarios: a budget of 8 swarms takes 2 realizations of 4 points a call
-    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 8 * TESTS_PER_SWARM)
-    seeds = list(range(10))
-    drawn = []
-
-    def scenarios():
-        for seed in seeds:
-            drawn.append(seed)
-            yield generate_scenario(CFG, seed + 100)
-
-    found = optimize_realizations(scenarios(), seeds, REALIZATION_POINTS, CFG,
-                                  dataclasses.replace(SMALL, max_iters=2))
-    assert drawn == []
-    for seen in ([0, 1], [0, 1], [0, 1, 2, 3]):
-        next(found)
-        assert drawn == seen
 
 
 def test_swarms_per_call_bounds_kernel_batch_and_stacked_state():
@@ -215,9 +192,8 @@ def test_row_weights_built_once_per_lockstep_call(monkeypatch):
         return row_gains(*args)
 
     monkeypatch.setattr(kernels, "row_gains", counting)
-    list(optimize_realizations([SCENARIO], [9], [robust_gains(0.1, CFG.eta_i, 0.2),
-                                                 robust_gains(0.0, CFG.eta_i, 0.0)],
-                               CFG, SMALL))
+    search([SCENARIO], [9], [robust_gains(0.1, CFG.eta_i, 0.2),
+                             robust_gains(0.0, CFG.eta_i, 0.0)], CFG, SMALL)
     assert len(built) == 1  # not once per iteration
 
 
@@ -232,10 +208,9 @@ def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 3 * TESTS_PER_SWARM)
     monkeypatch.setattr(kernels, "swarm_fitness", recording)
-    list(optimize_realizations(realization_scenarios(), REALIZATION_SEEDS,
-                               REALIZATION_POINTS, CFG, SMALL))
+    search(realization_scenarios(), REALIZATION_SEEDS, REALIZATION_POINTS, CFG, SMALL)
     steps = SMALL.max_iters + 1
-    assert len(calls) == 8 * steps    # lockstep calls of 3 and 1 swarms per realization
+    assert len(calls) == 6 * steps    # the 16 swarms in lockstep calls of 3, 3, 3, 3, 3, 1
     for i in range(0, len(calls), steps):
         (plan, scenario, config, gains, rows), *rest = calls[i:i + steps]
         assert isinstance(plan, kernels.Plan)
@@ -245,7 +220,7 @@ def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
         assert rows in (3 * SMALL.num_particles, SMALL.num_particles)
         assert all(same is plan and same_gains is gains and n == rows
                    for same, _, _, same_gains, n in rest)
-    assert len({id(plan) for plan, _, _, _, _ in calls}) == 8
+    assert len({id(plan) for plan, _, _, _, _ in calls}) == 6
 
 
 def test_kernel_calls_keep_the_harness_contract(monkeypatch):
@@ -262,8 +237,8 @@ def test_kernel_calls_keep_the_harness_contract(monkeypatch):
 
     monkeypatch.setattr(kernels, "swarm_fitness", recording)
     params = PsoParams(num_particles=5, max_iters=7)
-    list(optimize_realizations(realization_scenarios()[:2], REALIZATION_SEEDS[:2],
-                               REALIZATION_POINTS, CFG, params))
+    search(realization_scenarios()[:2], REALIZATION_SEEDS[:2], REALIZATION_POINTS, CFG,
+           params)
     assert len(seen) == params.max_iters + 1   # one lockstep call of all 8 swarms
     for args in seen:
         assert isinstance(args[2], Scenario)
