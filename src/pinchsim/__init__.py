@@ -13,10 +13,7 @@ from .config import (ConfigError, ExperimentSettings, PsoParams, RunConfig,
 from .experiments import (SCHEMES, ConvergenceTraces, SweepRecord,
                           aggregate_mean_db, convergence_trace, run_scheme,
                           score_candidate, sweep_epsilon, sweep_users)
-from .kernels import swarm_fitness
-from .noma import (DecodingOrder, RobustGains, apply_csi_error,
-                   conservative_order, conservative_sinr, min_sinr,
-                   order_violations, robust_gains, sic_decode_sinr, true_sinr)
+from .kernels import RobustGains, apply_csi_error, robust_gains, swarm_fitness
 from .pso import (PsoResult, draw_theta, optimize, project_positions,
                   project_simplex, split_theta)
 from .scenario import Scenario, generate_scenario, uniform_layout
@@ -24,13 +21,11 @@ from .scenario import Scenario, generate_scenario, uniform_layout
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ConvergenceTraces", "DecodingOrder", "ExperimentSettings",
-    "PsoParams", "PsoResult", "RobustGains", "RunConfig", "SCHEMES",
-    "Scenario", "SweepRecord", "SystemConfig", "aggregate_mean_db",
-    "apply_csi_error", "conservative_order", "conservative_sinr",
+    "ConfigError", "ConvergenceTraces", "ExperimentSettings", "PsoParams",
+    "PsoResult", "RobustGains", "RunConfig", "SCHEMES", "Scenario",
+    "SweepRecord", "SystemConfig", "aggregate_mean_db", "apply_csi_error",
     "convergence_trace", "draw_theta", "generate_scenario", "load_run_config",
-    "min_sinr", "optimize", "order_violations", "project_positions",
-    "project_simplex", "robust_gains", "run_config_from_dict", "run_scheme",
-    "score_candidate", "sic_decode_sinr", "split_theta", "swarm_fitness",
-    "sweep_epsilon", "sweep_users", "true_sinr", "uniform_layout",
+    "optimize", "project_positions", "project_simplex", "robust_gains",
+    "run_config_from_dict", "run_scheme", "score_candidate", "split_theta",
+    "swarm_fitness", "sweep_epsilon", "sweep_users", "uniform_layout",
 ]

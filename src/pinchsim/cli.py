@@ -38,26 +38,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _seed(text):
-    """--seed value: an unsigned 64-bit integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
-
-
-def _threads(text):
-    """--threads value: a worker process count in [1, MAX_THREADS]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_THREADS}], got {value}")
-    return value
+def _int_in(lo, hi, shown):
+    """An argparse type: an integer in [lo, hi], the range written as ``shown``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {shown}, got {value}")
+        return value
+    return parse
 
 
 def _out(text):
@@ -88,11 +79,12 @@ def _build_parser():
         if name != "validate-config":
             p.add_argument("--out", type=_out, default=f"{name}.csv",
                            help="output CSV path")
-            p.add_argument("--seed", type=_seed, default=1234,
+            p.add_argument("--seed", type=_int_in(0, 2 ** 64 - 1, "[0, 2**64)"), default=1234,
                            help="master seed, in [0, 2**64)")
             p.add_argument("--realizations", type=int, default=None,
                            help="override the configured realization count")
-            p.add_argument("--threads", type=_threads, default=1,
+            p.add_argument("--threads", default=1,
+                           type=_int_in(1, MAX_THREADS, f"[1, {MAX_THREADS}]"),
                            help=f"most worker processes, in [1, {MAX_THREADS}]; the "
                                 "output does not depend on it")
             p.add_argument("--override", action="append", default=[],

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import kernels, pso
 from .config import ConfigError, ExperimentSettings, PsoParams, SystemConfig
-from .noma import apply_csi_error, robust_gains
+from .kernels import apply_csi_error, robust_gains
 from .scenario import Scenario, generate_scenario, stream, uniform_layout
 
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
@@ -113,10 +113,10 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
     Floating-point warnings are silenced, as in the kernel.
 
     conservative: worst-case min-SINR at the row's error bound with the
-    nominal channel as the estimate.  true_sampled: draw one estimate-error
-    realization from the ``csi_sample`` stream at the row's bound, order by
-    the estimates (ties in index order), and evaluate the nominal SINR of
-    the true channels in that order.
+    nominal channel as the estimate.  true_sampled: draw one estimate error
+    per user from the ``csi_sample`` stream, shared by the rows and scaled by
+    each row's bound, order by the estimates (ties in index order), and
+    evaluate the nominal SINR of the true channels in that order.
     """
     step = pso.kernel_rows(config)
     if len(xs) > step:  # no row depends on its batch, so each call is exact
@@ -130,8 +130,7 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
         _, gmin, _ = kernels.swarm_fitness(xs, alphas, scenario, config, gains=gains)
         return gmin.tolist()
     h = kernels.effective_channels(xs, scenario, config)
-    h_hat = np.stack([apply_csi_error(h[:, i], e, stream(seed, "csi_sample"))
-                      for i, e in enumerate(eps)], axis=1)
+    h_hat = apply_csi_error(h, eps, stream(seed, "csi_sample"))
     order = np.argsort(np.abs(h_hat), axis=0, kind="stable")
     gather = order * len(xs) + np.arange(len(xs))
     nominal = kernels.row_gains([robust_gains(0.0, 1.0, 0.0)], len(xs))[1:]

@@ -3,11 +3,12 @@
 Every optimizer iteration evaluates the full candidate pipeline (per-link
 channels -> effective channels -> safe decoding order -> worst-case SINRs ->
 penalized fitness) for a swarm, or for several swarms stacked into one
-batch, each row at its own evaluation point: a ``noma.RobustGains``, whose
+batch, each row at its own evaluation point: a ``RobustGains``, whose
 four numbers are all the kernel sees of it.  The ordering estimate is the
 nominal channel; the error bound acts through those numbers only.  Its two
 stages, ``effective_channels`` and ``ordered_min_sinr``, also score
-``true_sampled`` designs in ``experiments``, so the physics exists once.
+``true_sampled`` designs in ``experiments``, with the estimates drawn by
+``apply_csi_error``, so the physics exists once.
 
 The rows may also span several realizations: a scenario stacked by
 ``scenario.stack_scenarios`` splits the P rows into B equal contiguous
@@ -41,16 +42,16 @@ one.  Reused buffers spare each call the page faults of fresh ones, and
 building the rest once spares it the recomputation; the measurements are
 in CHANGES.md and ``BENCH_13.json``/``BENCH_15.json``.
 
-The tests hold the kernel to the scalar ``channel`` and ``noma`` modules
-and check the phase against a closed form.
+The tests hold the kernel to the scalar reference, ``channel`` and ``noma``,
+which the package never imports, and check the phase against a closed form.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .noma import robust_gains
 from .scenario import Scenario
 
 # There is one backend; perfbench/run.py records both names in its env line.
@@ -62,9 +63,44 @@ def active_backend():
     return "numpy"
 
 
+@dataclass(frozen=True)
+class RobustGains:
+    """Ordering margin and worst-case SINR weights: all that the fitness sees of
+    an (eps, eta_i, eta_r) point, so points with equal gains evaluate alike."""
+
+    order_ratio: float         # (1 + eps) / (1 - eps), separation a safe order needs
+    signal_scale: float        # (1 - eps)^2, shrinks the desired-signal power
+    interference_scale: float  # (1 + eta_i * eps)^2, inflates uncancelled interference
+    leakage_scale: float       # eta_r * eps, residual power of cancelled signals
+
+
+def robust_gains(eps, eta_i, eta_r) -> RobustGains:
+    """The one definition of a point's gains; (1, 1, 1, 0) at eps = 0 for any eta_r."""
+    return RobustGains(order_ratio=(1.0 + eps) / (1.0 - eps),
+                       signal_scale=(1.0 - eps) ** 2,
+                       interference_scale=(1.0 + eta_i * eps) ** 2,
+                       leakage_scale=eta_r * eps)
+
+
+def apply_csi_error(h, eps, rng):
+    """Perturb each channel of h inside the relative error disk |e| <= eps * |h|.
+
+    h is one channel, a (K,) vector of user channels, or a (K, rows) block
+    of rows scored on one realization, with eps then the (rows,) per-row
+    bounds.  Each user gets one draw, shared by every row: an error
+    magnitude fraction uniform on [0, 1] and a phase uniform on [0, 2 pi),
+    which exercises the whole uncertainty disk.  The draws are one
+    ``rng.random`` block of (rho, u) pairs, phase 2 pi u: the stream of a
+    scalar ``random()`` and ``uniform(0, 2 pi)`` per user, in user order.
+    """
+    users = np.shape(h)[:1]
+    rho, u = rng.random(users + (2,)).T.reshape((2,) + users + (1,) * (np.ndim(h) - 1))
+    return h + rho * eps * np.abs(h) * np.exp(1j * (2.0 * np.pi * u))
+
+
 def row_gains(points, rows_per_point):
     """The (order_ratio, signal_scale, interference_scale, leakage_scale) of
-    each ``noma.RobustGains`` in ``points``, repeated over its rows, as four
+    each ``RobustGains`` in ``points``, repeated over its rows, as four
     contiguous (P,) arrays: the ``gains`` of ``swarm_fitness``."""
     table = np.array([(g.order_ratio, g.signal_scale, g.interference_scale,
                        g.leakage_scale) for g in points], dtype=np.float64)

@@ -1,4 +1,11 @@
-"""Superposition-coding power domain: estimate error, decoding order and SINRs.
+"""Scalar reference of the power domain: decoding order and SINRs, one
+candidate at a time.
+
+With ``channel``, this is the reference that the tests and perfbench's
+checks hold the batched kernel to; the package itself never imports it.
+The evaluation point (``kernels.RobustGains``, ``kernels.robust_gains``)
+and the estimate-error draw (``kernels.apply_csi_error``) are production
+code and live in ``kernels``.
 
 Receivers cancel the signals of weaker-ordered users before decoding their
 own.  With estimate errors bounded by a relative fraction eps, the true
@@ -20,16 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class RobustGains:
-    """Ordering margin and worst-case SINR weights: all that the fitness sees of
-    an (eps, eta_i, eta_r) point, so points with equal gains evaluate alike."""
-
-    order_ratio: float         # (1 + eps) / (1 - eps), separation a safe order needs
-    signal_scale: float        # (1 - eps)^2, shrinks the desired-signal power
-    interference_scale: float  # (1 + eta_i * eps)^2, inflates uncancelled interference
-    leakage_scale: float       # eta_r * eps, residual power of cancelled signals
+from .kernels import RobustGains, robust_gains
 
 
 @dataclass(frozen=True)
@@ -39,26 +37,6 @@ class DecodingOrder:
     order: np.ndarray      # user indices, ascending estimated magnitude
     clusters: list         # consecutive groups of order-ambiguous users (index arrays)
     violations: np.ndarray # (K-1,) separation shortfalls of adjacent sorted pairs
-
-
-def robust_gains(eps, eta_i, eta_r) -> RobustGains:
-    """The one definition of a point's gains; (1, 1, 1, 0) at eps = 0 for any eta_r."""
-    return RobustGains(order_ratio=(1.0 + eps) / (1.0 - eps),
-                       signal_scale=(1.0 - eps) ** 2,
-                       interference_scale=(1.0 + eta_i * eps) ** 2,
-                       leakage_scale=eta_r * eps)
-
-
-def apply_csi_error(h, eps, rng):
-    """Perturb each channel of h inside the relative error disk |e| <= eps * |h|.
-
-    The error magnitude fraction is uniform on [0, 1] and its phase uniform
-    on [0, 2 pi), which exercises the whole uncertainty disk.  The draws are
-    one ``rng.random`` block of (rho, u) pairs, phase 2 pi u: the stream of a
-    scalar ``random()`` and ``uniform(0, 2 pi)`` per entry, in entry order.
-    """
-    draws = rng.random(np.shape(h) + (2,))
-    return h + draws[..., 0] * eps * np.abs(h) * np.exp(1j * (2.0 * np.pi * draws[..., 1]))
 
 
 def order_violations(mags_sorted, eps):

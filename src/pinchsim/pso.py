@@ -19,7 +19,7 @@ block is scaled by the cognitive and social weights once, in place.
 
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
-(``noma.RobustGains``) start from the same particles and use the same
+(``kernels.RobustGains``) start from the same particles and use the same
 multipliers, which are drawn once.  ``search`` steps the swarms of all the
 realizations it is handed in lockstep, ``swarms_per_call`` to a call, with
 one projection call and one kernel call per iteration whose rows are the
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import kernels
 from .config import MAX_ELEMENTS, ConfigError, PsoParams, SystemConfig
-from .noma import RobustGains, robust_gains
+from .kernels import RobustGains, robust_gains
 from .scenario import Scenario, stack_scenarios, stream
 
 # Kernel batch, in rows x users x antennas x max(obstacles, 1), up to which

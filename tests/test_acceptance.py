@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import pinchsim as ps
+from pinchsim import noma
 from pinchsim.cli import main as cli_main
 from pinchsim.pso import project_positions, project_simplex, project_theta_batch
 
@@ -45,8 +46,8 @@ def test_criterion_01_sic_reduction_equivalence():
         agree = 0
         for i in range(n):
             alpha = np.array([a_k[i], s_k[i]])
-            own = ps.true_sinr([h_k[i], 1.0], alpha, 1.0, noise[i])[0]
-            dec = ps.sic_decode_sinr(h_j[i], 0, alpha, 1.0, noise[i])
+            own = noma.true_sinr([h_k[i], 1.0], alpha, 1.0, noise[i])[0]
+            dec = noma.sic_decode_sinr(h_j[i], 0, alpha, 1.0, noise[i])
             agree += (dec >= own) == (h_j[i] >= h_k[i])
         assert agree == n  # zero tolerance: boolean agreement on all tuples
 
@@ -101,8 +102,8 @@ def test_criterion_04_degeneracy():
         rng = np.random.default_rng(104)
         for _ in range(1000):
             h_sq, alpha = _random_instance(rng)
-            cons = ps.conservative_sinr(h_sq, alpha, ps.robust_gains(0.0, 0.5, 0.0),
-                                        1.0, 1e-9)
+            cons = noma.conservative_sinr(h_sq, alpha, ps.robust_gains(0.0, 0.5, 0.0),
+                                          1.0, 1e-9)
             # independent nominal oracle
             want = np.array([
                 alpha[k] * h_sq[k] / (h_sq[k] * alpha[k + 1:].sum() + 1e-9)
@@ -119,10 +120,10 @@ def test_criterion_05_conservatism():
         for eps in (0.05, 0.1, 0.2):
             for _ in range(1000):
                 h_sq, alpha = _random_instance(rng)
-                cons = ps.conservative_sinr(h_sq, alpha,
-                                            ps.robust_gains(eps, 0.5, 0.2),
-                                            1.0, 1e-9)
-                true = ps.true_sinr(h_sq, alpha, 1.0, 1e-9)
+                cons = noma.conservative_sinr(h_sq, alpha,
+                                              ps.robust_gains(eps, 0.5, 0.2),
+                                              1.0, 1e-9)
+                true = noma.true_sinr(h_sq, alpha, 1.0, 1e-9)
                 assert np.all(cons <= true * (1 + 1e-12))
 
     _report(5, "conservative SINR never exceeds nominal SINR "

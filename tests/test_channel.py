@@ -4,7 +4,7 @@ import pytest
 from pinchsim import SystemConfig, generate_scenario
 from pinchsim.channel import (blockage_factor, compute_channels, effective_channel,
                               min_obstacle_distance, waveguide_attenuation)
-from pinchsim.noma import apply_csi_error
+from pinchsim.kernels import apply_csi_error
 from pinchsim.scenario import Scenario
 
 

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from pinchsim import experiments, kernels, pso
 from pinchsim import (ExperimentSettings, PsoParams, SCHEMES, SystemConfig,
-                      aggregate_mean_db, apply_csi_error, conservative_order,
-                      convergence_trace, draw_theta, generate_scenario, min_sinr,
-                      optimize, robust_gains, run_scheme, score_candidate,
-                      split_theta, swarm_fitness, sweep_epsilon, sweep_users,
-                      true_sinr, uniform_layout)
+                      aggregate_mean_db, apply_csi_error, convergence_trace,
+                      draw_theta, generate_scenario, optimize, robust_gains,
+                      run_scheme, score_candidate, split_theta, swarm_fitness,
+                      sweep_epsilon, sweep_users, uniform_layout)
 from pinchsim.channel import compute_channels, effective_channel
+from pinchsim.noma import conservative_order, min_sinr, true_sinr
 from pinchsim.experiments import (records_to_csv_text, realization_seeds,
                                   score_candidates, write_text_atomic)
 from pinchsim.scenario import stream

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import (SystemConfig, conservative_order, conservative_sinr,
-                      generate_scenario, robust_gains)
+from pinchsim import SystemConfig, generate_scenario, robust_gains
+from pinchsim.noma import conservative_order, conservative_sinr
 from pinchsim.channel import compute_channels, effective_channel
 from pinchsim.kernels import Plan, effective_channels, row_gains, swarm_fitness
 from pinchsim.pso import draw_theta, split_theta

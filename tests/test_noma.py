@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pinchsim import (apply_csi_error, conservative_order, conservative_sinr,
-                      min_sinr, order_violations, robust_gains, sic_decode_sinr,
-                      true_sinr)
+from pinchsim import apply_csi_error, robust_gains
+from pinchsim.noma import (conservative_order, conservative_sinr, min_sinr,
+                           order_violations, sic_decode_sinr, true_sinr)
 
 
 def conservative_sinr_oracle(h_sq, alpha, tx_power, noise, eps, eta_i, eta_r):
@@ -228,3 +228,15 @@ def test_apply_csi_error_draws_as_per_user_scalar_pairs(k):
         want = h + pairs[:, 0] * 0.3 * np.abs(h) * np.exp(1j * pairs[:, 1])
         assert np.array_equal(apply_csi_error(h, 0.3, block), want)  # bitwise
         assert block.random() == scalar.random()
+        # a (K, rows) block with per-row bounds: one draw per user, shared by
+        # the rows, so each row is the 1-D call on a fresh stream of the seed
+        case = np.random.default_rng(seed + 1000)
+        rows = int(case.integers(1, 7))
+        hs = case.normal(size=(k, rows, 2)) @ [1.0, 1j]
+        bounds = case.choice([0.0, 0.05, 0.1, 0.3, 0.95], rows)
+        want = np.stack([apply_csi_error(hs[:, i], e, np.random.default_rng(seed))
+                         for i, e in enumerate(bounds)], axis=1)
+        block, one = np.random.default_rng(seed), np.random.default_rng(seed)
+        apply_csi_error(hs[:, 0], bounds[0], one)
+        assert np.array_equal(apply_csi_error(hs, bounds, block), want)  # bitwise
+        assert block.random() == one.random()

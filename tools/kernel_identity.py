@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Bitwise identity of the fitness kernel of the working tree against a revision.
+"""Bitwise identity of the fitness kernel and final scoring of the working tree
+against a revision.
 
 Usage: python3 tools/kernel_identity.py <rev>
 
@@ -7,23 +8,24 @@ Exports <rev> with `git archive` into a temporary directory, then runs this
 script once per tree in a separate process, each importing that tree's
 ``pinchsim``.  Each process builds the same fixed case matrix with its own
 package (scenarios, particles and row gains from fixed seeds) and saves the
-bytes of every ``effective_channels`` and ``swarm_fitness`` output.  The
-matrix covers twelve (K, N, O) shapes, obstacle-free ones included, 1-4
+bytes of every ``effective_channels`` and ``swarm_fitness`` output, and of
+``experiments.score_candidates`` in both score modes on every
+single-realization case, its rows at mixed error bounds.  The matrix covers twelve (K, N, O) shapes, obstacle-free ones included, 1-4
 stacked blocks of 7 rows and one row alone, ``gains=None`` and mixed
 per-row evaluation points, rows with antennas at both ends of the guide,
 and two configs whose results are not finite (a guide of 1e308 m, whose
 phases overflow, and a transmit power of 1e-320 W, whose SINRs
 underflow).  A case is one (scenario, config, gains) with several draws of
 particles.  Every draw is evaluated twice: with ``plan=None``, and with
-one ``Plan`` of its case reused over all of the case's draws.  The plan is
-built from the signature of the tree's ``Plan``, which took the row gains
-before it took only the row count.  Exits 0 when every input and output
-is byte-identical and 1 on any difference; `tools/byte_identity.sh` cannot
-see last-bit changes, as the CSVs keep 9 significant digits.
+one ``Plan`` of its case reused over all of the case's draws.  Revisions
+from 11abb08 on are supported: there ``Plan`` takes (scenario, config,
+rows) and ``score_candidates`` scores one realization.  Exits 0 when every
+input and output is byte-identical and 1 on any difference;
+`tools/byte_identity.sh` cannot see last-bit changes, as the CSVs keep 9
+significant digits.
 """
 
 import dataclasses
-import inspect
 import pathlib
 import subprocess
 import sys
@@ -39,11 +41,14 @@ SHAPES = [(3, 5, 3), (8, 9, 4), (2, 16, 8), (1, 1, 0), (9, 9, 0), (5, 12, 0),
 ROWS_PER_BLOCK = 7
 DRAWS = 3
 OVERFLOWS = [{"waveguide_len": 1e308}, {"tx_power": 1e-320}]
+SCORE_SEED = 20260810  # the realization seed of every true_sampled error draw
 
 
 def cases():
-    """Yield (name, scenario, config, gains, draws) in a fixed order: each
-    case's draws are DRAWS (xs, alphas) batches on its scenario and gains."""
+    """Yield (name, scenario, config, gains, draws, bounds) in a fixed order:
+    each case's draws are DRAWS (xs, alphas) batches on its scenario and
+    gains, and bounds the rows' error bounds of a single-realization case,
+    None for stacked ones."""
     from pinchsim import SystemConfig, generate_scenario, robust_gains
     from pinchsim.kernels import row_gains
     from pinchsim.pso import draw_theta
@@ -71,8 +76,10 @@ def cases():
             eta_r = rng.choice([0.0, 0.2, 0.5], rows)
             mixed = row_gains([robust_gains(float(e), config.eta_i, float(r))
                                for e, r in zip(eps, eta_r)], 1)
+            bounds = eps.tolist() if blocks == 1 else None
             for gains_label, gains in (("nominal", None), ("mixed", mixed)):
-                yield f"{label}/B{blocks}/{gains_label}", scenario, config, gains, draws
+                yield (f"{label}/B{blocks}/{gains_label}", scenario, config, gains, draws,
+                       bounds)
         # one row alone: every plane the kernel sums holds one element per user
         scenario = generate_scenario(config, 5000)
         rng = np.random.default_rng(5000)
@@ -84,23 +91,20 @@ def cases():
             draws.append((theta[None, :n], theta[None, n:]))
         point = row_gains([robust_gains(0.3, config.eta_i, 0.5)], 1)
         for gains_label, gains in (("nominal", None), ("point", point)):
-            yield f"{label}/row1/{gains_label}", scenario, config, gains, draws
+            yield f"{label}/row1/{gains_label}", scenario, config, gains, draws, [0.3]
 
 
 @np.errstate(all="ignore")  # the overflow configs overflow
 def dump(out_path):
     """Evaluate every case with the importable pinchsim; save inputs and outputs."""
-    from pinchsim import kernels
+    from pinchsim import experiments, kernels
 
-    plan_takes_gains = "gains" in inspect.signature(kernels.Plan).parameters
     arrays = {}
-    for name, scenario, config, gains, draws in cases():
+    for name, scenario, config, gains, draws, bounds in cases():
         arrays[f"{name}/users"] = scenario.users
         arrays[f"{name}/obstacles"] = scenario.obstacle_centers
         arrays[f"{name}/radii"] = scenario.obstacle_radii
-        rows = len(draws[0][0])
-        plan = (kernels.Plan(scenario, config, gains, rows) if plan_takes_gains
-                else kernels.Plan(scenario, config, rows))
+        plan = kernels.Plan(scenario, config, len(draws[0][0]))
         calls = {"fresh": {}, "reused": {"plan": plan}}
         for d, (xs, alphas) in enumerate(draws):
             key = f"{name}/draw{d}"
@@ -113,6 +117,9 @@ def dump(out_path):
                 for out, value in (("h", h), ("fitness", f), ("min_sinr", gamma),
                                    ("violation", v)):
                     arrays[f"{key}/{mode}/{out}"] = value
+            for mode in ("conservative", "true_sampled") if bounds else ():
+                arrays[f"{key}/score/{mode}"] = np.array(experiments.score_candidates(
+                    xs, alphas, scenario, config, bounds, SCORE_SEED, mode))
     np.savez(out_path, **arrays)
 
 
@@ -146,13 +153,15 @@ def main(argv):
                        or old[key].shape != new[key].shape
                        or old[key].tobytes() != new[key].tobytes()]
             outputs = sum(key.count("/fresh/") + key.count("/reused/") for key in new.files)
+            scores = sum("/score/" in key for key in new.files)
             draw_count = len({key.rsplit("/", 2)[0] for key in new.files if "/fresh/" in key})
     if differ:
         print(f"kernel outputs differ from {rev} in {len(differ)} arrays:", file=sys.stderr)
         for key in differ[:20]:
             print(f"  {key}", file=sys.stderr)
         return 1
-    print(f"identical: {outputs} output arrays of {draw_count} draws against {rev}")
+    print(f"identical: {outputs} output arrays of {draw_count} draws and {scores} "
+          f"score_candidates outputs against {rev}")
     return 0
 
 
