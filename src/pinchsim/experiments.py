@@ -246,8 +246,9 @@ def _unit_results(run_unit, units, workers):
     ``units``, in order.
 
     With more than one worker and unit, a pool of up to ``workers`` forked
-    processes, and no more than the CPUs this process may run on, runs the
-    units, submitted in descending order of work.  Otherwise each unit runs
+    processes, and no more than the CPUs this process may run on (its
+    affinity set, or ``os.cpu_count()`` where the platform reports none),
+    runs the units, submitted in descending order of work.  Otherwise each unit runs
     here as the iterator reaches it.  The workers are forked, not spawned: a
     spawned one would import numpy and the package again (0.2 s), and the
     pool forks all of them before it starts its own thread.  Leaving the block cancels the units
@@ -256,7 +257,10 @@ def _unit_results(run_unit, units, workers):
     """
     workers = min(workers, len(units))
     if workers > 1:
-        workers = min(workers, len(os.sched_getaffinity(0)))
+        if hasattr(os, "sched_getaffinity"):
+            workers = min(workers, len(os.sched_getaffinity(0)))
+        else:  # macOS and Windows
+            workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield (run_unit(*args) for args, _ in units)
         return

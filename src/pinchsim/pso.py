@@ -15,7 +15,8 @@ RNG stream of the seed, apart from the scenario's and the schemes' streams
 all of its cognitive/social multipliers from that stream as one (T, 2)
 block, which consumes the stream exactly as two scalar draws per iteration
 would, so a run is reproducible regardless of evaluation schedule.  The
-block is scaled by the cognitive and social weights once, in place.
+blocks are stored as (T, 2, R, P), the realization and particle axes last,
+and scaled by the cognitive and social weights once, in place.
 
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
@@ -34,13 +35,19 @@ The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
 one contiguous row over all S * P particles, as in the fitness kernel.  The
 velocity update runs in preallocated buffers, in the operation order of the
-textbook update, so its bits do not depend on the layout.  The projection
-keeps its (rows, D) contract and works on a (D, rows) copy.  A seed's
+textbook update, so its bits do not depend on the layout.  Its multipliers
+at iteration t are the basic slice [t, c, r0:r1] of the (T, 2, R, P)
+block, broadcast over each realization's swarms, which are adjacent.  The
+projection keeps its (rows, D) contract and works on a (D, rows) copy, one
+whole row of candidates per numpy call: the spacing passes write through
+one scratch row, and the simplex step sorts only the over-budget columns,
+then picks each one's threshold with one masked copy per user.  A seed's
 initial particles are drawn from their own streams and projected in one
 call; the projection works candidate by candidate, so the batch does not
 change their bits.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,19 +95,24 @@ def project_positions(x, waveguide_len, min_spacing):
 
 def _project_positions(xs, waveguide_len, min_spacing):
     """Project each column of the (N, rows) coordinates in place: clip ->
-    sort -> forward/backward spacing passes, each pass over a whole row."""
+    sort -> forward/backward spacing passes, each pass over a whole row
+    into one scratch row."""
     n = xs.shape[0]
     if (n - 1) * min_spacing > waveguide_len:
         raise ConfigError(
             f"antenna spacing infeasible: ({n} - 1) * min_spacing = "
             f"{(n - 1) * min_spacing} exceeds waveguide_len = {waveguide_len}")
-    np.clip(xs, 0.0, waveguide_len, out=xs)
+    # np.clip(xs, 0, L) in two ufunc calls, with its bits: the bound comes
+    # first, so that -0.0 stays -0.0 as np.clip keeps it
+    np.maximum(0.0, xs, out=xs)
+    np.minimum(waveguide_len, xs, out=xs)
     xs.sort(axis=0)
-    for i in range(1, n):
-        np.maximum(xs[i], xs[i - 1] + min_spacing, out=xs[i])
-    np.minimum(xs[n - 1], waveguide_len, out=xs[n - 1])
-    for i in range(n - 2, -1, -1):
-        np.minimum(xs[i], xs[i + 1] - min_spacing, out=xs[i])
+    rows, step = list(xs), np.empty(xs.shape[1])
+    for prev, row in zip(rows, rows[1:]):
+        np.maximum(row, np.add(prev, min_spacing, out=step), out=row)
+    np.minimum(rows[-1], waveguide_len, out=rows[-1])
+    for row, after in zip(rows[-2::-1], rows[:0:-1]):
+        np.minimum(row, np.subtract(after, min_spacing, out=step), out=row)
 
 
 def project_simplex(a):
@@ -115,22 +127,36 @@ def _project_simplex(a):
     onto the nonnegative sub-unit simplex, in place.
 
     Columns whose clipped sum is within budget keep their slack; columns over
-    budget land on the sum-one face via the sorted-threshold projection.
+    budget land on the sum-one face via the sorted-threshold projection
+    (Duchi et al., ICML 2008): with u the column sorted in descending order
+    and t_j = (u_0 + ... + u_j - 1) / (j + 1), its threshold is t_rho for
+    the largest rho with u_rho > t_rho, or for rho = K - 1 when none passes.
     """
     np.maximum(a, 0.0, out=a)
-    # numpy sums a contiguous axis pairwise but reduces axis 0 one term after
-    # another; from 8 terms on the two differ in the last bit, which flips the
-    # test for sums next to 1.  So the test sums each candidate contiguously.
-    over = np.ascontiguousarray(a.T).sum(axis=1) > 1.0
-    if np.any(over):
-        cols = a[:, over]
-        k = cols.shape[0]
-        u = -np.sort(-cols, axis=0)
-        cs = np.cumsum(u, axis=0)
-        cond = u - (cs - 1.0) / np.arange(1, k + 1)[:, None] > 0.0
-        rho = k - 1 - np.argmax(cond[::-1], axis=0)  # largest index passing
-        tau = (cs[rho, np.arange(cols.shape[1])] - 1.0) / (rho + 1.0)
-        a[:, over] = np.maximum(cols - tau, 0.0)
+    k = len(a)
+    # The budget test sums each candidate as numpy sums it contiguously:
+    # fewer than 8 terms one after another, which is also how it reduces a
+    # leading axis, and 8 or more pairwise, which takes a contiguous
+    # (rows, K) copy.  The two orders differ in the last bit, which flips
+    # the test for sums next to 1.
+    if k < 8:
+        total = np.add.reduce(a, axis=0)
+    else:
+        total = np.ascontiguousarray(a.T).sum(axis=1)
+    over = np.flatnonzero(total > 1.0)
+    if not len(over):
+        return
+    cols = a.take(over, axis=1)
+    u = np.sort(cols, axis=0)[::-1]
+    t = np.cumsum(u, axis=0)
+    t -= 1.0
+    t /= np.arange(1.0, k + 1.0)[:, None]
+    passing = np.greater(u, t)
+    tau = t[-1].copy()
+    for t_j, passing_j in zip(t, passing):     # the largest passing j wins
+        np.copyto(tau, t_j, where=passing_j)
+    cols -= tau
+    a[:, over] = np.maximum(cols, 0.0, out=cols)
 
 
 def project_theta_batch(thetas, config: SystemConfig):
@@ -216,14 +242,14 @@ def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     with one projection call and one kernel call per iteration.
     """
     points = list(dict.fromkeys(points))
-    theta0, draws = (np.stack(arrays) for arrays in zip(
-        *[_particles(config, params, seed) for seed in seeds]))
+    theta0, pulls = zip(*[_particles(config, params, seed) for seed in seeds])
+    theta0, pulls = np.stack(theta0), np.stack(pulls, axis=2)  # (R, D, P), (T, 2, R, P)
     swarms = [(scenario, r, point) for r, scenario in enumerate(scenarios)
               for point in points]
     per_call = swarms_per_call(config, params)
     found = []
     for i in range(0, len(swarms), per_call):
-        found += _lockstep(config, params, swarms[i:i + per_call], theta0, draws)
+        found += _lockstep(config, params, swarms[i:i + per_call], theta0, pulls)
     return [dict(zip(points, found[i:i + len(points)]))
             for i in range(0, len(found), len(points))]
 
@@ -239,19 +265,39 @@ def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
 
 def _particles(config, params, seed):
     """The initial (D, P) particles of a seed, projected in one call, and
-    their (T, P, 2) multipliers: iteration t's cognitive/social draws, in
-    stream order, scaled in place by ``cognitive`` and ``social``."""
+    their (T, 2, P) multipliers: iteration t's cognitive and social draws,
+    in stream order, scaled in place by ``cognitive`` and ``social``."""
     rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
     raw = np.stack([_raw_theta(config, rng) for rng in rngs])
     theta = project_theta_batch(raw, config).T
-    pulls = np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=1)
-    pulls *= (params.cognitive, params.social)
+    pulls = np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=2)
+    pulls *= np.array([params.cognitive, params.social])[:, None]
     return theta, pulls
 
 
-def _lockstep(config, params, swarms, theta0, draws):
+def _realization_blocks(which, state):
+    """The (D, S, P) ``state`` split into (D, R', Q, P) views, each with the
+    slice of the R' realizations whose swarms it holds, Q to a realization.
+
+    ``which`` gives each swarm's realization, consecutive realizations in
+    order, so that a realization's swarms are adjacent.  A call of
+    ``search`` has at most three such blocks (the realizations cut by its
+    first and last swarm, and those between), and a work unit's call one,
+    so each block takes its realizations' multipliers with a basic index."""
+    counts = [(r, len(list(run))) for r, run in itertools.groupby(which)]
+    blocks, start = [], 0
+    for q, run in itertools.groupby(counts, key=lambda count: count[1]):
+        rs = [r for r, _ in run]
+        stop = start + q * len(rs)
+        blocks.append((state[:, start:stop].reshape(len(state), len(rs), q, -1),
+                       slice(rs[0], rs[-1] + 1)))
+        start = stop
+    return blocks
+
+
+def _lockstep(config, params, swarms, theta0, pulls):
     """Run each (scenario, r, point) swarm of ``swarms`` from the particles
-    theta0[r] and multipliers draws[r] of its realization r.
+    theta0[r] and multipliers pulls[:, :, r] of its realization r.
 
     The state is held batch-last, as (D, S, P) arrays, whose (D, S * P)
     views are the kernel's and the projection's layout."""
@@ -264,38 +310,48 @@ def _lockstep(config, params, swarms, theta0, draws):
     plan = kernels.Plan(scenario, config, s * p)  # and so is everything else but the particles
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])[:, None, None]
+    low = -bound
 
     velocity = np.zeros_like(theta)
     pull = np.empty_like(theta)
+    blocks = _realization_blocks(which, pull)
     best_theta = theta.copy()
-    best_fitness = np.full((s, p), -np.inf)
-    trace = np.empty((s, params.max_iters + 1))
+    improved = np.empty((s, p), dtype=bool)
+    trace = np.empty((params.max_iters + 1, s))
     gbest_thetas = np.empty((s, params.max_iters + 1, d))
-    ids = np.arange(s)
+    offsets = np.arange(0, s * p, p)           # swarm i's particles start at i * P
     for t in range(params.max_iters + 1):
         if t > 0:
             # inertia * v + cognitive r1 (pbest - theta) + social r2 (gbest - theta)
             velocity *= params.inertia
             np.subtract(best_theta, theta, out=pull)
-            pull *= draws[which, t - 1, :, 0]      # (S, P)
+            for block, rs in blocks:
+                block *= pulls[t - 1, 0, rs, None]
             velocity += pull
-            np.subtract(gbest_thetas[:, t - 1].T[:, :, None], theta, out=pull)
-            pull *= draws[which, t - 1, :, 1]
+            np.subtract(gbest[:, :, None], theta, out=pull)
+            for block, rs in blocks:
+                block *= pulls[t - 1, 1, rs, None]
             velocity += pull
-            np.clip(velocity, -bound, bound, out=velocity)
+            # np.clip(velocity, -bound, bound) in two ufunc calls: bound > 0
+            np.maximum(low, velocity, out=velocity)
+            np.minimum(bound, velocity, out=velocity)
             theta += velocity
             theta = project_theta_batch(theta.reshape(d, -1).T, config).T.reshape(d, s, p)
         flat = theta.reshape(d, -1)
         fitness, _, _ = kernels.swarm_fitness(flat[:n].T, flat[n:].T, scenario, config,
                                               gains=gains, plan=plan)
         fitness = fitness.reshape(s, p)
-        # a particle's first evaluation is its personal best; later ones must beat it
-        improved = (fitness > best_fitness) | (t == 0)
-        np.copyto(best_theta, theta, where=improved)
-        np.copyto(best_fitness, fitness, where=improved)
-        gi = np.argmax(best_fitness, axis=1)
-        trace[:, t] = best_fitness[ids, gi]
-        gbest_thetas[:, t] = best_theta[:, ids, gi].T
+        if t > 0:  # a particle's first evaluation is its personal best
+            np.greater(fitness, best_fitness, out=improved)
+            np.copyto(best_theta, theta, where=improved)
+            np.copyto(best_fitness, fitness, where=improved)
+        else:
+            best_fitness = fitness
+        best = np.argmax(best_fitness, axis=1)
+        best += offsets
+        best_fitness.take(best, out=trace[t])
+        gbest = best_theta.reshape(d, -1).take(best, axis=1)    # (D, S)
+        gbest_thetas[:, t] = gbest.T
 
     return [PsoResult(best_theta=gt[-1].copy(),
                       best_x=gt[-1, :n].copy(),
@@ -303,4 +359,4 @@ def _lockstep(config, params, swarms, theta0, draws):
                       best_fitness=float(tr[-1]),
                       trace=tr,
                       gbest_thetas=gt)
-            for tr, gt in zip(trace, gbest_thetas)]
+            for tr, gt in zip(trace.T.copy(), gbest_thetas)]

@@ -248,6 +248,24 @@ def test_workers_are_capped_by_the_cpus(tmp_path, monkeypatch, capsys, units):
     assert set(units()) == {os.getpid()}
 
 
+def test_workers_are_capped_by_the_cpu_count_without_an_affinity_call(
+        tmp_path, monkeypatch, capsys, units):
+    # macOS and Windows have no os.sched_getaffinity
+    cfg = write_config(tmp_path, SPLIT_SECTIONS)
+    argv = ["sweep-eps", "--config", cfg]
+    serial = _run_in_own_dir(tmp_path, monkeypatch, capsys, argv, 1)
+    units()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parallel = _run_in_own_dir(tmp_path, monkeypatch, capsys, argv, 3)
+    pids = units()
+    assert os.getpid() not in pids and len(set(pids)) <= 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    alone = _run_in_own_dir(tmp_path, monkeypatch, capsys, argv, 2)
+    assert set(units()) == {os.getpid()}
+    assert serial[0] == 0 and serial == parallel == alone
+
+
 def test_refusal_in_a_later_unit_does_not_depend_on_workers(tmp_path, monkeypatch, capsys,
                                                             units):
     # only the last group, K = 1, has no interference and overflows

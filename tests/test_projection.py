@@ -180,11 +180,15 @@ def theta_batches(draw):
 
     Positions have tied coordinates, on a guide that may be exactly
     (N - 1) * min_spacing long.  Each power block is raw (mostly over
-    budget), under budget, or scaled to sum within a few ulps of 1, where
-    the order of the budget test's sum decides the projection from K = 8 on.
+    budget), under budget, scaled to sum within a few ulps of 1, where the
+    order of the budget test's sum decides the projection from K = 8 on,
+    led by exactly tied largest entries, or made of exact zeros, -0.0 and
+    a few larger entries; one user is drawn as often as 2 to 12.  A sort
+    or a threshold that ordered equal values unlike ``np.sort`` would show
+    on the ties and signed zeros.
     """
     n = draw(st.integers(1, 10))
-    k = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([1, *range(1, 13)]))  # one user twice as often
     rows = draw(st.integers(1, 6))
     spacing = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     if n > 1 and spacing > 0 and draw(st.booleans()):
@@ -198,15 +202,23 @@ def theta_batches(draw):
     tied = rng.random((rows, n)) < 0.4
     x[tied] = rng.choice([0.0, spacing, length / 2, length, length + spacing], tied.sum())
     a = np.empty((rows, k))
-    for i, kind in enumerate(draw(st.lists(st.sampled_from(["raw", "under", "near_one"]),
+    kinds = ["raw", "under", "near_one", "near_one", "tied_top", "zeros"]
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds),
                                            min_size=rows, max_size=rows))):
         if kind == "raw":
             a[i] = rng.uniform(-1.0, 2.0, k)
         elif kind == "under":
             a[i] = rng.uniform(0.0, 1.0 / k, k)
-        else:
+        elif kind == "near_one":
             e = rng.random(k) * (rng.random(k) < 0.8) + 1e-3
             a[i] = e / e.sum() * (1.0 + int(rng.integers(-4, 5)) * 2.0 ** -52)
+        elif kind == "tied_top":
+            a[i] = rng.uniform(-0.5, 0.5, k)
+            top = rng.random(k) < 0.5
+            top[rng.integers(k)] = True
+            a[i, top] = rng.choice([0.25, 0.5, 0.75, 1.5])
+        else:
+            a[i] = rng.choice([0.0, -0.0, 0.0, -0.0, 0.3, 0.7, 1.5], k)
     return config, np.hstack([x, a])
 
 
@@ -227,3 +239,15 @@ def test_projection_equals_row_major_oracle_bitwise(case):
         assert bits(project_positions(raw[i, :n], config.waveguide_len,
                                       config.min_spacing)) == bits(want[i, :n])
         assert bits(project_simplex(raw[i, n:])) == bits(want[i, n:])
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_budget_test_sums_each_candidate_contiguously(k):
+    # power blocks that sum to within two ulps of 1, where summing term by
+    # term and pairwise (numpy's order from 8 terms on) tell apart
+    rng = np.random.default_rng(k)
+    e = rng.random((2000, k)) + 1e-3
+    a = e / e.sum(axis=1, keepdims=True) * (1.0 + rng.integers(-2, 3, (2000, 1)) * 2.0 ** -52)
+    raw = np.hstack([np.zeros((2000, 1)), a])
+    got = project_theta_batch(raw, SystemConfig(num_users=k, num_pas=1))[:, 1:]
+    assert bits(got) == bits(project_simplex_rows(a))

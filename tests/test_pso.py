@@ -248,13 +248,13 @@ def test_kernel_calls_keep_the_harness_contract(monkeypatch):
 def test_particles_return_scaled_multipliers():
     params = PsoParams(num_particles=4, max_iters=6, cognitive=1.3, social=0.7)
     _, pulls = pso._particles(CFG, params, 11)
-    assert pulls.shape == (params.max_iters, params.num_particles, 2)
+    assert pulls.shape == (params.max_iters, 2, params.num_particles)
     for i in range(params.num_particles):
         rng = stream(11, "particles", i)
         pso._raw_theta(CFG, rng)
         draws = rng.random((params.max_iters, 2))
-        assert (params.cognitive * draws[:, 0]).tobytes() == pulls[:, i, 0].tobytes()
-        assert (params.social * draws[:, 1]).tobytes() == pulls[:, i, 1].tobytes()
+        assert (params.cognitive * draws[:, 0]).tobytes() == pulls[:, 0, i].tobytes()
+        assert (params.social * draws[:, 1]).tobytes() == pulls[:, 1, i].tobytes()
 
 
 def test_search_point_of_each_mode():

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Bitwise identity of the fitness kernel and final scoring of the working tree
-against a revision.
+"""Bitwise identity of the fitness kernel, the feasibility projection, the
+swarm search and final scoring of the working tree against a revision.
 
 Usage: python3 tools/kernel_identity.py <rev>
 
@@ -17,12 +17,23 @@ and two configs whose results are not finite (a guide of 1e308 m, whose
 phases overflow, and a transmit power of 1e-320 W, whose SINRs
 underflow).  A case is one (scenario, config, gains) with several draws of
 particles.  Every draw is evaluated twice: with ``plan=None``, and with
-one ``Plan`` of its case reused over all of the case's draws.  Revisions
-from 11abb08 on are supported: there ``Plan`` takes (scenario, config,
-rows) and ``score_candidates`` scores one realization.  Exits 0 when every
-input and output is byte-identical and 1 on any difference;
-`tools/byte_identity.sh` cannot see last-bit changes, as the CSVs keep 9
-significant digits.
+one ``Plan`` of its case reused over all of the case's draws.
+
+It also saves the bytes of ``pso.project_theta_batch`` on fixed raw
+batches at K = 1, 2, 3, 5 and 9 users (positions with ties, zeros, -0.0
+and both guide ends; power columns over budget, under it, summing to
+within a few ulps of 1, with tied largest entries, and with exact zeros
+and -0.0), and the ``trace``, ``gbest_thetas`` and ``best_fitness`` of
+every swarm of ``pso.search`` at three small shapes: one lockstep call of
+2 realizations at 3 points, one swarm of one particle on a one-user,
+one-antenna guide, and 3 realizations at 3 points in lockstep calls of 4,
+4 and 1 swarms, which cut realizations apart.
+
+Revisions from a9eed02 on are supported: there ``Plan`` takes (scenario,
+config, rows), ``score_candidates`` scores one realization and
+``pso.search`` exists.  Exits 0 when every input and output is
+byte-identical and 1 on any difference; `tools/byte_identity.sh` cannot
+see last-bit changes, as the CSVs keep 9 significant digits.
 """
 
 import dataclasses
@@ -42,6 +53,11 @@ ROWS_PER_BLOCK = 7
 DRAWS = 3
 OVERFLOWS = [{"waveguide_len": 1e308}, {"tx_power": 1e-320}]
 SCORE_SEED = 20260810  # the realization seed of every true_sampled error draw
+PROJECTION_USERS = (1, 2, 3, 5, 9)
+# (K, N, O, particles, iterations, realizations, error bounds, lockstep budget)
+SEARCHES = [(3, 5, 3, 8, 12, 2, (0.1, 0.0, 0.2), None),
+            (1, 1, 0, 1, 10, 1, (0.1,), None),
+            (5, 9, 2, 6, 8, 3, (0.0, 0.05, 0.3), 4 * 6 * 5 * 9 * 2)]
 
 
 def cases():
@@ -94,10 +110,55 @@ def cases():
             yield f"{label}/row1/{gains_label}", scenario, config, gains, draws, [0.3]
 
 
+def projection_batches():
+    """Yield (name, config, raw (rows, N + K) batch) for each K of
+    ``PROJECTION_USERS``, on a guide exactly (N - 1) * min_spacing long
+    and on a longer one."""
+    from pinchsim import SystemConfig
+
+    n = 4
+    for k in PROJECTION_USERS:
+        for length in (1.5, 10.0):
+            config = SystemConfig(num_users=k, num_pas=n, waveguide_len=length,
+                                  min_spacing=0.5)
+            rng = np.random.default_rng(100 * k + int(length))
+            rows = 48
+            x = rng.uniform(-length, 2 * length, (rows, n))
+            tied = rng.random((rows, n)) < 0.4
+            x[tied] = rng.choice([0.0, -0.0, 0.5, length / 2, length, length + 0.5],
+                                 tied.sum())
+            a = rng.uniform(-1.0, 2.0, (rows, k))     # mostly over budget
+            a[5:10] = rng.uniform(0.0, 1.0 / k, (5, k))
+            for i in range(10, 30):                   # within a few ulps of 1
+                e = rng.random(k) + 1e-3
+                a[i] = e / e.sum() * (1.0 + int(rng.integers(-2, 3)) * 2.0 ** -52)
+            a[30:35] = rng.choice([0.25, 0.5, 0.75], (5, 1))   # tied largest entries
+            a[30:35, k // 2:] = rng.uniform(-0.5, 0.5, (5, k - k // 2))
+            a[35:40] = rng.choice([0.0, -0.0, 0.6, 1.5], (5, k))  # zeros and -0.0
+            a[40] = -0.0
+            a[41] = 0.0
+            # entries so large that u_j - 1 rounds to u_j: no j passes the threshold
+            a[42:44] = rng.uniform(1e16, 1e18, (2, k))
+            yield f"K{k}/L{length}", config, np.hstack([x, a])
+
+
+def searches():
+    """Yield (name, scenarios, seeds, points, config, params, budget) for
+    each shape of ``SEARCHES``."""
+    from pinchsim import PsoParams, SystemConfig, generate_scenario, robust_gains
+
+    for k, n, o, particles, iters, realizations, bounds, budget in SEARCHES:
+        config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o)
+        seeds = [700 + r for r in range(realizations)]
+        yield (f"K{k}N{n}O{o}", [generate_scenario(config, seed) for seed in seeds], seeds,
+               [robust_gains(eps, config.eta_i, config.eta_r) for eps in bounds],
+               config, PsoParams(num_particles=particles, max_iters=iters), budget)
+
+
 @np.errstate(all="ignore")  # the overflow configs overflow
 def dump(out_path):
     """Evaluate every case with the importable pinchsim; save inputs and outputs."""
-    from pinchsim import experiments, kernels
+    from pinchsim import experiments, kernels, pso
 
     arrays = {}
     for name, scenario, config, gains, draws, bounds in cases():
@@ -120,6 +181,20 @@ def dump(out_path):
             for mode in ("conservative", "true_sampled") if bounds else ():
                 arrays[f"{key}/score/{mode}"] = np.array(experiments.score_candidates(
                     xs, alphas, scenario, config, bounds, SCORE_SEED, mode))
+    for name, config, raw in projection_batches():
+        arrays[f"projection/{name}/raw"] = raw
+        arrays[f"projection/{name}/projected"] = pso.project_theta_batch(raw, config)
+    default_budget = pso.LOCKSTEP_BUDGET
+    for name, scenarios, seeds, points, config, params, budget in searches():
+        pso.LOCKSTEP_BUDGET = budget or default_budget
+        found = pso.search(scenarios, seeds, points, config, params)
+        for r, results in enumerate(found):
+            for i, point in enumerate(points):
+                key = f"search/{name}/r{r}/point{i}"
+                arrays[f"{key}/trace"] = results[point].trace
+                arrays[f"{key}/gbest_thetas"] = results[point].gbest_thetas
+                arrays[f"{key}/best_fitness"] = np.array(results[point].best_fitness)
+    pso.LOCKSTEP_BUDGET = default_budget
     np.savez(out_path, **arrays)
 
 
@@ -155,13 +230,16 @@ def main(argv):
             outputs = sum(key.count("/fresh/") + key.count("/reused/") for key in new.files)
             scores = sum("/score/" in key for key in new.files)
             draw_count = len({key.rsplit("/", 2)[0] for key in new.files if "/fresh/" in key})
+            projections = sum(key.endswith("/projected") for key in new.files)
+            swarms = sum(key.endswith("/gbest_thetas") for key in new.files)
     if differ:
-        print(f"kernel outputs differ from {rev} in {len(differ)} arrays:", file=sys.stderr)
+        print(f"outputs differ from {rev} in {len(differ)} arrays:", file=sys.stderr)
         for key in differ[:20]:
             print(f"  {key}", file=sys.stderr)
         return 1
-    print(f"identical: {outputs} output arrays of {draw_count} draws and {scores} "
-          f"score_candidates outputs against {rev}")
+    print(f"identical: {outputs} output arrays of {draw_count} draws, {scores} "
+          f"score_candidates outputs, {projections} projected batches and {swarms} "
+          f"searched swarms against {rev}")
     return 0
 
 
