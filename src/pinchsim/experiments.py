@@ -248,8 +248,8 @@ def _unit_results(run_unit, units, workers):
     With more than one worker and unit, a pool of up to ``workers`` forked
     processes, and no more than the CPUs this process may run on (its
     affinity set, or ``os.cpu_count()`` where the platform reports none),
-    runs the units, submitted in descending order of work.  Otherwise each unit runs
-    here as the iterator reaches it.  The workers are forked, not spawned: a
+    runs the units, submitted in descending order of work.  Otherwise each
+    unit runs here as the iterator reaches it.  The workers are forked, not spawned: a
     spawned one would import numpy and the package again (0.2 s), and the
     pool forks all of them before it starts its own thread.  Leaving the block cancels the units
     not yet started and waits for the running ones, so no worker outlives

@@ -35,8 +35,8 @@ The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
 one contiguous row over all S * P particles, as in the fitness kernel.  The
 velocity update runs in preallocated buffers, in the operation order of the
-textbook update, so its bits do not depend on the layout.  Its multipliers
-at iteration t are the basic slice [t, c, r0:r1] of the (T, 2, R, P)
+textbook update, so its bits do not depend on the layout.  Step t takes
+its multipliers as the basic slice [t - 1, c, r0:r1] of the (T, 2, R, P)
 block, broadcast over each realization's swarms, which are adjacent.  The
 projection keeps its (rows, D) contract and works on a (D, rows) copy, one
 whole row of candidates per numpy call: the spacing passes write through
@@ -153,7 +153,7 @@ def _project_simplex(a):
     t /= np.arange(1.0, k + 1.0)[:, None]
     passing = np.greater(u, t)
     tau = t[-1].copy()
-    for t_j, passing_j in zip(t, passing):     # the largest passing j wins
+    for t_j, passing_j in zip(t, passing):  # the largest passing j wins
         np.copyto(tau, t_j, where=passing_j)
     cols -= tau
     a[:, over] = np.maximum(cols, 0.0, out=cols)

@@ -178,14 +178,14 @@ def bits(a):
 def theta_batches(draw):
     """Raw candidate rows for the bitwise oracle check.
 
-    Positions have tied coordinates, on a guide that may be exactly
-    (N - 1) * min_spacing long.  Each power block is raw (mostly over
-    budget), under budget, scaled to sum within a few ulps of 1, where the
-    order of the budget test's sum decides the projection from K = 8 on,
-    led by exactly tied largest entries, or made of exact zeros, -0.0 and
-    a few larger entries; one user is drawn as often as 2 to 12.  A sort
-    or a threshold that ordered equal values unlike ``np.sort`` would show
-    on the ties and signed zeros.
+    Positions have tied coordinates, -0.0 among them, on a guide that may
+    be exactly (N - 1) * min_spacing long.  Each power block is raw (mostly
+    over budget), under budget, scaled to sum within a few ulps of 1, where
+    the order of the budget test's sum decides the projection from K = 8
+    on, led by exactly tied largest entries, or made of exact zeros, -0.0
+    and a few larger entries.  One user is drawn twice as often as each of
+    2 to 12.  A sort or a threshold that ordered equal values unlike
+    ``np.sort`` would show on the ties and signed zeros.
     """
     n = draw(st.integers(1, 10))
     k = draw(st.sampled_from([1, *range(1, 13)]))  # one user twice as often
@@ -200,7 +200,8 @@ def theta_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.uniform(-2 * length, 3 * length, (rows, n))
     tied = rng.random((rows, n)) < 0.4
-    x[tied] = rng.choice([0.0, spacing, length / 2, length, length + spacing], tied.sum())
+    x[tied] = rng.choice([0.0, -0.0, spacing, length / 2, length, length + spacing],
+                         tied.sum())
     a = np.empty((rows, k))
     kinds = ["raw", "under", "near_one", "near_one", "tied_top", "zeros"]
     for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds),
