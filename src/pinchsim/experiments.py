@@ -22,9 +22,9 @@ master seed.  The CSV schema is one row per (sweep point, realization,
 scheme) with linear and dB min-SINR, and no wall time.
 
 A run's work units are (sweep group, realization chunk) pairs, where a
-group is the configs that share a scenario and a chunk is as many
-realizations as one lockstep call of ``pso.swarms_per_call`` swarms
-searches at the group's distinct points, and at least one, so a unit never
+group is the configs that share a scenario and a chunk is
+``pso.realizations_per_call`` realizations at the group's distinct points,
+the rule by which ``pso.search`` cuts its lockstep calls, so a unit never
 splits a kernel batch.  ``_chunks`` alone cuts the realizations into
 chunks, and a unit draws only its own scenarios.  A unit searches and
 scores its chunk and returns only scores (or, for ``converge``, traces).
@@ -230,11 +230,12 @@ def _searches(configs, seeds, pso_params: PsoParams):
 
 def _chunks(configs, seeds, pso_params: PsoParams):
     """The (seeds, work) of each work unit of ``_searches(configs, seeds)``:
-    consecutive seeds, as many as fill one lockstep call with their swarms
-    at the distinct search points, and at least one, and their estimated
-    kernel work."""
+    consecutive seeds, ``pso.realizations_per_call`` at the distinct search
+    points, so that ``pso.search`` takes a unit's realizations in one
+    lockstep call (or one realization in slices of its points), and their
+    estimated kernel work."""
     config, points = configs[0], len(set(_search_points(configs)))
-    step = max(1, pso.swarms_per_call(config, pso_params) // points)
+    step = pso.realizations_per_call(config, pso_params, points)
     work = points * config.num_users * config.num_pas * max(config.obstacle_count, 1)
     return [(seeds[j:j + step], len(seeds[j:j + step]) * work)
             for j in range(0, len(seeds), step)]

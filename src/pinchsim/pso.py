@@ -21,11 +21,14 @@ and scaled by the cognitive and social weights once, in place.
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``kernels.RobustGains``) start from the same particles and use the same
-multipliers, which are drawn once.  ``search`` steps the swarms of all the
-realizations it is handed in lockstep, ``swarms_per_call`` to a call, with
-one projection call and one kernel call per iteration whose rows are the
-swarms' blocks, each on its own scenario.  How many realizations it is
-handed is its caller's choice: ``experiments`` hands it one work unit.
+multipliers, which are drawn once.  ``search`` steps the swarms of the
+realizations it is handed in lockstep calls, each with one projection call
+and one kernel call per iteration.  One rule cuts the calls: a call holds
+``realizations_per_call`` whole realizations, each at all of its points,
+so kernel block r is realization r, its swarms adjacent; a realization
+with more points than ``swarms_per_call`` takes calls of its own, its
+points in slices of ``swarms_per_call``.  ``experiments`` cuts its work
+units by the same rule, so a unit is one call of ``search``.
 ``optimize`` is its one-realization, one-point case.  A lockstep call's
 scenario, row gains and batch shape are fixed for all of its iterations, so
 it builds its row gains and one ``kernels.Plan`` once and hands both to each
@@ -35,19 +38,18 @@ The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
 one contiguous row over all S * P particles, as in the fitness kernel.  The
 velocity update runs in preallocated buffers, in the operation order of the
-textbook update, so its bits do not depend on the layout.  Step t takes
-its multipliers as the basic slice [t - 1, c, r0:r1] of the (T, 2, R, P)
-block, broadcast over each realization's swarms, which are adjacent.  The
-projection keeps its (rows, D) contract and works on a (D, rows) copy, one
-whole row of candidates per numpy call: the spacing passes write through
-one scratch row, and the simplex step sorts only the over-budget columns,
-then picks each one's threshold with one masked copy per user.  A seed's
-initial particles are drawn from their own streams and projected in one
-call; the projection works candidate by candidate, so the batch does not
-change their bits.
+textbook update, so its bits do not depend on the layout.  Step t scales
+the (D, R', Q, P) view of its pull buffer by the basic slice [t - 1, c]
+of the call's (T, 2, R', P) multipliers, broadcast over each
+realization's Q swarms.  The projection keeps its (rows, D) contract and
+works on a (D, rows) copy, one whole row of candidates per numpy call: the
+spacing passes write through one scratch row, and the simplex step sorts
+only the over-budget columns, then picks each one's threshold with one
+masked copy per user.  A seed's initial particles are drawn from their own
+streams and projected in one call; the projection works candidate by
+candidate, so the batch does not change their bits.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,26 +232,29 @@ def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
 
 def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     """Search each realization at each distinct point of ``points``, the
-    swarms of all realizations stepped together in lockstep.
+    swarms of whole realizations stepped together in lockstep.
 
     ``scenarios`` and ``seeds`` give the realizations, with equal user and
     obstacle counts.  Returns per realization, in order, a dict from each
     distinct point to its ``PsoResult``, each bit-identical to a separate
     search.  A swarm is one (scenario, seed, point); its particles and
     multipliers come from its seed alone, so a realization's swarms start
-    from the same particles, drawn once.  The swarms are stepped in
-    (realization, point) order in calls of at most ``swarms_per_call``, each
-    with one projection call and one kernel call per iteration.
+    from the same particles, drawn once.  Each lockstep call steps up to
+    ``realizations_per_call`` whole realizations at all points, or, when
+    one realization has more points than ``swarms_per_call``, that
+    realization's points in slices of ``swarms_per_call``; each call makes
+    one projection call and one kernel call per iteration.
     """
     points = list(dict.fromkeys(points))
     theta0, pulls = zip(*[_particles(config, params, seed) for seed in seeds])
     theta0, pulls = np.stack(theta0), np.stack(pulls, axis=2)  # (R, D, P), (T, 2, R, P)
-    swarms = [(scenario, r, point) for r, scenario in enumerate(scenarios)
-              for point in points]
+    step = realizations_per_call(config, params, len(points))
     per_call = swarms_per_call(config, params)
     found = []
-    for i in range(0, len(swarms), per_call):
-        found += _lockstep(config, params, swarms[i:i + per_call], theta0, pulls)
+    for i in range(0, len(scenarios), step):
+        for j in range(0, len(points), per_call):  # one slice unless step is 1
+            found += _lockstep(config, params, scenarios[i:i + step], points[j:j + per_call],
+                               theta0[i:i + step], pulls[:, :, i:i + step])
     return [dict(zip(points, found[i:i + len(points)]))
             for i in range(0, len(found), len(points))]
 
@@ -261,6 +266,12 @@ def swarms_per_call(config: SystemConfig, params: PsoParams) -> int:
     state = max(params.num_particles * params.max_iters * 2,
                 (params.max_iters + 1) * (config.num_pas + config.num_users))
     return max(1, min(kernel_rows(config) // params.num_particles, MAX_ELEMENTS // state))
+
+
+def realizations_per_call(config: SystemConfig, params: PsoParams, points) -> int:
+    """How many whole realizations one lockstep call searches at ``points``
+    distinct points: as many as fit ``swarms_per_call``, and at least one."""
+    return max(1, swarms_per_call(config, params) // points)
 
 
 def _particles(config, params, seed):
@@ -275,38 +286,19 @@ def _particles(config, params, seed):
     return theta, pulls
 
 
-def _realization_blocks(which, state):
-    """The (D, S, P) ``state`` split into (D, R', Q, P) views, each with the
-    slice of the R' realizations whose swarms it holds, Q to a realization.
+def _lockstep(config, params, scenarios, points, theta0, pulls):
+    """Search each realization r of ``scenarios`` at each of ``points``,
+    from its particles theta0[r] and multipliers pulls[:, :, r]; returns
+    the results in (realization, point) order.
 
-    ``which`` gives each swarm's realization, consecutive realizations in
-    order, so that a realization's swarms are adjacent.  A call of
-    ``search`` has at most three such blocks (the realizations cut by its
-    first and last swarm, and those between), and a work unit's call one,
-    so each block takes its realizations' multipliers with a basic index."""
-    counts = [(r, len(list(run))) for r, run in itertools.groupby(which)]
-    blocks, start = [], 0
-    for q, run in itertools.groupby(counts, key=lambda count: count[1]):
-        rs = [r for r, _ in run]
-        stop = start + q * len(rs)
-        blocks.append((state[:, start:stop].reshape(len(state), len(rs), q, -1),
-                       slice(rs[0], rs[-1] + 1)))
-        start = stop
-    return blocks
-
-
-def _lockstep(config, params, swarms, theta0, pulls):
-    """Run each (scenario, r, point) swarm of ``swarms`` from the particles
-    theta0[r] and multipliers pulls[:, :, r] of its realization r.
-
-    The state is held batch-last, as (D, S, P) arrays, whose (D, S * P)
+    Kernel block r is realization r, its Q swarms adjacent.  The state is
+    held batch-last, as (D, S, P) arrays with S = R' Q, whose (D, S * P)
     views are the kernel's and the projection's layout."""
     n = config.num_pas
-    scenario = stack_scenarios([sc for sc, _, _ in swarms])
-    which = [r for _, r, _ in swarms]
-    theta = np.ascontiguousarray(theta0[which].transpose(1, 0, 2))  # (D, S, P)
+    scenario = stack_scenarios(scenarios)
+    theta = np.repeat(theta0.transpose(1, 0, 2), len(points), axis=1)  # (D, S, P)
     d, s, p = theta.shape
-    gains = kernels.row_gains([point for _, _, point in swarms], p)  # fixed for the whole search
+    gains = kernels.row_gains(points * len(scenarios), p)  # fixed for the whole search
     plan = kernels.Plan(scenario, config, s * p)  # and so is everything else but the particles
     bound = params.velocity_clamp * np.concatenate(
         [np.full(n, config.waveguide_len), np.ones(config.num_users)])[:, None, None]
@@ -314,7 +306,7 @@ def _lockstep(config, params, swarms, theta0, pulls):
 
     velocity = np.zeros_like(theta)
     pull = np.empty_like(theta)
-    blocks = _realization_blocks(which, pull)
+    block = pull.reshape(d, len(scenarios), len(points), p)  # (D, R', Q, P)
     best_theta = theta.copy()
     improved = np.empty((s, p), dtype=bool)
     trace = np.empty((params.max_iters + 1, s))
@@ -325,12 +317,10 @@ def _lockstep(config, params, swarms, theta0, pulls):
             # inertia * v + cognitive r1 (pbest - theta) + social r2 (gbest - theta)
             velocity *= params.inertia
             np.subtract(best_theta, theta, out=pull)
-            for block, rs in blocks:
-                block *= pulls[t - 1, 0, rs, None]
+            block *= pulls[t - 1, 0, :, None]
             velocity += pull
             np.subtract(gbest[:, :, None], theta, out=pull)
-            for block, rs in blocks:
-                block *= pulls[t - 1, 1, rs, None]
+            block *= pulls[t - 1, 1, :, None]
             velocity += pull
             # np.clip(velocity, -bound, bound) in two ufunc calls: bound > 0
             np.maximum(low, velocity, out=velocity)

@@ -8,6 +8,7 @@ to see them as they complete.
 
 import gc
 import json
+import os
 import time
 
 import numpy as np
@@ -195,24 +196,29 @@ def test_criterion_08_csv_determinism(tmp_path):
 CFG = ps.SystemConfig()
 PARAMS = ps.PsoParams()
 SETTINGS = ps.ExperimentSettings()
+# the sweeps' outputs do not depend on the worker count, which the harness
+# caps by the CPUs this process may use
+WORKERS = os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")
 def eps_aggregate():
-    records = ps.sweep_epsilon(CFG, PARAMS, SETTINGS, master_seed=MASTER_SEED)
+    records = ps.sweep_epsilon(CFG, PARAMS, SETTINGS, master_seed=MASTER_SEED,
+                               workers=WORKERS)
     return ps.aggregate_mean_db(records)
 
 
 @pytest.fixture(scope="module")
 def k_aggregate():
-    records = ps.sweep_users(CFG, PARAMS, SETTINGS, master_seed=MASTER_SEED)
+    records = ps.sweep_users(CFG, PARAMS, SETTINGS, master_seed=MASTER_SEED,
+                             workers=WORKERS)
     return ps.aggregate_mean_db(records)
 
 
 @pytest.fixture(scope="module")
 def conv_traces():
     return ps.convergence_trace(CFG, PARAMS, SETTINGS.realizations,
-                                master_seed=MASTER_SEED)
+                                master_seed=MASTER_SEED, workers=WORKERS)
 
 
 def test_criterion_09_robust_vs_uniform_gap(eps_aggregate):

@@ -116,9 +116,9 @@ def recorded_calls(monkeypatch, budget):
     calls = []
     lockstep = pso._lockstep
 
-    def recording(config, params, swarms, *args):
-        calls.append(len(swarms))
-        return lockstep(config, params, swarms, *args)
+    def recording(config, params, scenarios, points, *args):
+        calls.append(len(scenarios) * len(points))
+        return lockstep(config, params, scenarios, points, *args)
 
     monkeypatch.setattr(pso, "_lockstep", recording)
     return calls

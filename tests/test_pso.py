@@ -151,8 +151,8 @@ def realization_scenarios():
 
 @pytest.mark.parametrize("budget_swarms,chunks", [
     (None, [16]),                    # the default budget: all 16 swarms in one call
-    # the 16 swarms in calls of 3, so a call can hold two realizations' swarms
-    (3, [3, 3, 3, 3, 3, 1]),
+    # calls of at most 3 swarms: each realization's 4 points in slices of 3 and 1
+    (3, [3, 1] * 4),
 ])
 def test_stacked_realizations_match_one_realization_at_a_time(monkeypatch, budget_swarms,
                                                               chunks):
@@ -181,6 +181,11 @@ def test_swarms_per_call_bounds_kernel_batch_and_stacked_state():
     # one particle with 2^20 - 1 iterations: its 2^20 x 8 trajectory, not
     # the kernel budget, bounds a call at 2 swarms
     assert pso.swarms_per_call(CFG, PsoParams(num_particles=1, max_iters=2 ** 20 - 1)) == 2
+    # whole realizations per call: as many as fit their points' 24 swarms,
+    # and at least one
+    assert [pso.realizations_per_call(CFG, default, points)
+            for points in (1, 2, 3, 5, 12, 13, 24, 25, 100)] == [24, 12, 8, 4, 2, 1, 1, 1, 1]
+    assert pso.realizations_per_call(WIDE, WIDE_PSO, 1) == 1
 
 
 def test_row_weights_built_once_per_lockstep_call(monkeypatch):
@@ -210,7 +215,7 @@ def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
     monkeypatch.setattr(kernels, "swarm_fitness", recording)
     search(realization_scenarios(), REALIZATION_SEEDS, REALIZATION_POINTS, CFG, SMALL)
     steps = SMALL.max_iters + 1
-    assert len(calls) == 6 * steps    # the 16 swarms in lockstep calls of 3, 3, 3, 3, 3, 1
+    assert len(calls) == 8 * steps    # each realization's 4 swarms in lockstep calls of 3, 1
     for i in range(0, len(calls), steps):
         (plan, scenario, config, gains, rows), *rest = calls[i:i + steps]
         assert isinstance(plan, kernels.Plan)
@@ -220,7 +225,7 @@ def test_each_lockstep_call_hands_one_plan_to_its_kernel_calls(monkeypatch):
         assert rows in (3 * SMALL.num_particles, SMALL.num_particles)
         assert all(same is plan and same_gains is gains and n == rows
                    for same, _, _, same_gains, n in rest)
-    assert len({id(plan) for plan, _, _, _, _ in calls}) == 6
+    assert len({id(plan) for plan, _, _, _, _ in calls}) == 8
 
 
 def test_kernel_calls_keep_the_harness_contract(monkeypatch):

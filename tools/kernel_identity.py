@@ -24,10 +24,12 @@ batches at K = 1, 2, 3, 5 and 9 users (positions with ties, zeros, -0.0
 and both guide ends; power columns over budget, under it, summing to
 within a few ulps of 1, with tied largest entries, and with exact zeros
 and -0.0), and the ``trace``, ``gbest_thetas`` and ``best_fitness`` of
-every swarm of ``pso.search`` at three small shapes: one lockstep call of
+every swarm of ``pso.search`` at four small shapes: one lockstep call of
 2 realizations at 3 points, one swarm of one particle on a one-user,
-one-antenna guide, and 3 realizations at 3 points in lockstep calls of 4,
-4 and 1 swarms, which cut realizations apart.
+one-antenna guide, 3 realizations at 3 points under a budget of 4 swarms
+a call, which holds one realization, and 2 realizations at 5 points under
+a budget of 2 swarms a call, which takes each realization's points in
+slices of 2, 2 and 1.
 
 Revisions from a9eed02 on are supported: there ``Plan`` takes (scenario,
 config, rows), ``score_candidates`` scores one realization and
@@ -57,7 +59,8 @@ PROJECTION_USERS = (1, 2, 3, 5, 9)
 # (K, N, O, particles, iterations, realizations, error bounds, lockstep budget)
 SEARCHES = [(3, 5, 3, 8, 12, 2, (0.1, 0.0, 0.2), None),
             (1, 1, 0, 1, 10, 1, (0.1,), None),
-            (5, 9, 2, 6, 8, 3, (0.0, 0.05, 0.3), 4 * 6 * 5 * 9 * 2)]
+            (5, 9, 2, 6, 8, 3, (0.0, 0.05, 0.3), 4 * 6 * 5 * 9 * 2),
+            (2, 4, 1, 4, 6, 2, (0.0, 0.05, 0.1, 0.2, 0.3), 2 * 4 * 2 * 4 * 1)]
 
 
 def cases():
@@ -144,13 +147,14 @@ def projection_batches():
 
 def searches():
     """Yield (name, scenarios, seeds, points, config, params, budget) for
-    each shape of ``SEARCHES``."""
+    each case of ``SEARCHES``, named by its index and shape, so that two
+    cases of one shape do not share keys."""
     from pinchsim import PsoParams, SystemConfig, generate_scenario, robust_gains
 
-    for k, n, o, particles, iters, realizations, bounds, budget in SEARCHES:
+    for i, (k, n, o, particles, iters, realizations, bounds, budget) in enumerate(SEARCHES):
         config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o)
         seeds = [700 + r for r in range(realizations)]
-        yield (f"K{k}N{n}O{o}", [generate_scenario(config, seed) for seed in seeds], seeds,
+        yield (f"{i}/K{k}N{n}O{o}", [generate_scenario(config, seed) for seed in seeds], seeds,
                [robust_gains(eps, config.eta_i, config.eta_r) for eps in bounds],
                config, PsoParams(num_particles=particles, max_iters=iters), budget)
 
