@@ -14,8 +14,7 @@ from .experiments import (SCHEMES, ConvergenceTraces, SweepRecord,
                           aggregate_mean_db, convergence_trace, run_scheme,
                           score_candidate, sweep_epsilon, sweep_users)
 from .kernels import RobustGains, apply_csi_error, robust_gains, swarm_fitness
-from .pso import (PsoResult, draw_theta, optimize, project_positions,
-                  project_simplex, split_theta)
+from .pso import PsoResult, draw_theta, optimize, split_theta
 from .scenario import Scenario, generate_scenario, uniform_layout
 
 __version__ = "0.1.0"
@@ -25,7 +24,7 @@ __all__ = [
     "PsoResult", "RobustGains", "RunConfig", "SCHEMES", "Scenario",
     "SweepRecord", "SystemConfig", "aggregate_mean_db", "apply_csi_error",
     "convergence_trace", "draw_theta", "generate_scenario", "load_run_config",
-    "optimize", "project_positions", "project_simplex", "robust_gains",
-    "run_config_from_dict", "run_scheme", "score_candidate", "split_theta",
-    "swarm_fitness", "sweep_epsilon", "sweep_users", "uniform_layout",
+    "optimize", "robust_gains", "run_config_from_dict", "run_scheme",
+    "score_candidate", "split_theta", "swarm_fitness", "sweep_epsilon",
+    "sweep_users", "uniform_layout",
 ]

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .config import MAX_ELEMENTS, ConfigError, PsoParams, SystemConfig
+from .config import MAX_ELEMENTS, PsoParams, SystemConfig
 from .kernels import RobustGains, robust_gains
 from .scenario import Scenario, stack_scenarios, stream
 
@@ -88,22 +88,11 @@ def kernel_rows(config: SystemConfig) -> int:
                                       * max(config.obstacle_count, 1)))
 
 
-def project_positions(x, waveguide_len, min_spacing):
-    """Project raw antenna coordinates onto the feasible ordered layout."""
-    out = np.array(x, dtype=float).reshape(-1, 1)
-    _project_positions(out, waveguide_len, min_spacing)
-    return out[:, 0]
-
-
 def _project_positions(xs, waveguide_len, min_spacing):
     """Project each column of the (N, rows) coordinates in place: clip ->
     sort -> forward/backward spacing passes, each pass over a whole row
-    into one scratch row."""
-    n = xs.shape[0]
-    if (n - 1) * min_spacing > waveguide_len:
-        raise ConfigError(
-            f"antenna spacing infeasible: ({n} - 1) * min_spacing = "
-            f"{(n - 1) * min_spacing} exceeds waveguide_len = {waveguide_len}")
+    into one scratch row.  The spacing fits the guide: ``SystemConfig``
+    refuses (N - 1) * min_spacing > waveguide_len."""
     # np.clip(xs, 0, L) in two ufunc calls, with its bits: the bound comes
     # first, so that -0.0 stays -0.0 as np.clip keeps it
     np.maximum(0.0, xs, out=xs)
@@ -115,13 +104,6 @@ def _project_positions(xs, waveguide_len, min_spacing):
     np.minimum(rows[-1], waveguide_len, out=rows[-1])
     for row, after in zip(rows[-2::-1], rows[:0:-1]):
         np.minimum(row, np.subtract(after, min_spacing, out=step), out=row)
-
-
-def project_simplex(a):
-    """Project raw power fractions onto {a >= 0, sum(a) <= 1}."""
-    out = np.array(a, dtype=float).reshape(-1, 1)
-    _project_simplex(out)
-    return out[:, 0]
 
 
 def _project_simplex(a):

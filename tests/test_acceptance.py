@@ -17,7 +17,7 @@ import pytest
 import pinchsim as ps
 from pinchsim import noma
 from pinchsim.cli import main as cli_main
-from pinchsim.pso import project_positions, project_simplex, project_theta_batch
+from pinchsim.pso import project_theta_batch
 
 MASTER_SEED = 20260810
 
@@ -146,12 +146,16 @@ def test_criterion_06_projection():
         again = project_theta_batch(proj, cfg)
         scale = np.maximum(np.abs(proj), 1.0)
         assert np.all(np.abs(again - proj) <= 1e-12 * scale)
-        # worked traces
-        assert np.allclose(project_positions([9.9, 9.95], 10.0, 0.3), [9.7, 10.0],
-                           rtol=1e-12)
-        assert np.allclose(project_positions([-1.0, 12.0], 10.0, 0.5), [0.0, 10.0])
-        assert np.allclose(project_simplex([0.8, 0.8]), [0.5, 0.5], rtol=1e-12)
-        assert np.allclose(project_simplex([1.2, -0.1]), [1.0, 0.0], atol=1e-12)
+        # worked traces: two one-row batches, each a position and a power case
+        two = dict(num_users=2, num_pas=2, waveguide_len=10.0)
+        x, a = np.split(project_theta_batch(np.array([[9.9, 9.95, 0.8, 0.8]]),
+                                            ps.SystemConfig(**two, min_spacing=0.3))[0], 2)
+        assert np.allclose(x, [9.7, 10.0], rtol=1e-12)
+        assert np.allclose(a, [0.5, 0.5], rtol=1e-12)
+        x, a = np.split(project_theta_batch(np.array([[-1.0, 12.0, 1.2, -0.1]]),
+                                            ps.SystemConfig(**two, min_spacing=0.5))[0], 2)
+        assert np.allclose(x, [0.0, 10.0])
+        assert np.allclose(a, [1.0, 0.0], atol=1e-12)
 
     _report(6, "projection feasibility + idempotence over 10^5 raw vectors "
                "and worked traces", check)

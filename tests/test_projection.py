@@ -3,8 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import SystemConfig, project_positions, project_simplex
-from pinchsim.config import ConfigError
+from pinchsim import SystemConfig
 from pinchsim.pso import project_theta_batch
 
 
@@ -55,6 +54,15 @@ def simplex_projection_bisection(a):
     return np.maximum(a - 0.5 * (lo + hi), 0.0)
 
 
+def project_one(x, a, waveguide_len=10.0, min_spacing=0.0):
+    """Project one candidate, positions x and power fractions a, as a
+    one-row batch on a config of its shape; returns (positions, powers)."""
+    config = SystemConfig(num_pas=len(x), num_users=len(a),
+                          waveguide_len=waveguide_len, min_spacing=min_spacing)
+    out = project_theta_batch(np.array([[*x, *a]], dtype=float), config)[0]
+    return out[:len(x)], out[len(x):]
+
+
 def feasible_positions(x, L, d_min, tol=1e-9):
     x = np.asarray(x)
     return (np.all(x >= -tol) and np.all(x <= L + tol)
@@ -62,41 +70,36 @@ def feasible_positions(x, L, d_min, tol=1e-9):
 
 
 def test_positions_already_feasible_unchanged():
-    out = project_positions([2.0, 5.0, 8.0], 10.0, 0.5)
+    out, _ = project_one([2.0, 5.0, 8.0], [0.0], 10.0, 0.5)
     assert np.array_equal(out, [2.0, 5.0, 8.0])
 
 
 def test_positions_two_pass_trace():
     # forward pass pushes to [9.9, 10.2], backward pass settles [9.7, 10.0]
-    out = project_positions([9.9, 9.95], 10.0, 0.3)
+    out, _ = project_one([9.9, 9.95], [0.0], 10.0, 0.3)
     assert np.allclose(out, [9.7, 10.0], rtol=1e-12)
 
 
 def test_positions_clip_then_feasible():
-    out = project_positions([-1.0, 12.0], 10.0, 0.5)
+    out, _ = project_one([-1.0, 12.0], [0.0], 10.0, 0.5)
     assert np.allclose(out, [0.0, 10.0])
 
 
 def test_positions_unsorted_input():
-    out = project_positions([8.0, 2.0, 5.0], 10.0, 0.5)
+    out, _ = project_one([8.0, 2.0, 5.0], [0.0], 10.0, 0.5)
     assert np.allclose(out, [2.0, 5.0, 8.0])
 
 
-def test_positions_infeasible_spacing_rejected():
-    with pytest.raises(ConfigError):
-        project_positions([0.0, 1.0, 2.0], 1.0, 0.6)
-
-
 def test_simplex_slack_kept():
-    assert np.array_equal(project_simplex([0.2, 0.3]), [0.2, 0.3])
+    assert np.array_equal(project_one([0.0], [0.2, 0.3])[1], [0.2, 0.3])
 
 
 def test_simplex_equal_overflow():
-    assert np.allclose(project_simplex([0.8, 0.8]), [0.5, 0.5], rtol=1e-12)
+    assert np.allclose(project_one([0.0], [0.8, 0.8])[1], [0.5, 0.5], rtol=1e-12)
 
 
 def test_simplex_clip_and_threshold():
-    assert np.allclose(project_simplex([1.2, -0.1]), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(project_one([0.0], [1.2, -0.1])[1], [1.0, 0.0], atol=1e-12)
 
 
 def test_simplex_matches_bisection_oracle():
@@ -104,7 +107,7 @@ def test_simplex_matches_bisection_oracle():
     for _ in range(500):
         k = rng.integers(1, 8)
         a = rng.uniform(-1.0, 2.0, k)
-        assert np.allclose(project_simplex(a), simplex_projection_bisection(a),
+        assert np.allclose(project_one([0.0], a)[1], simplex_projection_bisection(a),
                            atol=1e-9)
 
 
@@ -131,7 +134,7 @@ def test_simplex_batch_matches_scalar():
     config = SystemConfig(num_users=4, num_pas=1)
     batch = project_theta_batch(np.hstack([np.zeros((200, 1)), a]), config)[:, 1:]
     for i in range(a.shape[0]):
-        assert np.allclose(batch[i], project_simplex(a[i]), rtol=1e-12)
+        assert np.allclose(batch[i], project_one([0.0], a[i])[1], rtol=1e-12)
 
 
 @st.composite
@@ -236,10 +239,8 @@ def test_projection_equals_row_major_oracle_bitwise(case):
     got = project_theta_batch(raw, config)
     assert bits(got) == bits(want)
     assert bits(raw) == bits(before)  # the argument is not written to
-    for i in range(raw.shape[0]):
-        assert bits(project_positions(raw[i, :n], config.waveguide_len,
-                                      config.min_spacing)) == bits(want[i, :n])
-        assert bits(project_simplex(raw[i, n:])) == bits(want[i, n:])
+    for i in range(raw.shape[0]):  # a candidate projected alone matches its row
+        assert bits(project_theta_batch(raw[i:i + 1], config)) == bits(want[i:i + 1])
 
 
 @pytest.mark.parametrize("k", range(1, 13))
