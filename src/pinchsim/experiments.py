@@ -118,6 +118,8 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
     each row's bound, order by the estimates (ties in index order), and
     evaluate the nominal SINR of the true channels in that order.
     """
+    if mode not in ("conservative", "true_sampled"):
+        raise ValueError(f"unknown score mode {mode!r}, expected 'conservative' or 'true_sampled'")
     step = pso.kernel_rows(config)
     if len(xs) > step:  # no row depends on its batch, so each call is exact
         return [score for i in range(0, len(xs), step)
@@ -369,8 +371,9 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
 
     Both the internal fitness trace and the worst-case re-scored min-SINR of
     the running global best are aggregated; the latter is what makes the two
-    modes comparable at the configured error bound.  ``workers`` is the most
-    worker processes the units may use.
+    modes comparable at the configured error bound.  That re-scoring is
+    always conservative at ``csi_eps``, whatever ``experiments.score_mode``
+    says.  ``workers`` is the most worker processes the units may use.
     """
     schemes = _SEARCH_SCHEMES
     seeds = realization_seeds(master_seed, num_realizations)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, SystemConfig
+from .config import SystemConfig
 
 # Tag of every random stream of a realization: stream ``name`` of realization
 # seed s is default_rng((s, STREAMS[name], *index)), and only the particles
@@ -87,15 +87,10 @@ def uniform_layout(config: SystemConfig) -> np.ndarray:
     """Evenly spaced antenna x-coordinates over [0, L].
 
     N >= 2 spans the full guide including both ends; a single antenna sits at
-    the midpoint.  Raises ConfigError when the even spacing would violate the
-    minimum-separation constraint.
+    the midpoint.  ``SystemConfig`` refuses (N - 1) * min_spacing > L, so the
+    even spacing keeps the minimum separation up to rounding.
     """
     n, L = config.num_pas, config.waveguide_len
     if n == 1:
         return np.array([L / 2.0])
-    gap = L / (n - 1)
-    if gap < config.min_spacing:
-        raise ConfigError(
-            f"uniform layout infeasible: even spacing {gap} is below "
-            f"min_spacing = {config.min_spacing}")
     return np.linspace(0.0, L, n)

@@ -66,6 +66,18 @@ def test_validate_config_infeasible_spacing(tmp_path, capsys):
     assert "min_spacing" in err and "waveguide_len" in err
 
 
+def test_packed_guide_that_validates_also_sweeps(tmp_path, capsys):
+    # 3 * 0.39 == 1.17 in floats, while 1.17 / 3 < 0.39: the config is
+    # feasible, and its even layout keeps the spacing up to rounding
+    cfg = write_config(tmp_path, dict(FAST_SECTIONS, num_pas=4, min_spacing=0.39,
+                                      waveguide_len=1.17))
+    assert main(["validate-config", "--config", cfg]) == 0
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-eps", "--config", cfg, "--seed", "3", "--out", out]) == 0
+    lines = open(out).read().strip().split("\n")
+    assert len(lines) == 1 + 2 * 2 * 4  # header + |grid| * realizations * schemes
+
+
 def test_validate_config_refuses_infinite_wavelength(tmp_path, capsys):
     cfg = write_config(tmp_path, {"carrier_freq": 1e-300})
     assert main(["validate-config", "--config", cfg]) == 2

@@ -52,6 +52,20 @@ def test_unknown_scheme_rejected():
         run_scheme("Greedy", scenario, CFG, FAST_PSO, 1)
 
 
+def test_unknown_score_mode_rejected_before_any_kernel_call(monkeypatch):
+    scenario = generate_scenario(CFG, 1)
+    x, alpha = uniform_layout(CFG), np.full(CFG.num_users, 1.0 / CFG.num_users)
+    for name in ("swarm_fitness", "effective_channels"):
+        monkeypatch.setattr(kernels, name, lambda *a, **k: pytest.fail("kernel called"))
+    match = "'bogus'.*'conservative'.*'true_sampled'"
+    with pytest.raises(ValueError, match=match):
+        score_candidate(x, alpha, scenario, CFG, mode="bogus")
+    rows = pso.kernel_rows(CFG) + 1  # more than one kernel call's rows
+    with pytest.raises(ValueError, match=match):
+        score_candidates([x] * rows, [alpha] * rows, scenario, CFG, [0.1] * rows, 1,
+                         mode="bogus")
+
+
 def test_optimizer_dominates_single_random_draw():
     # over 50 paired realizations the search beats one random candidate >= 90%
     params = PsoParams(num_particles=16, max_iters=40)

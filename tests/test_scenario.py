@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchsim import ConfigError, SystemConfig, generate_scenario, uniform_layout
 
@@ -51,6 +53,27 @@ def test_uniform_layout_infeasible_spacing():
     # (N-1)*d_min > L is already rejected at config construction
     with pytest.raises(ConfigError):
         SystemConfig(num_pas=2, waveguide_len=10.0, min_spacing=11.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 64),
+       d=st.one_of(st.floats(1e-100, 1e100), st.integers(1, 1000).map(lambda c: c / 100)),
+       above=st.booleans())
+def test_uniform_layout_keeps_the_spacing_of_every_config_that_builds(n, d, above):
+    # a packed guide: L = fl((N - 1) * d) or the next float up, both of which
+    # SystemConfig accepts; a single antenna takes L = d
+    L = (n - 1) * d if n > 1 else d
+    if above:
+        L = float(np.nextafter(L, np.inf))
+    cfg = SystemConfig(num_pas=n, min_spacing=d, waveguide_len=L)
+    x = uniform_layout(cfg)
+    assert x.shape == (n,)
+    if n == 1:
+        assert x[0] == L / 2
+        return
+    assert x[0] == 0.0 and x[-1] == L
+    # np.linspace's gaps fall short of d by up to 53 ulps (1.2e-14 relative)
+    assert np.all(np.diff(x) >= d * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("field,value", [

@@ -18,7 +18,10 @@
 # pairwise, a converge and a 40-point sweep-eps at K = 8, N = 16, O = 8,
 # whose row bound of 64 splits their scoring into several kernel calls, and
 # a 36-point sweep-eps of 2-particle swarms at that shape, where each
-# realization's 36 searches take lockstep calls of 32 and 4 swarms.
+# realization's 36 searches take lockstep calls of 32 and 4 swarms, and a
+# sweep-eps on a packed guide (N = 5, min_spacing 2.5 on L = 10, so
+# (N - 1) * min_spacing = L exactly), where every projected layout is fully
+# packed and Uniform's gaps are exactly min_spacing.
 #
 # Rows whose names end in _t2 or _t3 pass --threads 2 or 3 to the working
 # tree and split into several work units (realization chunks of one lockstep
@@ -73,6 +76,7 @@ matrix=(
     "small_sweep_users|sweep-users --config $small"
     "small_sweep_users_sampled|sweep-users --config $small --override experiments.score_mode=true_sampled"
     "small_converge|converge --config $small"
+    "small_sweep_eps_packed|sweep-eps --config $small --override num_pas=5 --override min_spacing=2.5"
     "small_sweep_users_k8_9|sweep-users --config $small --override experiments.k_grid=[8,9] --override num_pas=9"
     "small_sweep_users_k8_9_sampled|sweep-users --config $small --override experiments.k_grid=[8,9] --override num_pas=9 --override experiments.score_mode=true_sampled"
     "wide_converge_split|converge --config $example --realizations 6 $wide --override pso.num_particles=8 --override pso.max_iters=60"
