@@ -95,6 +95,7 @@ def _build_parser():
 
 
 def _load_effective_config(args) -> tuple[RunConfig, dict]:
+    """The config file, which must validate on its own, with its overrides applied."""
     run = load_run_config(args.config)
     doc = run.to_dict()
     overrides = list(getattr(args, "override", []))

@@ -14,25 +14,25 @@ RNG stream of the seed, apart from the scenario's and the schemes' streams
 (``scenario.STREAMS``).  Right after its initial draw, each particle draws
 all of its cognitive/social multipliers from that stream as one (T, 2)
 block, which consumes the stream exactly as two scalar draws per iteration
-would, so a run is reproducible regardless of evaluation schedule.  The
-blocks are stored as (T, 2, R, P), the realization and particle axes last,
-and scaled by the cognitive and social weights once, in place.
+would, so a run is reproducible regardless of evaluation schedule.  A
+lockstep call stores its R' realizations' blocks as (T, 2, R', P) and scales
+them by the cognitive and social weights once, in place.
 
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``kernels.RobustGains``) start from the same particles and use the same
-multipliers, which are drawn once.  ``search`` steps the swarms of the
-realizations it is handed in lockstep calls, each with one projection call
-and one kernel call per iteration.  One rule cuts the calls: a call holds
-``realizations_per_call`` whole realizations, each at all of its points,
-so kernel block r is realization r, its swarms adjacent; a realization
-with more points than ``swarms_per_call`` takes calls of its own, its
-points in slices of ``swarms_per_call``.  ``experiments`` cuts its work
-units by the same rule, so a unit is one call of ``search``.
-``optimize`` is its one-realization, one-point case.  A lockstep call's
-scenario, row gains and batch shape are fixed for all of its iterations, so
-it builds its row gains and one ``kernels.Plan`` once and hands both to each
-kernel call.
+multipliers.  ``search`` only cuts the realizations it is handed into
+lockstep calls, each of which draws its realizations' particles and makes
+one projection call and one kernel call per iteration.  One rule cuts the
+calls: a call holds ``realizations_per_call`` whole realizations, each at
+all of its points, so kernel block r is realization r, its swarms adjacent;
+a realization with more points than ``swarms_per_call`` takes calls of its
+own, its points in slices of ``swarms_per_call``, and draws its particles in
+each.  ``experiments`` cuts its work units by the same rule, so a unit is
+one call of ``search``.  ``optimize`` is its one-realization, one-point
+case.  A lockstep call's scenario, row gains and batch shape are fixed for
+all of its iterations, so it builds its row gains and one ``kernels.Plan``
+once and hands both to each kernel call.
 
 The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
@@ -45,7 +45,7 @@ realization's Q swarms.  The projection keeps its (rows, D) contract and
 works on a (D, rows) copy, one whole row of candidates per numpy call: the
 spacing passes write through one scratch row, and the simplex step sorts
 only the over-budget columns, then picks each one's threshold with one
-masked copy per user.  A seed's initial particles are drawn from their own
+masked copy per user.  A call's initial particles are drawn from their own
 streams and projected in one call; the projection works candidate by
 candidate, so the batch does not change their bits.
 """
@@ -219,24 +219,20 @@ def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     ``scenarios`` and ``seeds`` give the realizations, with equal user and
     obstacle counts.  Returns per realization, in order, a dict from each
     distinct point to its ``PsoResult``, each bit-identical to a separate
-    search.  A swarm is one (scenario, seed, point); its particles and
-    multipliers come from its seed alone, so a realization's swarms start
-    from the same particles, drawn once.  Each lockstep call steps up to
-    ``realizations_per_call`` whole realizations at all points, or, when
-    one realization has more points than ``swarms_per_call``, that
-    realization's points in slices of ``swarms_per_call``; each call makes
-    one projection call and one kernel call per iteration.
+    search.  A swarm is one (scenario, seed, point), its particles and
+    multipliers drawn from its seed alone.  ``search`` only cuts: a lockstep
+    call steps up to ``realizations_per_call`` whole realizations at all
+    points, or one realization's points in slices of ``swarms_per_call``
+    when it has more; each call draws its realizations' particles.
     """
     points = list(dict.fromkeys(points))
-    theta0, pulls = zip(*[_particles(config, params, seed) for seed in seeds])
-    theta0, pulls = np.stack(theta0), np.stack(pulls, axis=2)  # (R, D, P), (T, 2, R, P)
     step = realizations_per_call(config, params, len(points))
     per_call = swarms_per_call(config, params)
     found = []
     for i in range(0, len(scenarios), step):
         for j in range(0, len(points), per_call):  # one slice unless step is 1
-            found += _lockstep(config, params, scenarios[i:i + step], points[j:j + per_call],
-                               theta0[i:i + step], pulls[:, :, i:i + step])
+            found += _lockstep(config, params, scenarios[i:i + step], seeds[i:i + step],
+                               points[j:j + per_call])
     return [dict(zip(points, found[i:i + len(points)]))
             for i in range(0, len(found), len(points))]
 
@@ -256,29 +252,31 @@ def realizations_per_call(config: SystemConfig, params: PsoParams, points) -> in
     return max(1, swarms_per_call(config, params) // points)
 
 
-def _particles(config, params, seed):
-    """The initial (D, P) particles of a seed, projected in one call, and
-    their (T, 2, P) multipliers: iteration t's cognitive and social draws,
-    in stream order, scaled in place by ``cognitive`` and ``social``."""
-    rngs = [stream(seed, "particles", i) for i in range(params.num_particles)]
+def _particles(config, params, seeds):
+    """The initial (D, R', P) particles of the R' ``seeds``, projected in
+    one call, and their (T, 2, R', P) multipliers: iteration t's cognitive
+    and social draws, in stream order, scaled by ``cognitive`` and ``social``."""
+    p = params.num_particles
+    rngs = [stream(seed, "particles", i) for seed in seeds for i in range(p)]
     raw = np.stack([_raw_theta(config, rng) for rng in rngs])
     theta = project_theta_batch(raw, config).T
     pulls = np.stack([rng.random((params.max_iters, 2)) for rng in rngs], axis=2)
     pulls *= np.array([params.cognitive, params.social])[:, None]
-    return theta, pulls
+    return theta.reshape(len(theta), -1, p), pulls.reshape(params.max_iters, 2, -1, p)
 
 
-def _lockstep(config, params, scenarios, points, theta0, pulls):
+def _lockstep(config, params, scenarios, seeds, points):
     """Search each realization r of ``scenarios`` at each of ``points``,
-    from its particles theta0[r] and multipliers pulls[:, :, r]; returns
+    from the particles and multipliers it draws for ``seeds[r]``; returns
     the results in (realization, point) order.
 
     Kernel block r is realization r, its Q swarms adjacent.  The state is
     held batch-last, as (D, S, P) arrays with S = R' Q, whose (D, S * P)
     views are the kernel's and the projection's layout."""
     n = config.num_pas
+    theta0, pulls = _particles(config, params, seeds)   # (D, R', P), (T, 2, R', P)
     scenario = stack_scenarios(scenarios)
-    theta = np.repeat(theta0.transpose(1, 0, 2), len(points), axis=1)  # (D, S, P)
+    theta = np.repeat(theta0, len(points), axis=1)     # (D, S, P)
     d, s, p = theta.shape
     gains = kernels.row_gains(points * len(scenarios), p)  # fixed for the whole search
     plan = kernels.Plan(scenario, config, s * p)  # and so is everything else but the particles

@@ -105,6 +105,18 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
     assert f"config error: cannot read config file {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--realizations", "1"],
+                                  ["--override", "experiments.realizations=1"]],
+                         ids=["realizations", "override"])
+def test_overrides_apply_to_a_file_that_validates_on_its_own(tmp_path, capsys, flag):
+    # the file's own config is built before any override applies to it
+    cfg = write_config(tmp_path, {"experiments": {"realizations": 0}})
+    out = tmp_path / "out.csv"
+    assert main(["sweep-eps", "--config", cfg, "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err == "config error: realizations must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_hard_error(tmp_path):
     cfg = write_config(tmp_path, {"num_userz": 3})
     assert main(["validate-config", "--config", cfg]) == 2

@@ -130,9 +130,9 @@ def recorded_calls(monkeypatch, budget):
     calls = []
     lockstep = pso._lockstep
 
-    def recording(config, params, scenarios, points, *args):
+    def recording(config, params, scenarios, seeds, points):
         calls.append(len(scenarios) * len(points))
-        return lockstep(config, params, scenarios, points, *args)
+        return lockstep(config, params, scenarios, seeds, points)
 
     monkeypatch.setattr(pso, "_lockstep", recording)
     return calls

@@ -252,14 +252,49 @@ def test_kernel_calls_keep_the_harness_contract(monkeypatch):
 
 def test_particles_return_scaled_multipliers():
     params = PsoParams(num_particles=4, max_iters=6, cognitive=1.3, social=0.7)
-    _, pulls = pso._particles(CFG, params, 11)
-    assert pulls.shape == (params.max_iters, 2, params.num_particles)
-    for i in range(params.num_particles):
-        rng = stream(11, "particles", i)
-        pso._raw_theta(CFG, rng)
-        draws = rng.random((params.max_iters, 2))
-        assert (params.cognitive * draws[:, 0]).tobytes() == pulls[:, 0, i].tobytes()
-        assert (params.social * draws[:, 1]).tobytes() == pulls[:, 1, i].tobytes()
+    seeds = [11, 12]
+    theta, pulls = pso._particles(CFG, params, seeds)   # both seeds in one call
+    assert theta.shape == (CFG.num_pas + CFG.num_users, 2, params.num_particles)
+    assert pulls.shape == (params.max_iters, 2, 2, params.num_particles)
+    for r, seed in enumerate(seeds):
+        alone, _ = pso._particles(CFG, params, [seed])
+        assert alone[:, 0].tobytes() == theta[:, r].tobytes()
+        for i in range(params.num_particles):
+            rng = stream(seed, "particles", i)
+            pso._raw_theta(CFG, rng)
+            draws = rng.random((params.max_iters, 2))
+            assert (params.cognitive * draws[:, 0]).tobytes() == pulls[:, 0, r, i].tobytes()
+            assert (params.social * draws[:, 1]).tobytes() == pulls[:, 1, r, i].tobytes()
+
+
+def test_each_lockstep_call_draws_its_own_particles(monkeypatch):
+    # search draws nothing up front: each call creates its own seeds'
+    # particle streams, after the previous call's kernel calls
+    params = PsoParams(num_particles=4, max_iters=3)
+    seeds = [1, 2, 3, 4, 5]
+    scenarios = [generate_scenario(CFG, seed) for seed in seeds]
+    events = []
+
+    def streaming(seed, *args):
+        events.append(("stream", seed))
+        return stream(seed, *args)
+
+    def kernel(*args, **kwargs):
+        events.append(("kernel", None))
+        return swarm_fitness(*args, **kwargs)
+
+    # 2 swarms of 4 particles a call, so 2 one-point realizations
+    monkeypatch.setattr(pso, "LOCKSTEP_BUDGET",
+                        2 * params.num_particles * CFG.num_users * CFG.num_pas
+                        * CFG.obstacle_count)
+    monkeypatch.setattr(pso, "stream", streaming)
+    monkeypatch.setattr(kernels, "swarm_fitness", kernel)
+    search(scenarios, seeds, [robust_gains(0.1, CFG.eta_i, CFG.eta_r)], CFG, params)
+    want = []
+    for call in ([1, 2], [3, 4], [5]):
+        want += [("stream", seed) for seed in call for _ in range(params.num_particles)]
+        want += [("kernel", None)] * (params.max_iters + 1)
+    assert events == want
 
 
 def test_search_point_of_each_mode():

@@ -24,12 +24,13 @@ batches at K = 1, 2, 3, 5 and 9 users (positions with ties, zeros, -0.0
 and both guide ends; power columns over budget, under it, summing to
 within a few ulps of 1, with tied largest entries, and with exact zeros
 and -0.0), and the ``trace``, ``gbest_thetas`` and ``best_fitness`` of
-every swarm of ``pso.search`` at four small shapes: one lockstep call of
+every swarm of ``pso.search`` at five small shapes: one lockstep call of
 2 realizations at 3 points, one swarm of one particle on a one-user,
 one-antenna guide, 3 realizations at 3 points under a budget of 4 swarms
-a call, which holds one realization, and 2 realizations at 5 points under
+a call, which holds one realization, 2 realizations at 5 points under
 a budget of 2 swarms a call, which takes each realization's points in
-slices of 2, 2 and 1.
+slices of 2, 2 and 1, and 5 realizations at 2 points under a budget of 4
+swarms a call, which takes calls of 2, 2 and 1 realizations.
 
 Revisions from a9eed02 on are supported: there ``Plan`` takes (scenario,
 config, rows), ``score_candidates`` scores one realization and
@@ -60,7 +61,8 @@ PROJECTION_USERS = (1, 2, 3, 5, 9)
 SEARCHES = [(3, 5, 3, 8, 12, 2, (0.1, 0.0, 0.2), None),
             (1, 1, 0, 1, 10, 1, (0.1,), None),
             (5, 9, 2, 6, 8, 3, (0.0, 0.05, 0.3), 4 * 6 * 5 * 9 * 2),
-            (2, 4, 1, 4, 6, 2, (0.0, 0.05, 0.1, 0.2, 0.3), 2 * 4 * 2 * 4 * 1)]
+            (2, 4, 1, 4, 6, 2, (0.0, 0.05, 0.1, 0.2, 0.3), 2 * 4 * 2 * 4 * 1),
+            (3, 5, 3, 6, 8, 5, (0.1, 0.0), 4 * 6 * 3 * 5 * 3)]
 
 
 def cases():
