@@ -251,7 +251,10 @@ def _check_sizes(run: RunConfig):
     seeds, the fitness kernel's obstacle block at the largest user count,
     the multiplier block and one realization's search trajectories (up to
     one search per error bound, plus the non-robust one).  The obstacle
-    block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``.
+    block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``;
+    a call's slot block, over the kept (user, block, obstacle) slots, is at
+    most the obstacle block it bounds, and so is each slice of the kernel
+    plan's grid, at most 2^16 (point, slot) pairs or one point's slots.
     The seeds are the only one of these that grows with ``realizations``:
     a run draws the scenarios and particles of one work unit at a time,
     only as many realizations as one lockstep call steps

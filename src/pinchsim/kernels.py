@@ -15,14 +15,20 @@ The rows may also span several realizations: a scenario stacked by
 blocks, each with its own users and obstacles.  A plain scenario is the
 case B = 1.
 
-The kernel is broadcast numpy.  Each axis it reduces comes first in memory
-and the rows come last, as B blocks of P/B: the obstacle-clearance block is
-(O, N, K, B, P/B) and the link block is (N, K, B, P/B).  So the min over
-obstacles and the sum over antennas are elementwise passes over contiguous
-planes, not strided reductions over a short last axis, and a block's
-geometry, expanded over its rows once per search, meets them elementwise.
-The search hands its (D, rows) state over as transposed views, so taking
-the (N, rows) positions costs no copy.
+The kernel is broadcast numpy.  The rows come last in memory, as B blocks
+of P/B, and the link block is (N, K, B, P/B), so the sum over antennas is
+an elementwise pass over contiguous planes, not a strided reduction over a
+short last axis.  Obstacle clearances are evaluated only on the plan's
+slots: the (user, block, obstacle) triples whose obstacle can be the
+link's nearest for an antenna on the guide, about half of the O K B on the
+example config.  They form one (N, M, P/B) block, M <= O K B, which
+gathers each slot's antenna x and link offsets by its block and link, and
+each link takes the minimum over its slots, one rank of slots at a time.
+Every dropped clearance exceeds a kept one, so each minimum, and so every
+output, is the one over all O obstacles, bit for bit.  The slots' geometry,
+expanded over the rows once per search, meets them elementwise.  The
+search hands its (D, rows) state over as transposed views, so taking the
+(N, rows) positions costs no copy.
 
 The link phase takes one transcendental per link: with the phase reduced
 to c cycles in [-1/2, 1/2] and t = tan(pi c), its cosine and sine are
@@ -33,14 +39,15 @@ libm loops (28 against 150 and 163 us on 9,000 doubles); elsewhere it is
 still one call where cos and sin were two.
 
 What a call computes that does not depend on the particles lives in a
-``Plan``: the block geometry, expanded over the rows, the amplitude and
-phase factors, the flat-gather base and the work buffers of the link and
-obstacle blocks.  A search builds one per lockstep call, whose scenario
-and batch shape are fixed for all of its iterations, and hands it to every
-kernel call; one-off callers such as scoring pass None and get a fresh
-one.  Reused buffers spare each call the page faults of fresh ones, and
-building the rest once spares it the recomputation; the measurements are
-in CHANGES.md and ``BENCH_13.json``/``BENCH_15.json``.
+``Plan``: the users' geometry and the kept slots' geometry, expanded over
+the rows, the amplitude and phase factors, the flat-gather base and the
+work buffers of the link and slot blocks.  A search builds one per
+lockstep call, whose scenario and batch shape are fixed for all of its
+iterations, and hands it to every kernel call; one-off callers such as
+scoring pass None and get a fresh one.  Reused buffers spare each call the
+page faults of fresh ones, and building the rest once spares it the
+recomputation; the measurements are in CHANGES.md and
+``BENCH_13.json``/``BENCH_15.json``.
 
 The tests hold the kernel to the scalar reference, ``channel`` and ``noma``,
 which the package never imports, and check the phase against a closed form.
@@ -107,17 +114,51 @@ def row_gains(points, rows_per_point):
     return tuple(np.ascontiguousarray(np.repeat(table, rows_per_point, axis=0).T))
 
 
+# The grid on which a plan bounds each obstacle's clearance: GRID_CELLS + 1
+# evenly spaced points over [0, L], taken in slices of at most GRID_ELEMENTS
+# (point, slot) pairs, or one point when a point has more slots than that.
+GRID_CELLS = 128
+GRID_ELEMENTS = 2 ** 16
+
+
 class Plan:
     """Everything a kernel call computes that is fixed for a whole search.
 
     A search's stacked scenario and batch shape do not change over its
     T + 1 iterations, so ``pso._lockstep`` builds one plan per call and
     hands it to each of its kernel calls.  The plan holds the block shape;
-    the block geometry relative to the antenna plane, expanded over each
+    the users' geometry relative to the antenna plane, expanded over each
     block's rows so that it meets the rows elementwise; the amplitude and
-    phase factors; the flat-gather base ``arange(P)``; and the channel
-    stage's work buffers.  Each value is computed with the float expression
-    a call would otherwise evaluate itself, so a plan moves no bit.
+    phase factors; the flat-gather base ``arange(P)``; the link stage's
+    work buffers; and ``slots``, the (user, block, obstacle) slots whose
+    clearances a call evaluates, with their geometry and work buffers.
+    Each value is computed with the float expression a call would
+    otherwise evaluate itself, so a plan moves no bit.
+
+    A slot is kept unless its obstacle can never be its link's nearest for
+    an antenna on the guide.  Clearance is 1-Lipschitz in the antenna's x:
+    moving the antenna by d moves every point of its segment to the user by
+    at most d.  Every x in [0, L] lies within h/2 of one of the
+    GRID_CELLS + 1 grid points x_j, h = L / GRID_CELLS apart, so there each
+    clearance is within h/2 of its value at x_j.  Obstacle o is dropped for
+    (k, b) when, at every grid point, its clearance exceeds the smallest of
+    that link's clearances by more than h + ``margin``; then at any x on
+    the guide it exceeds the nearest obstacle's by more than ``margin``,
+    less the rounding of both values.  The grid uses the kernel's own
+    clearance arithmetic, whose computed squared distance
+    |w|^2 - t (2 w.v - t |v|^2) is off by a few eps E^2, E = L + the
+    largest radius + twice the largest coordinate, which bounds |w|, |v|
+    and the radii.  Where the segment passes close to the centre the
+    square cancels, and its square root is then off by up to about
+    sqrt(eps) E, as |sqrt(a + d) - sqrt(a)| <= sqrt(|d|); against an 80-bit
+    reference the error reached 0.82 sqrt(eps) E on 20,000 such segments,
+    on areas up to 3 km.  ``margin`` is 2^10 sqrt(eps) E, over 100 times
+    that, so every dropped clearance a call could compute exceeds a kept
+    one, and the minimum over the kept slots is the minimum over all of
+    them, bit for bit.  A (k, b) with a non-finite clearance at any grid
+    point keeps every obstacle, and so does every (k, b) of a call with an
+    antenna outside [0, L] by more than margin / 4, or at NaN: such a call
+    uses the full slot set, built by the same code.
 
     rows is the batch's row count P.  The buffers hold memory, never
     values: the kernel writes each element before it reads it in the same
@@ -127,6 +168,7 @@ class Plan:
     is in use.
     """
 
+    @np.errstate(all="ignore")  # as in swarm_fitness: overflows give non-finite values
     def __init__(self, scenario: Scenario, config: SystemConfig, rows):
         self.scenario, self.config = scenario, config
         k, o = scenario.users.shape[0], scenario.obstacle_centers.shape[0]
@@ -136,30 +178,125 @@ class Plan:
         rows //= blocks
         self.shape = k, o, blocks, rows
         ux, uy, uz = users[..., 0, None], users[..., 1, None], users[..., 2, None]  # (K, B, 1)
+        u_sq = uy * uy + uz * uz
         self.ux = _expand(ux, (k, blocks, rows))
-        self.u_sq = _expand(uy * uy + uz * uz, (k, blocks, rows))
-        centers = scenario.obstacle_centers.reshape(o, blocks, 3) - antenna_plane
-        ox, oy, oz = (centers[:, None, :, i, None] for i in range(3))   # (O, 1, B, 1)
-        self.ox = _expand(ox, (o, 1, blocks, rows))
-        self.o_sq = _expand(oy * oy + oz * oz, (o, 1, blocks, rows))
-        # w.v = wx * vx + c_ko, with c_ko = oy * uy + oz * uz per (obstacle, user)
-        self.c_ko = _expand((oy * uy + oz * uz)[:, None], (o, 1, k, blocks, rows))
-        self.radii = _expand(scenario.obstacle_radii.reshape(o, 1, 1, blocks, 1),
-                             (o, 1, k, blocks, rows))
+        self.u_sq = _expand(u_sq, (k, blocks, rows))
         self.wavelength, self.guide_wavelength = config.wavelength, config.guide_wavelength
         self.amp_scale = config.wavelength / (4.0 * math.pi)
         self.loss_exp = -config.wg_loss / 20.0
         self.base = np.arange(blocks * rows)
-        n = config.num_pas
-        link, obstacle, pair = (n, k, blocks, rows), (o, n, blocks, rows), (o, n, k, blocks, rows)
+        link = (config.num_pas, k, blocks, rows)
         self.vx, self.rsq, self.r, self.amp, self.dmin = (np.empty(link) for _ in range(5))
-        self.wx, self.w_sq = np.empty(obstacle), np.empty(obstacle)
-        self.wv, self.t, self.gap = (np.empty(pair) for _ in range(3))
+        if not o:
+            return
+        centers = scenario.obstacle_centers.reshape(o, blocks, 3) - antenna_plane
+        radii = scenario.obstacle_radii.reshape(o, blocks).T[None]       # (1, B, O)
+        ox, oy, oz = (centers[..., i].T[None] for i in range(3))         # (1, B, O)
+        # every (user, block, obstacle) slot's ux, u_sq, ox, o_sq, c_ko and
+        # radius, flat in that order; w.v = wx * vx + c_ko
+        self.slot_geometry = [np.broadcast_to(a, (k, blocks, o)).ravel() for a in (
+            ux, u_sq, ox, oy * oy + oz * oz, oy * uy + oz * uz, radii)]
+        extent = (config.waveguide_len + radii.max()
+                  + 2.0 * max(np.abs(users).max(), np.abs(centers).max()))
+        self.margin = 2.0 ** 10 * math.sqrt(np.finfo(float).eps) * extent
+        self.guide = -self.margin / 4.0, config.waveguide_len + self.margin / 4.0
+        self.slots = _Slots(self, self._candidates())
+
+    def _candidates(self):
+        """Which slots can hold their link's nearest obstacle on the guide:
+        a boolean mask over the flat slots."""
+        k, o, blocks, _ = self.shape
+        ux, u_sq, *geometry = self.slot_geometry
+        length = self.config.waveguide_len
+        points = np.linspace(0.0, length, GRID_CELLS + 1)
+        step = max(1, GRID_ELEMENTS // len(ux))
+        excess = np.full(len(ux), np.inf)      # least clearance above the link's nearest
+        finite = np.ones(k * blocks, dtype=bool)
+        for i in range(0, len(points), step):
+            x = points[i:i + step, None]
+            gap = _clearances(x, *_link_offsets(ux, u_sq, x), geometry)
+            gap = gap.reshape(len(x), k * blocks, o)
+            finite &= np.isfinite(gap).all(axis=(0, 2))
+            gap -= gap.min(axis=2, keepdims=True)
+            np.minimum(excess, gap.min(axis=0).ravel(), out=excess)
+        dropped = excess > length / GRID_CELLS + self.margin
+        return ~dropped | ~np.repeat(finite, o)
+
+
+class _Slots:
+    """The (user, block, obstacle) slots a kernel call evaluates, rank-major:
+    the first kept slot of each link group k B + b in group order, then
+    each group's second, and so on.
+
+    ``block`` and ``link`` are each slot's block and link group, the
+    indices that gather its antenna x and link offsets; ``geometry`` is its
+    ox, o_sq, c_ko and radius expanded over the rows, as (M, P/B) arrays;
+    ``ranks`` holds, for each rank past the first, the slot of that rank in
+    each group, or the group's first slot where it has fewer.  The work
+    buffers are (N, M, P/B).
+    """
+
+    def __init__(self, plan, kept):
+        k, o, blocks, rows = plan.shape
+        kept = np.flatnonzero(kept)
+        group = kept // o
+        rank = np.arange(len(kept)) - np.searchsorted(group, group)
+        order = np.lexsort((group, rank))
+        position = np.empty_like(order)
+        position[order] = np.arange(len(kept))
+        slots = kept[order]
+        self.link = slots // o
+        self.block = self.link % blocks
+        self.ranks = []
+        for j in range(1, rank.max() + 1):
+            index = np.arange(k * blocks)
+            index[group[rank == j]] = position[rank == j]
+            self.ranks.append(index)
+        self.geometry = [_expand(a[slots, None], (len(slots), rows))
+                         for a in plan.slot_geometry[2:]]
+        pair = (plan.config.num_pas, len(slots), rows)
+        self.wx, self.w_sq, self.t, self.gap = (np.empty(pair) for _ in range(4))
 
 
 def _expand(a, shape):
     """A contiguous copy of ``a`` broadcast to ``shape``."""
     return np.ascontiguousarray(np.broadcast_to(a, shape))
+
+
+def _link_offsets(ux, u_sq, x, vx=None, rsq=None):
+    """Each link's antenna-to-user x offset and squared length, from the
+    antenna x and the user's ux and uy^2 + uz^2."""
+    vx = np.subtract(ux, x, out=vx)
+    rsq = np.multiply(vx, vx, out=rsq)
+    rsq += u_sq
+    return vx, rsq
+
+
+def _clearances(x, vx, rsq, geometry, wx=None, w_sq=None):
+    """Each obstacle's clearance from a link: the distance from its centre
+    to the segment's closest point, whose square is
+    |w|^2 - t (2 w.v - t |v|^2), less its radius.  x is the antenna x, vx
+    and rsq the link's offsets, geometry the obstacle's (ox, o_sq, c_ko,
+    radius).  Writes over vx and rsq, and returns the clearances in rsq's
+    memory; wx and w_sq are optional buffers.  The kernel and the plan's
+    grid both evaluate clearances here."""
+    ox, o_sq, c_ko, radii = geometry
+    wx = np.subtract(ox, x, out=wx)                # antenna -> centre
+    w_sq = np.multiply(wx, wx, out=w_sq)
+    w_sq += o_sq
+    wv = np.multiply(wx, vx, out=wx)
+    wv += c_ko
+    t = np.divide(wv, rsq, out=vx)
+    np.clip(t, 0.0, 1.0, out=t)
+    gap = np.multiply(t, rsq, out=rsq)
+    wv *= 2.0                                      # not read again
+    gap -= wv
+    gap *= t
+    gap += w_sq
+    np.maximum(gap, 0.0, out=gap)
+    np.sqrt(gap, out=gap)
+    gap -= radii
+    return gap
 
 
 @np.errstate(all="ignore")
@@ -217,7 +354,7 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
     """The channel stage of ``swarm_fitness``: the (K, P) complex effective
     channels of each row's layout, with the model's phase sign,
     exp(-j 2 pi (r / lambda + x / lambda_g)) per link.  plan is a ``Plan``
-    of (scenario, config), whose buffers hold the link and obstacle blocks;
+    of (scenario, config), whose buffers hold the link and slot blocks;
     None builds one.  parts=True returns the real and imaginary parts as two
     (K, P) arrays instead.  The results are new arrays."""
     if plan is None:
@@ -227,32 +364,32 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
     k, o, blocks, rows = plan.shape
     x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)
     x = x.reshape(x.shape[0], blocks, rows)        # (N, B, P/B)
-    vx = np.subtract(plan.ux, x[:, None], out=plan.vx)  # antenna -> user
-    rsq = np.multiply(vx, vx, out=plan.rsq)
-    rsq += plan.u_sq
+    vx, rsq = _link_offsets(plan.ux, plan.u_sq, x[:, None], plan.vx, plan.rsq)
     r = np.sqrt(rsq, out=plan.r)
 
     amp = 10.0 ** (plan.loss_exp * x) * plan.amp_scale
     amp = np.divide(amp[:, None], r, out=plan.amp)
     if o:
-        wx = np.subtract(plan.ox, x, out=plan.wx)  # antenna -> centre
-        w_sq = np.multiply(wx, wx, out=plan.w_sq)
-        w_sq += plan.o_sq
-        wv = np.multiply(wx[:, :, None], vx, out=plan.wv)  # (O, N, K, B, P/B)
-        wv += plan.c_ko
-        t = np.divide(wv, rsq, out=plan.t)
-        np.clip(t, 0.0, 1.0, out=t)
-        # squared distance from the centre to the segment's closest point,
-        # |w|^2 - t (2 w.v - t |v|^2), then its clearance from the sphere
-        gap = np.multiply(t, rsq, out=plan.gap)
-        wv *= 2.0                                  # not read again
-        gap -= wv
-        gap *= t
-        gap += w_sq[:, :, None]
-        np.maximum(gap, 0.0, out=gap)
-        np.sqrt(gap, out=gap)
-        gap -= plan.radii
-        dmin = np.minimum.reduce(gap, axis=0, out=plan.dmin)
+        lo, hi = plan.guide
+        slots = plan.slots
+        if not (x.min(initial=hi) >= lo and x.max(initial=lo) <= hi):  # NaN included
+            slots = _Slots(plan, np.ones(k * blocks * o, dtype=bool))
+        # gather each slot's antenna x and link offsets: (N, M, P/B) blocks;
+        # the indices are in range, and mode="raise" would buffer each out
+        n = len(x)
+        x_slots = np.take(x, slots.block, axis=1, mode="clip", out=slots.wx)
+        gap = _clearances(
+            x_slots, np.take(vx.reshape(n, -1, rows), slots.link, axis=1, mode="clip",
+                             out=slots.t),
+            np.take(rsq.reshape(n, -1, rows), slots.link, axis=1, mode="clip", out=slots.gap),
+            slots.geometry, x_slots, slots.w_sq)
+        # each link's minimum over its slots, rank by rank; vx is free by now
+        dmin = plan.dmin.reshape(n, -1, rows)
+        np.copyto(dmin, gap[:, :dmin.shape[1]])
+        scratch = vx.reshape(dmin.shape)
+        for index in slots.ranks:
+            np.minimum(dmin, np.take(gap, index, axis=1, mode="clip", out=scratch), out=dmin)
+        dmin = plan.dmin
         # blockage factor beta + (1 - beta)(1 - exp(-alpha dmin)), in place
         np.maximum(dmin, 0.0, out=dmin)
         dmin *= -config.blockage_alpha

@@ -78,7 +78,11 @@ from .scenario import Scenario, stack_scenarios, stream
 # 24-realization one-column sweep-users, three runs per budget, took
 # 0.73-1.03 / 0.80-0.98 s at 2^16 / 2^17 with 3 users and 1.36-1.50 /
 # 1.38-1.43 s with 5, peaking at 43 / 48 and 41 / 45 MB.  So 2^17 is no
-# faster and costs 4-5 MB more; the CSVs were identical.
+# faster and costs 4-5 MB more; the CSVs were identical.  Since the plan
+# keeps only the obstacle slots that can be a link's nearest, M <= O K of a
+# row's block, these are 2 K + 4 M doubles of geometry and 5 N K + 4 N M of
+# work buffers per row: 26 and 175 at 3/5/3 with the 5 slots a block keeps
+# on average on eps_desk, and at most 2 K + 4 O K and 5 N K + 4 O N K.
 LOCKSTEP_BUDGET = 2 ** 16
 
 

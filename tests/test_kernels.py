@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pinchsim import SystemConfig, generate_scenario, robust_gains
+from pinchsim import SystemConfig, experiments, generate_scenario, kernels, robust_gains
 from pinchsim.noma import conservative_order, conservative_sinr
 from pinchsim.channel import compute_channels, effective_channel
 from pinchsim.kernels import Plan, effective_channels, row_gains, swarm_fitness
@@ -461,3 +461,231 @@ def test_phase_matches_two_antenna_closed_form():
         h_sq = a1 * a1 + a2 * a2 + 2.0 * a1 * a2 * math.cos(2.0 * math.pi * (c1 - c2))
         want = g_s * 0.7 * config.tx_power * h_sq / config.noise_power
         assert gamma[i] == pytest.approx(want, rel=1e-12, abs=0.0), (x, c2)
+
+
+# obstacle culling: a plan keeps only the (user, block, obstacle) slots whose
+# obstacle can be the link's nearest for an antenna on the guide
+
+def slot_clearances(plan, x):
+    """The kernel's clearance of every (user, block, obstacle) slot at each
+    antenna x, as (len(x), K B, O), through the kernel's own arithmetic."""
+    ux, u_sq, *geometry = plan.slot_geometry
+    x = np.asarray(x, dtype=float)[:, None]
+    gap = kernels._clearances(x, *kernels._link_offsets(ux, u_sq, x), geometry)
+    k, o, blocks, _ = plan.shape
+    return gap.reshape(len(x), k * blocks, o)
+
+
+def kept_mask(plan):
+    """The plan's kept slots as a (K B, O) mask, after checking that its
+    slot set holds exactly them."""
+    k, o, blocks, _ = plan.shape
+    with np.errstate(all="ignore"):  # as Plan builds it
+        mask = plan._candidates().reshape(k * blocks, o)
+    assert len(plan.slots.link) == mask.sum()
+    assert np.array_equal(np.bincount(plan.slots.link, minlength=k * blocks), mask.sum(axis=1))
+    return mask
+
+
+def full_slot_plan(scenario, config, rows):
+    """A plan that evaluates every slot, as a call off the guide does."""
+    plan = Plan(scenario, config, rows)
+    k, o, blocks, _ = plan.shape
+    plan.slots = kernels._Slots(plan, np.ones(k * blocks * o, dtype=bool))
+    return plan
+
+
+# a guide packed so tightly that the projection leaves antennas a few ulps
+# below 0, one packed exactly, and two plain ones
+GUIDES = [{"waveguide_len": 1.17, "num_pas": 4, "min_spacing": 0.39},
+          {"waveguide_len": 10.0, "num_pas": 5, "min_spacing": 2.5},
+          {"waveguide_len": 10.0, "num_pas": 3, "min_spacing": 0.5},
+          {"waveguide_len": 40.0, "num_pas": 2, "min_spacing": 0.0}]
+
+
+@st.composite
+def culling_cases(draw):
+    """Random stacked scenes on desk- to km-scale areas.  Some obstacles
+    shadow obstacle 0: the same centre, the radius smaller by a gap near
+    the grid's drop threshold, or by nothing (a tie)."""
+    k, o, blocks = draw(st.integers(1, 6)), draw(st.integers(0, 8)), draw(st.integers(1, 3))
+    area = draw(st.sampled_from([10.0, 100.0, 2000.0]))
+    config = SystemConfig(num_users=k, obstacle_count=o, area_x=area, area_y=area,
+                          **draw(st.sampled_from(GUIDES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shadows = draw(st.integers(0, o // 2))
+    scenarios = []
+    for b in range(blocks):
+        users = np.zeros((k, 3))
+        users[:, :2] = rng.uniform(0.01, area, (k, 2))
+        centers = rng.uniform(0.0, 1.0, (o, 3)) * [area, area, config.pa_height]
+        radii = rng.uniform(0.3, 0.8, o)
+        step = config.waveguide_len / kernels.GRID_CELLS
+        for j in range(1, shadows + 1):
+            centers[j] = centers[0]
+            radii[j] = radii[0] - rng.choice([0.0, step * (1 + 1e-6), step + 1e-3, 2 * step])
+        scenarios.append(Scenario(users=users, obstacle_centers=centers, obstacle_radii=radii))
+    thetas = np.stack([draw_theta(config, rng) for _ in range(blocks * 3)])
+    return stack_scenarios(scenarios), config, thetas
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(culling_cases())
+def test_dropped_obstacles_are_never_a_links_nearest(case):
+    scenario, config, thetas = case
+    n, length = config.num_pas, config.waveguide_len
+    plan = Plan(scenario, config, len(thetas))
+    if not plan.shape[1]:
+        return
+    mask = kept_mask(plan)
+    assert mask.any(axis=1).all()
+    # 2,001 points over the guide, the grid, the projected antennas (a few
+    # ulps outside the guide on a packed one) and the slack off either end
+    x = np.concatenate([np.linspace(0.0, length, 2001),
+                        np.linspace(0.0, length, kernels.GRID_CELLS + 1),
+                        thetas[:, :n].ravel(), plan.guide])
+    gap = slot_clearances(plan, x)
+    kept = np.where(mask, gap, np.inf).min(axis=2)
+    dropped = np.where(mask, np.inf, gap).min(axis=2)
+    assert np.all(dropped > kept)
+    # so the kernel's channels equal those of a plan that keeps every slot
+    culled = effective_channels(thetas[:, :n], scenario, config, plan)
+    full = effective_channels(thetas[:, :n], scenario, config,
+                              full_slot_plan(scenario, config, len(thetas)))
+    assert culled.tobytes() == full.tobytes()
+
+
+def test_obstacle_nearest_only_between_grid_points_is_kept():
+    # obstacles 0 and 2, of radius h/2, hang just over the antenna line at
+    # grid points 64 and 65; obstacle 1, of radius 1 mm, hangs midway, the
+    # line 0.5 mm inside it.  At every grid point its clearance exceeds the
+    # smallest by more than h/2, yet midway it is the nearest
+    config = SystemConfig(num_users=1, num_pas=2, obstacle_count=3, min_spacing=0.0)
+    step, height = config.waveguide_len / kernels.GRID_CELLS, config.pa_height
+    mid = 64.5 * step
+    scenario = Scenario(users=np.array([[mid, 5.0, 0.0]]),
+                        obstacle_centers=np.array([[64 * step, 0.0, height + 1e-4],
+                                                   [mid, 0.0, height + 5e-4],
+                                                   [65 * step, 0.0, height + 1e-4]]),
+                        obstacle_radii=np.array([step / 2, 1e-3, step / 2]))
+    plan = Plan(scenario, config, 3)
+    grid = slot_clearances(plan, np.linspace(0.0, config.waveguide_len,
+                                             kernels.GRID_CELLS + 1))[:, 0]
+    assert np.all(grid[:, 1] - grid.min(axis=1) > step / 2)
+    assert slot_clearances(plan, [mid])[0, 0].argmin() == 1
+    assert kept_mask(plan).all()
+    xs = np.array([[1.0, mid], [mid - 0.01, 9.0], [2.0, 3.0]])
+    h = effective_channels(xs, scenario, config, plan)
+    for i, row in enumerate(xs):
+        want = effective_channel(row, scenario.users[0], scenario, config)
+        assert h[0, i] == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_margin_scales_with_the_scene():
+    # on desk- and km-scale scenes the margin exceeds 100 sqrt(eps) times
+    # the longest centre offset |w| of any link on the guide
+    for area in (10.0, 3000.0):
+        config = SystemConfig(area_x=area, area_y=area)
+        scenario = generate_scenario(config, 8)
+        plan = Plan(scenario, config, 1)
+        corners = np.array([[0.0, 0.0, config.pa_height],
+                            [config.waveguide_len, 0.0, config.pa_height]])
+        w = np.linalg.norm(scenario.obstacle_centers[:, None] - corners, axis=2).max()
+        assert plan.margin > 100 * math.sqrt(np.finfo(float).eps) * w
+        assert plan.guide == (-plan.margin / 4, config.waveguide_len + plan.margin / 4)
+
+
+def test_default_plan_drops_slots():
+    config = SystemConfig()
+    seeds = experiments.realization_seeds(20260810, 2)  # the acceptance seed's first two
+    scenario = stack_scenarios([generate_scenario(config, s) for s in seeds])
+    plan = Plan(scenario, config, 2 * 60)
+    k, o, blocks, _ = plan.shape
+    assert 0 < len(plan.slots.link) < k * o * blocks
+    assert not kept_mask(plan).all()
+
+
+def test_grid_slices_keep_their_bound_and_mask(monkeypatch):
+    config = SystemConfig(num_users=5, obstacle_count=8)
+    scenario = stack_scenarios([generate_scenario(config, s) for s in (1, 2, 3)])
+    whole = kept_mask(Plan(scenario, config, 3))
+    slots = whole.size
+    assert not whole.all()
+    clearances = kernels._clearances
+    for budget in (1, slots, 2 * slots + 1, 50 * slots):
+        sizes = []
+
+        def recording(*args, **kwargs):
+            gap = clearances(*args, **kwargs)
+            sizes.append(gap.size)
+            return gap
+
+        monkeypatch.setattr(kernels, "GRID_ELEMENTS", budget)
+        monkeypatch.setattr(kernels, "_clearances", recording)
+        assert np.array_equal(kept_mask(Plan(scenario, config, 3)), whole)
+        assert sizes and max(sizes) <= max(budget, slots)
+
+
+def test_rows_off_the_guide_use_every_slot():
+    # one obstacle near every on-guide link, and two that only links from
+    # antennas 5 m off either end of the guide pass
+    config = SystemConfig(num_users=1, num_pas=2, obstacle_count=3)
+    length = config.waveguide_len
+    scenario = Scenario(users=np.array([[5.0, 5.0, 0.0]]),
+                        obstacle_centers=np.array([[5.0, 2.6, 1.5], [-5.0, 0.3, 2.8],
+                                                   [length + 5.0, 0.3, 2.8]]),
+                        obstacle_radii=np.array([0.3, 0.3, 0.3]))
+    plan = Plan(scenario, config, 4)
+    assert kept_mask(plan).tolist() == [[True, False, False]]
+    xs = np.array([[-5.0, 2.0], [3.0, length + 5.0], [np.nan, 4.0], [1.0, 9.0]])
+    h = effective_channels(xs, scenario, config, plan)
+    clear = dataclasses.replace(scenario, obstacle_radii=np.array([0.3, 1e-9, 1e-9]))
+    for i in (0, 1, 3):
+        want = effective_channel(xs[i], scenario.users[0], scenario, config)
+        assert h[0, i] == pytest.approx(want, rel=1e-9, abs=0.0)
+        if i < 2:  # the off-guide obstacles block the off-guide links
+            assert abs(want) != pytest.approx(
+                abs(effective_channel(xs[i], scenario.users[0], clear, config)), rel=1e-3)
+    assert np.isnan(h[0, 2]) and np.isnan(effective_channel(xs[2], scenario.users[0],
+                                                            scenario, config))
+
+
+def test_only_calls_off_the_guide_build_a_full_slot_set(monkeypatch):
+    config = SystemConfig(**GUIDES[0])
+    scenario = generate_scenario(config, 3)
+    rng = np.random.default_rng(3)
+    thetas = np.stack([draw_theta(config, rng) for _ in range(20)])
+    xs, alphas = thetas[:, :config.num_pas], thetas[:, config.num_pas:]
+    assert xs.min() < 0.0  # the packed guide's projection leaves ulps below 0
+    plan = Plan(scenario, config, len(xs))
+    built = []
+    slot_set = kernels._Slots
+
+    def recording(plan, kept):
+        built.append(kept.all())
+        return slot_set(plan, kept)
+
+    monkeypatch.setattr(kernels, "_Slots", recording)
+    swarm_fitness(xs, alphas, scenario, config, plan=plan)
+    assert built == []
+    outside = xs.copy()
+    outside[3, -1] = plan.guide[1] + plan.margin
+    swarm_fitness(outside, alphas, scenario, config, plan=plan)
+    assert built == [True]
+
+
+def test_nonfinite_grid_keeps_every_obstacle():
+    # guide phases that overflow, as in test_cli's refused configs
+    config = SystemConfig(waveguide_len=1e308)
+    plan = Plan(generate_scenario(config, 4), config, 5)
+    assert kept_mask(plan).all()
+    # an obstacle so far off that its squared offset overflows to inf
+    config = SystemConfig(num_users=1, obstacle_count=2)
+    scenario = Scenario(users=np.array([[5.0, 5.0, 0.0]]),
+                        obstacle_centers=np.array([[5.0, 2.5, 1.5], [1e200, 1e200, 1.0]]),
+                        obstacle_radii=np.array([0.3, 0.3]))
+    plan = Plan(scenario, config, 2)
+    with np.errstate(over="ignore"):
+        assert np.isinf(slot_clearances(plan, [0.0])).any()
+    assert kept_mask(plan).all()

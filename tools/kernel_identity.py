@@ -10,14 +10,19 @@ script once per tree in a separate process, each importing that tree's
 package (scenarios, particles and row gains from fixed seeds) and saves the
 bytes of every ``effective_channels`` and ``swarm_fitness`` output, and of
 ``experiments.score_candidates`` in both score modes on every
-single-realization case, its rows at mixed error bounds.  The matrix covers twelve (K, N, O) shapes, obstacle-free ones included, 1-4
-stacked blocks of 7 rows and one row alone, ``gains=None`` and mixed
-per-row evaluation points, rows with antennas at both ends of the guide,
-and two configs whose results are not finite (a guide of 1e308 m, whose
-phases overflow, and a transmit power of 1e-320 W, whose SINRs
-underflow).  A case is one (scenario, config, gains) with several draws of
-particles.  Every draw is evaluated twice: with ``plan=None``, and with
-one ``Plan`` of its case reused over all of the case's draws.
+single-realization case, its rows at mixed error bounds.  The matrix covers
+thirteen (K, N, O) shapes, obstacle-free ones included and an
+obstacle-dense one (24 obstacles, of which a plan keeps about a fifth of
+the slots), a packed guide (N = 5, min_spacing 2.5 on L = 10), 1-4 stacked
+blocks of 7 rows and one row alone, ``gains=None`` and mixed per-row
+evaluation points, rows with antennas at both ends of the guide, a draw
+per stacked case with antennas 5 m off either end and a NaN row (calls
+that evaluate every obstacle slot), and two configs whose results are not
+finite (a guide of 1e308 m, whose phases overflow, and a transmit power of
+1e-320 W, whose SINRs underflow).  A case is one (scenario, config, gains)
+with several draws of particles.  Every draw is evaluated twice: with
+``plan=None``, and with one ``Plan`` of its case reused over all of the
+case's draws.
 
 It also saves the bytes of ``pso.project_theta_batch`` on fixed raw
 batches at K = 1, 2, 3, 5 and 9 users (positions with ties, zeros, -0.0
@@ -48,10 +53,12 @@ import tempfile
 import numpy as np
 
 # (K, N, O) shapes: the default, wide guides, no obstacles, one of each,
-# and one user on 8 or more antennas, whose one-row antenna sum numpy's
-# reduce would pair up
+# one user on 8 or more antennas, whose one-row antenna sum numpy's reduce
+# would pair up, and a scene dense with obstacles, most of which a plan drops
 SHAPES = [(3, 5, 3), (8, 9, 4), (2, 16, 8), (1, 1, 0), (9, 9, 0), (5, 12, 0),
-          (4, 3, 6), (8, 8, 1), (2, 2, 2), (6, 10, 3), (1, 9, 0), (1, 12, 3)]
+          (4, 3, 6), (8, 8, 1), (2, 2, 2), (6, 10, 3), (1, 9, 0), (1, 12, 3),
+          (3, 4, 24)]
+PACKED = {"num_pas": 5, "min_spacing": 2.5}  # (N - 1) * min_spacing = L
 ROWS_PER_BLOCK = 7
 DRAWS = 3
 OVERFLOWS = [{"waveguide_len": 1e308}, {"tx_power": 1e-320}]
@@ -68,8 +75,8 @@ SEARCHES = [(3, 5, 3, 8, 12, 2, (0.1, 0.0, 0.2), None),
 def cases():
     """Yield (name, scenario, config, gains, draws, bounds) in a fixed order:
     each case's draws are DRAWS (xs, alphas) batches on its scenario and
-    gains, and bounds the rows' error bounds of a single-realization case,
-    None for stacked ones."""
+    gains, and one more off the guide for a stacked case, and bounds the
+    rows' error bounds of a single-realization case, None for stacked ones."""
     from pinchsim import SystemConfig, generate_scenario, robust_gains
     from pinchsim.kernels import row_gains
     from pinchsim.pso import draw_theta
@@ -77,6 +84,7 @@ def cases():
 
     configs = [(f"K{k}N{n}O{o}", SystemConfig(num_users=k, num_pas=n, obstacle_count=o))
                for k, n, o in SHAPES]
+    configs += [("packed_N5", SystemConfig(**PACKED))]
     configs += [("overflow_" + "_".join(change), dataclasses.replace(SystemConfig(), **change))
                 for change in OVERFLOWS]
     for label, config in configs:
@@ -93,6 +101,10 @@ def cases():
                 thetas[0, :n] = np.linspace(0.0, config.waveguide_len, n)
                 thetas[1, n - 1] = config.waveguide_len
                 draws.append((thetas[:, :n], thetas[:, n:]))
+            # antennas 5 m off either end of the guide, and a NaN row
+            off = thetas.copy()
+            off[0, 0], off[1, n - 1], off[2, 0] = -5.0, config.waveguide_len + 5.0, np.nan
+            draws.append((off[:, :n], off[:, n:]))
             eps = rng.choice([0.0, 0.05, 0.1, 0.3], rows)
             eta_r = rng.choice([0.0, 0.2, 0.5], rows)
             mixed = row_gains([robust_gains(float(e), config.eta_i, float(r))
