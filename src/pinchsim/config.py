@@ -4,7 +4,8 @@ Three parameter groups drive a run: the physical system (``SystemConfig``),
 the swarm optimizer (``PsoParams``) and the Monte-Carlo harness
 (``ExperimentSettings``).  All three are frozen dataclasses validated on
 construction, so an instance that exists is feasible by construction and can
-be shared read-only by every realization of a run.
+be shared read-only by every realization of a run.  Each int and float field
+states its domain once, as an ``Interval`` in its field metadata (key "domain").
 """
 
 import dataclasses
@@ -20,6 +21,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Most elements (128 MiB of doubles) of any array a run sizes from its config,
 # and the largest size field or grid length a config may hold.
 MAX_ELEMENTS = 2 ** 24
+
+# How a run scores each scheme's final candidate (``ExperimentSettings.score_mode``).
+SCORE_MODES = ("conservative", "true_sampled")
 
 
 class ConfigError(ValueError):
@@ -38,9 +42,43 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_field_types(instance):
-    """Integer fields take integers (not bools or floats) and float fields
-    take finite numbers.  Runs before the range checks, which assume both."""
+@dataclass(frozen=True)
+class Interval:
+    """A numeric field's domain: the numbers from ``lo`` to ``hi``, each end
+    closed unless marked open.  ``str`` gives the refusal's "must be" text."""
+
+    lo: float
+    hi: float = math.inf
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def __contains__(self, value):
+        return ((self.lo < value if self.open_lo else self.lo <= value)
+                and (value < self.hi if self.open_hi else value <= self.hi))
+
+    def __str__(self):
+        if self.hi == math.inf:
+            return f"{'>' if self.open_lo else '>='} {self.lo}"
+        left, right = "(" if self.open_lo else "[", ")" if self.open_hi else "]"
+        return f"in {left}{self.lo}, {self.hi}{right}"
+
+
+def at_least(lo):
+    return Interval(lo)
+
+
+def above(lo):
+    return Interval(lo, open_lo=True)
+
+
+def _in(default, domain):
+    """A dataclass field whose values must lie in ``domain``."""
+    return dataclasses.field(default=default, metadata={"domain": domain})
+
+
+def _check_fields(instance):
+    """Integer fields take integers (not bools or floats), float fields finite
+    numbers, each in its field's domain; the cross-field rules assume all three."""
     for field in dataclasses.fields(instance):
         value = getattr(instance, field.name)
         if field.type is int and not _is_integer(value):
@@ -49,14 +87,23 @@ def _check_field_types(instance):
         if field.type is float and not _is_finite_number(value):
             raise ConfigError(f"{field.name} must be a finite number, "
                               f"got {reprlib.repr(value)}")
+        domain = field.metadata.get("domain")
+        if domain is not None and value not in domain:
+            raise ConfigError(f"{field.name} must be {domain}, got {value}")
 
 
-def _grid(name, values, is_item, kind):
-    """A sweep grid as a tuple; it must be a non-empty list of ``kind``."""
+def _grid(name, values, swept):
+    """A sweep grid as a tuple: a non-empty list of values of the ``swept``
+    field, each in that field's domain."""
+    is_item, kind = ((_is_integer, "integers") if swept.type is int
+                     else (_is_finite_number, "finite numbers"))
     if (not isinstance(values, (list, tuple)) or not values
             or not all(is_item(v) for v in values)):
         raise ConfigError(f"{name} must be a non-empty list of {kind}, "
                           f"got {reprlib.repr(values)}")
+    domain = swept.metadata["domain"]
+    if not all(v in domain for v in values):
+        raise ConfigError(f"{name} values must be {domain}, got {tuple(values)}")
     return tuple(values)
 
 
@@ -71,85 +118,48 @@ class SystemConfig:
     magnitudes; everything is overridable.
     """
 
-    num_users: int = 3
-    num_pas: int = 5                 # antennas clamped onto the waveguide
-    waveguide_len: float = 10.0      # m, guide spans [0, L] on the x axis
-    pa_height: float = 3.0           # m, antennas sit at z = H
-    min_spacing: float = 0.5         # m, minimum gap between adjacent antennas
-    area_x: float = 10.0             # m, users drawn in (0, area_x)
-    area_y: float = 10.0             # m, users drawn in (0, area_y), y > 0
-    carrier_freq: float = 28e9       # Hz
-    guide_index: float = 1.4         # effective index; in-guide wavelength = lambda / n
-    wg_loss: float = 0.1             # dB per meter of guided propagation
-    tx_power: float = 1.0            # W, total superposed transmit power
-    noise_power: float = 1e-9        # W (-60 dBm)
-    blockage_beta: float = 0.1       # residual transmission under total blockage
-    blockage_alpha: float = 2.0      # 1/m, clearance rate of the soft-blockage factor
-    csi_eps: float = 0.1             # relative channel-estimate error bound, in [0, 1)
-    eta_i: float = 0.5               # interference inflation level
-    eta_r: float = 0.2               # residual cancellation leakage level
-    penalty_mu: float = 1.0          # weight of the order-violation penalty
-    obstacle_count: int = 3
-    obstacle_radius_range: tuple = (0.3, 0.8)  # m
+    num_users: int = _in(3, at_least(1))
+    num_pas: int = _in(5, at_least(1))              # antennas clamped onto the waveguide
+    waveguide_len: float = _in(10.0, above(0))      # m, guide spans [0, L] on the x axis
+    pa_height: float = _in(3.0, above(0))           # m, antennas sit at z = H
+    min_spacing: float = _in(0.5, at_least(0))      # m, minimum gap between adjacent antennas
+    area_x: float = _in(10.0, above(0))             # m, users drawn in (0, area_x)
+    area_y: float = _in(10.0, above(0))             # m, users drawn in (0, area_y), y > 0
+    carrier_freq: float = _in(28e9, above(0))       # Hz
+    guide_index: float = _in(1.4, at_least(1))      # effective index n: lambda_g = lambda / n
+    wg_loss: float = _in(0.1, at_least(0))          # dB per meter of guided propagation
+    tx_power: float = _in(1.0, above(0))            # W, total superposed transmit power
+    noise_power: float = _in(1e-9, above(0))        # W (-60 dBm)
+    blockage_beta: float = _in(0.1, Interval(0, 1, open_lo=True))  # residual if fully blocked
+    blockage_alpha: float = _in(2.0, above(0))      # 1/m, clearance rate of soft blockage
+    csi_eps: float = _in(0.1, Interval(0, 1, open_hi=True))  # relative CSI error bound
+    eta_i: float = _in(0.5, above(0))               # interference inflation level
+    eta_r: float = _in(0.2, at_least(0))            # residual cancellation leakage level
+    penalty_mu: float = _in(1.0, above(0))          # weight of the order-violation penalty
+    obstacle_count: int = _in(3, at_least(0))
+    obstacle_radius_range: tuple = (0.3, 0.8)       # m
 
     def __post_init__(self):
         if isinstance(self.obstacle_radius_range, list):
             object.__setattr__(self, "obstacle_radius_range",
                                tuple(self.obstacle_radius_range))
-        _check_field_types(self)
-        if self.num_users < 1:
-            raise ConfigError(f"num_users must be >= 1, got {self.num_users}")
-        if self.num_pas < 1:
-            raise ConfigError(f"num_pas must be >= 1, got {self.num_pas}")
-        if self.waveguide_len <= 0:
-            raise ConfigError(f"waveguide_len must be > 0, got {self.waveguide_len}")
-        if self.pa_height <= 0:
-            raise ConfigError(f"pa_height must be > 0, got {self.pa_height}")
-        if self.min_spacing < 0:
-            raise ConfigError(f"min_spacing must be >= 0, got {self.min_spacing}")
+        _check_fields(self)
         if (self.num_pas - 1) * self.min_spacing > self.waveguide_len:
             raise ConfigError(
                 "antenna spacing infeasible: (num_pas - 1) * min_spacing = "
                 f"{(self.num_pas - 1) * self.min_spacing} exceeds waveguide_len = "
                 f"{self.waveguide_len}")
-        if self.area_x <= 0 or self.area_y <= 0:
-            raise ConfigError("area_x and area_y must be > 0, got "
-                              f"{self.area_x} x {self.area_y}")
-        if self.carrier_freq <= 0:
-            raise ConfigError(f"carrier_freq must be > 0, got {self.carrier_freq}")
-        if self.guide_index < 1:
-            raise ConfigError(f"guide_index must be >= 1, got {self.guide_index}")
         wavelengths = (self.wavelength, self.guide_wavelength)
         if not all(math.isfinite(w) and w > 0 for w in wavelengths):
             raise ConfigError(
                 f"carrier_freq = {self.carrier_freq} with guide_index = {self.guide_index} "
                 "must give a finite positive wavelength and guide wavelength, got "
                 f"{wavelengths[0]} and {wavelengths[1]}")
-        if self.wg_loss < 0:
-            raise ConfigError(f"wg_loss must be >= 0, got {self.wg_loss}")
-        if self.tx_power <= 0:
-            raise ConfigError(f"tx_power must be > 0, got {self.tx_power}")
-        if self.noise_power <= 0:
-            raise ConfigError(f"noise_power must be > 0, got {self.noise_power}")
-        if not 0 < self.blockage_beta <= 1:
-            raise ConfigError(f"blockage_beta must be in (0, 1], got {self.blockage_beta}")
-        if self.blockage_alpha <= 0:
-            raise ConfigError(f"blockage_alpha must be > 0, got {self.blockage_alpha}")
-        if not 0 <= self.csi_eps < 1:
-            raise ConfigError(f"csi_eps must be in [0, 1), got {self.csi_eps}")
-        if self.eta_i <= 0:
-            raise ConfigError(f"eta_i must be > 0, got {self.eta_i}")
         try:  # bounds the interference weight (1 + eta_i * eps)**2, as eps < 1
             (1.0 + self.eta_i) ** 2
         except OverflowError:
             raise ConfigError("eta_i must keep (1 + eta_i)**2 a finite float, "
                               f"got {self.eta_i}") from None
-        if self.eta_r < 0:
-            raise ConfigError(f"eta_r must be >= 0, got {self.eta_r}")
-        if self.penalty_mu <= 0:
-            raise ConfigError(f"penalty_mu must be > 0, got {self.penalty_mu}")
-        if self.obstacle_count < 0:
-            raise ConfigError(f"obstacle_count must be >= 0, got {self.obstacle_count}")
         radii = self.obstacle_radius_range
         if (not isinstance(radii, tuple) or len(radii) != 2
                 or not all(_is_finite_number(r) for r in radii)):
@@ -175,26 +185,14 @@ class SystemConfig:
 class PsoParams:
     """Swarm-optimizer hyperparameters (constriction-equivalent defaults)."""
 
-    num_particles: int = 60
-    max_iters: int = 200
-    inertia: float = 0.729
-    cognitive: float = 1.494
-    social: float = 1.494
-    velocity_clamp: float = 0.2   # per-dimension bound as a fraction of the dimension range
+    num_particles: int = _in(60, at_least(1))
+    max_iters: int = _in(200, at_least(1))
+    inertia: float = _in(0.729, Interval(0, 1))
+    cognitive: float = _in(1.494, at_least(0))
+    social: float = _in(1.494, at_least(0))
+    velocity_clamp: float = _in(0.2, above(0))  # per-dimension bound, fraction of its range
 
-    def __post_init__(self):
-        _check_field_types(self)
-        if self.num_particles < 1:
-            raise ConfigError(f"num_particles must be >= 1, got {self.num_particles}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 <= self.inertia <= 1:
-            raise ConfigError(f"inertia must be in [0, 1], got {self.inertia}")
-        if self.cognitive < 0 or self.social < 0:
-            raise ConfigError("cognitive and social weights must be >= 0, got "
-                              f"{self.cognitive}, {self.social}")
-        if self.velocity_clamp <= 0:
-            raise ConfigError(f"velocity_clamp must be > 0, got {self.velocity_clamp}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -208,25 +206,18 @@ class ExperimentSettings:
     master seed is byte-identical on re-run.
     """
 
-    realizations: int = 50
+    realizations: int = _in(50, at_least(1))
     eps_grid: tuple = (0.0, 0.05, 0.10, 0.15, 0.20)
     k_grid: tuple = (2, 3, 4, 5)
     score_mode: str = "conservative"
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_grid", _grid("eps_grid", self.eps_grid,
-                                                   _is_finite_number, "finite numbers"))
-        object.__setattr__(self, "k_grid", _grid("k_grid", self.k_grid,
-                                                 _is_integer, "integers"))
-        _check_field_types(self)
-        if self.realizations < 1:
-            raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
-        if any(not 0 <= e < 1 for e in self.eps_grid):
-            raise ConfigError(f"eps_grid values must be in [0, 1), got {self.eps_grid}")
-        if any(k < 1 for k in self.k_grid):
-            raise ConfigError(f"k_grid values must be positive integers, got {self.k_grid}")
-        if self.score_mode not in ("conservative", "true_sampled"):
-            raise ConfigError("score_mode must be 'conservative' or 'true_sampled', "
+        _check_fields(self)
+        for name, swept in (("eps_grid", "csi_eps"), ("k_grid", "num_users")):
+            object.__setattr__(self, name, _grid(name, getattr(self, name),
+                                                 SystemConfig.__dataclass_fields__[swept]))
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"score_mode must be {' or '.join(map(repr, SCORE_MODES))}, "
                               f"got {reprlib.repr(self.score_mode)}")
 
 
@@ -279,15 +270,11 @@ def _check_sizes(run: RunConfig):
                               "most elements of any array a run allocates")
 
 
-_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
-_PSO_KEYS = {f.name for f in dataclasses.fields(PsoParams)}
-_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentSettings)}
-
-
-def _build_section(cls, values, known, section):
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ConfigError(f"unknown {section} config key(s): {', '.join(unknown)}")
+def _build_section(cls, values, section):
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:  # an empty key shows as ""
+        names = ", ".join(key or '""' for key in unknown)
+        raise ConfigError(f"unknown {section} config key(s): {names}")
     return cls(**values)
 
 
@@ -306,10 +293,9 @@ def run_config_from_dict(doc):
     exp_doc = doc.pop("experiments", {})
     if not isinstance(pso_doc, dict) or not isinstance(exp_doc, dict):
         raise ConfigError("'pso' and 'experiments' config sections must be JSON objects")
-    system = _build_section(SystemConfig, doc, _SYSTEM_KEYS, "system")
-    pso = _build_section(PsoParams, pso_doc, _PSO_KEYS, "pso")
-    experiments = _build_section(ExperimentSettings, exp_doc, _EXPERIMENT_KEYS, "experiments")
-    run = RunConfig(system=system, pso=pso, experiments=experiments)
+    run = RunConfig(_build_section(SystemConfig, doc, "system"),
+                    _build_section(PsoParams, pso_doc, "pso"),
+                    _build_section(ExperimentSettings, exp_doc, "experiments"))
     _check_sizes(run)
     return run
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, pso
-from .config import ConfigError, ExperimentSettings, PsoParams, SystemConfig
+from .config import SCORE_MODES, ConfigError, ExperimentSettings, PsoParams, SystemConfig
 from .kernels import apply_csi_error, robust_gains
 from .scenario import Scenario, generate_scenario, stream, uniform_layout
 
@@ -118,8 +118,9 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
     each row's bound, order by the estimates (ties in index order), and
     evaluate the nominal SINR of the true channels in that order.
     """
-    if mode not in ("conservative", "true_sampled"):
-        raise ValueError(f"unknown score mode {mode!r}, expected 'conservative' or 'true_sampled'")
+    if mode not in SCORE_MODES:
+        raise ValueError(f"unknown score mode {mode!r}, "
+                         f"expected {' or '.join(map(repr, SCORE_MODES))}")
     step = pso.kernel_rows(config)
     if len(xs) > step:  # no row depends on its batch, so each call is exact
         return [score for i in range(0, len(xs), step)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -49,7 +50,8 @@ def test_validate_config_accepts_sizes_within_bound(tmp_path, capsys, doc):
     ("[" * 100_000 + "]" * 100_000, "is nested too deeply to parse"),
     # beyond the interpreter's 4,300-digit limit on int parsing
     ('{"num_users": 1' + "0" * 5000 + "}", "malformed JSON in "),
-], ids=["num_users=10**30", "nested_100000", "num_users=10**5000"])
+    (json.dumps({"": 3}), 'unknown system config key(s): ""'),
+], ids=["num_users=10**30", "nested_100000", "num_users=10**5000", "empty_key"])
 def test_validate_config_refuses_unbuildable_file(tmp_path, capsys, text, reason):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -429,6 +431,9 @@ def test_largest_seed_accepted(tmp_path):
     pytest.param("experiments.record_runtime=false",
                  "unknown experiments config key(s): record_runtime",
                  id="experiments.record_runtime=false"),
+    # an empty key shows as "", not as nothing
+    pytest.param("=3", 'unknown system config key(s): ""', id="empty_key=3"),
+    pytest.param("pso.=3", 'unknown pso config key(s): ""', id="pso.empty_key=3"),
     # sizes beyond 2**24 elements, as a field or as an array the run sizes from them
     pytest.param(f"num_users={10 ** 30}", f"num_users = {10 ** 30} exceeds",
                  id="num_users=10**30"),
@@ -551,7 +556,8 @@ def test_override_fuzz_exits_cleanly(overrides):
 # Whole config files: real, unknown and nested keys holding any JSON value,
 # huge integers, NaN and infinities included.  validate-config allocates nothing
 # that the size fields scale, so no value is capped.  Real keys and plausible
-# values are the likelier draws, so that many documents get past the first check.
+# values are the likelier draws, so that many documents get past the first check:
+# a field with a domain also draws its bounds and their neighbours on both sides.
 JSON_LEAVES = (st.integers(1, 8) | st.floats(0.05, 0.9) | st.integers() | st.floats()
                | st.sampled_from([None, True, 0, -1, "", "conservative", "true_sampled",
                                   2 ** 24, 2 ** 24 + 1, 10 ** 30, -10 ** 400]))
@@ -561,10 +567,23 @@ JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
+def _near_bounds(field):
+    """The finite ends of a field's domain, each with its nearest values."""
+    domain = field.metadata["domain"]
+    ends = [end for end in (domain.lo, domain.hi) if math.isfinite(end)]
+    if field.type is int:
+        return [end + step for end in ends for step in (-1, 0, 1)]
+    return [math.nextafter(end, to) for end in ends for to in (-math.inf, end, math.inf)]
+
+
 def _section(cls):
-    keys = [f.name for f in dataclasses.fields(cls)]
-    return st.dictionaries(st.sampled_from(keys * 4 + ["bogus", "record_runtime", ""]),
-                           JSON_VALUES, max_size=3)
+    fields = dataclasses.fields(cls)
+    keys = [f.name for f in fields] * 4 + ["bogus", "record_runtime", ""]
+    near = {f.name: st.sampled_from(_near_bounds(f)) | JSON_VALUES
+            for f in fields if "domain" in f.metadata}
+    entry = st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(st.just(key), near.get(key, JSON_VALUES)))
+    return st.lists(entry, max_size=3, unique_by=lambda kv: kv[0]).map(dict)
 
 
 CONFIG_DOCS = st.builds(

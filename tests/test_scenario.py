@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchsim import ConfigError, SystemConfig, generate_scenario, uniform_layout
+from pinchsim import (ConfigError, ExperimentSettings, PsoParams, SystemConfig,
+                      generate_scenario, uniform_layout)
 
 
 def test_same_seed_same_scenario():
@@ -76,21 +79,75 @@ def test_uniform_layout_keeps_the_spacing_of_every_config_that_builds(n, d, abov
     assert np.all(np.diff(x) >= d * (1 - 1e-12))
 
 
-@pytest.mark.parametrize("field,value", [
-    ("blockage_beta", 0.0),
-    ("blockage_beta", 1.5),
-    ("csi_eps", 1.0),
-    ("csi_eps", -0.1),
-    ("eta_i", 0.0),
-    ("eta_r", -1.0),
-    ("penalty_mu", 0.0),
-    ("noise_power", 0.0),
-    ("tx_power", -1.0),
-    ("guide_index", 0.5),
+TINY = math.nextafter(0.0, 1.0)        # the least positive float
+BELOW_ONE = math.nextafter(1.0, 0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+def _bound(cls, field, value, inside, must, then=None, **others):
+    """A case of ``test_invalid_config_rejected``: ``value`` is refused as
+    "<field> <must>, got <value>", and ``inside``, across the bound from it,
+    builds together with ``others``, or is refused only by the cross-field
+    rule ``then``."""
+    return pytest.param(cls, field, value, inside, must, then, others, id=f"{field}-{value}")
+
+
+# Every bounded field and grid, with its bounds written out here rather than
+# read from the field metadata, so that a wrong domain entry fails the test.
+# Open float bounds are approached by their nearest floats.
+@pytest.mark.parametrize("cls,field,value,inside,must,then,others", [
+    _bound(SystemConfig, "num_users", 0, 1, "must be >= 1"),
+    _bound(SystemConfig, "num_pas", 0, 1, "must be >= 1"),
+    _bound(SystemConfig, "waveguide_len", 0.0, TINY, "must be > 0", num_pas=1),
+    _bound(SystemConfig, "pa_height", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "min_spacing", -TINY, 0.0, "must be >= 0"),
+    _bound(SystemConfig, "area_x", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "area_y", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "carrier_freq", 0.0, TINY, "must be > 0",
+           then="carrier_freq = 5e-324 with guide_index = 1.4 must give a finite positive "
+                "wavelength and guide wavelength, got inf and inf"),
+    _bound(SystemConfig, "guide_index", BELOW_ONE, 1.0, "must be >= 1"),
+    _bound(SystemConfig, "guide_index", 0.5, 1.0, "must be >= 1"),
+    _bound(SystemConfig, "wg_loss", -TINY, 0.0, "must be >= 0"),
+    _bound(SystemConfig, "tx_power", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "tx_power", -1.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "noise_power", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "blockage_beta", 0.0, TINY, "must be in (0, 1]"),
+    _bound(SystemConfig, "blockage_beta", ABOVE_ONE, 1.0, "must be in (0, 1]"),
+    _bound(SystemConfig, "blockage_beta", 1.5, 1.0, "must be in (0, 1]"),
+    _bound(SystemConfig, "blockage_alpha", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "csi_eps", -TINY, 0.0, "must be in [0, 1)"),
+    _bound(SystemConfig, "csi_eps", -0.1, 0.0, "must be in [0, 1)"),
+    _bound(SystemConfig, "csi_eps", 1.0, BELOW_ONE, "must be in [0, 1)"),
+    _bound(SystemConfig, "eta_i", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "eta_r", -TINY, 0.0, "must be >= 0"),
+    _bound(SystemConfig, "eta_r", -1.0, 0.0, "must be >= 0"),
+    _bound(SystemConfig, "penalty_mu", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "obstacle_count", -1, 0, "must be >= 0"),
+    _bound(PsoParams, "num_particles", 0, 1, "must be >= 1"),
+    _bound(PsoParams, "max_iters", 0, 1, "must be >= 1"),
+    _bound(PsoParams, "inertia", -TINY, 0.0, "must be in [0, 1]"),
+    _bound(PsoParams, "inertia", ABOVE_ONE, 1.0, "must be in [0, 1]"),
+    _bound(PsoParams, "cognitive", -TINY, 0.0, "must be >= 0"),
+    _bound(PsoParams, "social", -TINY, 0.0, "must be >= 0"),
+    _bound(PsoParams, "velocity_clamp", 0.0, TINY, "must be > 0"),
+    _bound(ExperimentSettings, "realizations", 0, 1, "must be >= 1"),
+    _bound(ExperimentSettings, "eps_grid", [0.1, -TINY], [0.1, 0.0],
+           "values must be in [0, 1)"),
+    _bound(ExperimentSettings, "eps_grid", [1.0], [BELOW_ONE], "values must be in [0, 1)"),
+    _bound(ExperimentSettings, "k_grid", [2, 0], [2, 1], "values must be >= 1"),
 ])
-def test_invalid_config_rejected(field, value):
-    with pytest.raises(ConfigError):
-        SystemConfig(**{field: value})
+def test_invalid_config_rejected(cls, field, value, inside, must, then, others):
+    with pytest.raises(ConfigError) as refused:
+        cls(**{field: value})
+    shown = tuple(value) if isinstance(value, list) else value
+    assert str(refused.value) == f"{field} {must}, got {shown}"
+    if then is None:
+        cls(**{field: inside}, **others)
+    else:
+        with pytest.raises(ConfigError) as refused:
+            cls(**{field: inside}, **others)
+        assert str(refused.value) == then
 
 
 def test_config_error_names_the_invariant():

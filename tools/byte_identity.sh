@@ -5,8 +5,9 @@
 #
 # Exports <rev> with `git archive` into a temporary directory, runs the same
 # command matrix with the package of each tree (seed 7, the working tree's
-# config files on both sides), and compares every CSV, config sidecar and
-# stdout file with `diff -r`.  Exits 0 when all are identical and 1 on any
+# config files on both sides), and compares every CSV, config sidecar, stdout
+# and stderr file with `diff -r`; in stderr, each run's output directory reads
+# <out> in the `wrote` line.  Exits 0 when all are identical and 1 on any
 # difference.  The matrix covers every subcommand that writes a CSV, both
 # score modes, a mixed error-bound grid with repeats and a zero bound (with
 # and without leakage, and in true_sampled mode, whose scoring calls mix the
@@ -31,6 +32,11 @@
 # and the 40-point wide sweep-eps (one realization a chunk).  A revision
 # that ignores --threads runs them serially, so against such a revision
 # they compare parallel output with serial output.
+#
+# Rows whose names start with refuse_ pass one bad override to optimize, which
+# exits 2 with one config error on stderr: one row per kind of message (a type,
+# each kind of domain end, each grid's entries, area_y and pso.social, and
+# every cross-field rule, size and key check).
 set -euo pipefail
 set -f  # the matrix's arguments are split into words but never globbed
 
@@ -90,6 +96,24 @@ matrix=(
     "wide_sweep_eps_split_t2|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=1 --override pso.max_iters=2 --override experiments.eps_grid=$grid40 --threads 2"
     "wide_sweep_eps_split_t3|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=1 --override pso.max_iters=2 --override experiments.eps_grid=$grid40 --threads 3"
     "wide_sweep_eps_span|sweep-eps --config $example --realizations 2 $wide --override pso.num_particles=2 --override pso.max_iters=2 --override experiments.eps_grid=$grid36"
+    "refuse_type|optimize --config $small --override num_users=3.0"
+    "refuse_at_least|optimize --config $small --override num_users=0"
+    "refuse_above|optimize --config $small --override tx_power=0"
+    "refuse_open_lo|optimize --config $small --override blockage_beta=0"
+    "refuse_closed_hi|optimize --config $small --override blockage_beta=1.5"
+    "refuse_closed_lo|optimize --config $small --override csi_eps=-0.1"
+    "refuse_open_hi|optimize --config $small --override csi_eps=1"
+    "refuse_eps_grid|optimize --config $small --override experiments.eps_grid=[0.1,1]"
+    "refuse_k_grid|optimize --config $small --override experiments.k_grid=[2,0]"
+    "refuse_area_y|optimize --config $small --override area_y=0"
+    "refuse_social|optimize --config $small --override pso.social=-1"
+    "refuse_spacing|optimize --config $small --override min_spacing=3"
+    "refuse_wavelength|optimize --config $small --override carrier_freq=1e-300"
+    "refuse_eta_i|optimize --config $small --override eta_i=1e308"
+    "refuse_radius_range|optimize --config $small --override obstacle_radius_range=[0.8,0.3]"
+    "refuse_size|optimize --config $small --override pso.max_iters=16777217"
+    "refuse_unknown_key|optimize --config $small --override num_userz=3"
+    "refuse_empty_key|optimize --config $small --override =3"
 )
 
 run_tree() {  # run_tree <tree> <output directory>
@@ -99,8 +123,9 @@ run_tree() {  # run_tree <tree> <output directory>
         status=0
         # shellcheck disable=SC2086  # the arguments are split on purpose
         PYTHONPATH="$1/src" python3 -m pinchsim.cli ${entry#*|} --seed 7 \
-            --out "$2/$name.csv" > "$2/$name.stdout" 2> /dev/null || status=$?
+            --out "$2/$name.csv" > "$2/$name.stdout" 2> "$work/stderr" || status=$?
         echo "exit=$status" >> "$2/$name.stdout"
+        sed "/^wrote /s|$2/|<out>/|" "$work/stderr" > "$2/$name.stderr"
     done
 }
 
