@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-Subcommands: optimize (four schemes at the configured error bound),
-sweep-eps, sweep-users, converge, validate-config.  A run is fully described
-by (config file, master seed): sweep grids and optimizer settings live in
-the config, with --override for ad-hoc tweaks.  The effective config is
-echoed to a sidecar JSON next to the CSV so every output is reproducible
-from its own directory.  --threads N runs the searches in up to N forked
-worker processes (in [1, 64], and no more than the work units or the CPUs
-the run may use); the output bytes do not depend on it.
+Subcommands (``COMMANDS``): optimize (four schemes at the configured error
+bound), sweep-eps, sweep-users, converge, validate-config.  A run is fully
+described by (config file, master seed): sweep grids and optimizer settings
+live in the config, with --override for ad-hoc tweaks.  The effective config
+is echoed to a sidecar JSON next to the CSV so every output is reproducible
+from its own directory.  --threads N runs the searches' work units in up to N
+forked worker processes (in [1, 64], and no more than the work units or the
+CPUs the run may use); the output bytes do not depend on it.
 
 Exit codes: 0 success, 1 usage error (including an --out that cannot be
 written), 2 config error.  Progress goes to stderr; stdout carries
@@ -68,12 +68,7 @@ def _build_parser():
                              description="Fairness-oriented design of a "
                                          "pinching-antenna NOMA downlink")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("optimize", "run all four schemes at the configured error bound"),
-            ("sweep-eps", "sweep the estimate-error bound grid"),
-            ("sweep-users", "sweep the user-count grid"),
-            ("converge", "aggregate optimizer traces across realizations"),
-            ("validate-config", "check a config file and exit")):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         if name != "validate-config":
@@ -145,7 +140,6 @@ def _cmd_validate(args):
     sys_cfg = run.system
     print(f"config=ok num_users={sys_cfg.num_users} num_pas={sys_cfg.num_pas} "
           f"waveguide_len={sys_cfg.waveguide_len:.9g} csi_eps={sys_cfg.csi_eps:.9g}")
-    return 0
 
 
 def _cmd_optimize(args):
@@ -156,17 +150,14 @@ def _cmd_optimize(args):
                                         workers=args.threads)
     _emit(args.out, experiments.records_to_csv_text(records), doc)
     _summarize(records)
-    return 0
 
 
-def _cmd_sweep(args, which):
+def _cmd_sweep(args, sweep):
     run, doc = _load_effective_config(args)
-    fn = experiments.sweep_epsilon if which == "eps" else experiments.sweep_users
-    records = fn(run.system, run.pso, run.experiments, args.seed,
-                 progress=_progress, workers=args.threads)
+    records = sweep(run.system, run.pso, run.experiments, args.seed,
+                    progress=_progress, workers=args.threads)
     _emit(args.out, experiments.records_to_csv_text(records), doc)
     _summarize(records)
-    return 0
 
 
 def _cmd_converge(args):
@@ -179,7 +170,18 @@ def _cmd_converge(args):
     for scheme in traces.fitness:
         final = traces.rescored_min_sinr[scheme][-1]
         print(f"scheme={scheme} final_mean_min_sinr_db={experiments.to_db(final):.9g}")
-    return 0
+
+
+# subcommand -> (help, handler); sweeps are looked up when called, so wrappers apply
+COMMANDS = {
+    "optimize": ("run all four schemes at the configured error bound", _cmd_optimize),
+    "sweep-eps": ("sweep the estimate-error bound grid",
+                  lambda args: _cmd_sweep(args, experiments.sweep_epsilon)),
+    "sweep-users": ("sweep the user-count grid",
+                    lambda args: _cmd_sweep(args, experiments.sweep_users)),
+    "converge": ("aggregate optimizer traces across realizations", _cmd_converge),
+    "validate-config": ("check a config file and exit", _cmd_validate),
+}
 
 
 def main(argv=None):
@@ -189,23 +191,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        if args.command == "validate-config":
-            return _cmd_validate(args)
-        if args.command == "optimize":
-            return _cmd_optimize(args)
-        if args.command == "sweep-eps":
-            return _cmd_sweep(args, "eps")
-        if args.command == "sweep-users":
-            return _cmd_sweep(args, "users")
-        if args.command == "converge":
-            return _cmd_converge(args)
+        COMMANDS[args.command][1](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except _WriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,9 @@ MAX_ELEMENTS = 2 ** 24
 # How a run scores each scheme's final candidate (``ExperimentSettings.score_mode``).
 SCORE_MODES = ("conservative", "true_sampled")
 
+# Each sweep grid of ``ExperimentSettings`` -> the ``SystemConfig`` field it sets.
+SWEEPS = {"eps_grid": "csi_eps", "k_grid": "num_users"}
+
 
 class ConfigError(ValueError):
     """Raised when a configuration violates one of its invariants."""
@@ -40,6 +43,17 @@ def _is_finite_number(value):
 
 def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _shown(value, brief=False):
+    """A refused value in its message: ``str(value)``, or ``reprlib.repr(value)``
+    if ``brief``; an integer too long for both shows by its bit length."""
+    try:
+        return reprlib.repr(value) if brief else str(value)
+    except ValueError:  # over sys.get_int_max_str_digits() digits, or a list holding one
+        if _is_integer(value):
+            return f"a {value.bit_length()}-bit {'negative ' * (value < 0)}integer"
+        return f"a {type(value).__name__} holding an integer too long to show"
 
 
 @dataclass(frozen=True)
@@ -82,14 +96,13 @@ def _check_fields(instance):
     for field in dataclasses.fields(instance):
         value = getattr(instance, field.name)
         if field.type is int and not _is_integer(value):
-            raise ConfigError(f"{field.name} must be an integer, "
-                              f"got {reprlib.repr(value)}")
+            raise ConfigError(f"{field.name} must be an integer, got {_shown(value, True)}")
         if field.type is float and not _is_finite_number(value):
             raise ConfigError(f"{field.name} must be a finite number, "
-                              f"got {reprlib.repr(value)}")
+                              f"got {_shown(value, True)}")
         domain = field.metadata.get("domain")
         if domain is not None and value not in domain:
-            raise ConfigError(f"{field.name} must be {domain}, got {value}")
+            raise ConfigError(f"{field.name} must be {domain}, got {_shown(value)}")
 
 
 def _grid(name, values, swept):
@@ -100,10 +113,10 @@ def _grid(name, values, swept):
     if (not isinstance(values, (list, tuple)) or not values
             or not all(is_item(v) for v in values)):
         raise ConfigError(f"{name} must be a non-empty list of {kind}, "
-                          f"got {reprlib.repr(values)}")
+                          f"got {_shown(values, True)}")
     domain = swept.metadata["domain"]
     if not all(v in domain for v in values):
-        raise ConfigError(f"{name} values must be {domain}, got {tuple(values)}")
+        raise ConfigError(f"{name} values must be {domain}, got {_shown(tuple(values))}")
     return tuple(values)
 
 
@@ -147,7 +160,7 @@ class SystemConfig:
         if (self.num_pas - 1) * self.min_spacing > self.waveguide_len:
             raise ConfigError(
                 "antenna spacing infeasible: (num_pas - 1) * min_spacing = "
-                f"{(self.num_pas - 1) * self.min_spacing} exceeds waveguide_len = "
+                f"{_shown((self.num_pas - 1) * self.min_spacing)} exceeds waveguide_len = "
                 f"{self.waveguide_len}")
         wavelengths = (self.wavelength, self.guide_wavelength)
         if not all(math.isfinite(w) and w > 0 for w in wavelengths):
@@ -164,7 +177,7 @@ class SystemConfig:
         if (not isinstance(radii, tuple) or len(radii) != 2
                 or not all(_is_finite_number(r) for r in radii)):
             raise ConfigError("obstacle_radius_range must be two numbers [lo, hi], "
-                              f"got {reprlib.repr(radii)}")
+                              f"got {_shown(radii, True)}")
         lo, hi = radii
         if not 0 < lo <= hi:
             raise ConfigError("obstacle_radius_range must satisfy 0 < lo <= hi, got "
@@ -213,12 +226,12 @@ class ExperimentSettings:
 
     def __post_init__(self):
         _check_fields(self)
-        for name, swept in (("eps_grid", "csi_eps"), ("k_grid", "num_users")):
+        for name, swept in SWEEPS.items():
             object.__setattr__(self, name, _grid(name, getattr(self, name),
                                                  SystemConfig.__dataclass_fields__[swept]))
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be {' or '.join(map(repr, SCORE_MODES))}, "
-                              f"got {reprlib.repr(self.score_mode)}")
+                              f"got {_shown(self.score_mode, True)}")
 
 
 @dataclass(frozen=True)
@@ -266,14 +279,14 @@ def _check_sizes(run: RunConfig):
     }
     for name, size in sizes.items():
         if size > MAX_ELEMENTS:
-            raise ConfigError(f"{name} = {size} exceeds {MAX_ELEMENTS} (2**24), the "
+            raise ConfigError(f"{name} = {_shown(size)} exceeds {MAX_ELEMENTS} (2**24), the "
                               "most elements of any array a run allocates")
 
 
 def _build_section(cls, values, section):
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:  # an empty key shows as ""
-        names = ", ".join(key or '""' for key in unknown)
+    if unknown:  # a key that is empty or has outer blanks shows as JSON: "", " "
+        names = ", ".join(k if k == k.strip() != "" else json.dumps(k) for k in unknown)
         raise ConfigError(f"unknown {section} config key(s): {names}")
     return cls(**values)
 
@@ -343,7 +356,7 @@ def apply_overrides(doc, overrides):
             section_doc = doc.setdefault(section, {})
             if not isinstance(section_doc, dict):  # replaced by an earlier override
                 raise ConfigError(f"'{section}' config section must be a JSON object "
-                                  f"to take {item!r}, got {reprlib.repr(section_doc)}")
+                                  f"to take {item!r}, got {_shown(section_doc, True)}")
             section_doc[field] = value
         else:
             doc[key] = value

@@ -10,8 +10,8 @@ error bound.
 A PSO scheme searches at ``pso.search_point``: the configured bound for
 RobustPSO, the perfect-estimate bound 0 for NonRobustPSO; a RobustPSO at a
 zero bound has the same gains.  The scenario does not depend on the bound,
-so ``_searches``, the one search step, searches each distinct point of
-the configs sharing a scenario once per realization.
+so ``_unit``, the one search step, searches each distinct point of the
+configs sharing a scenario once per realization.
 
 ``pso.search`` searches the realizations of one work unit together and
 hands back their results in seed order; each realization's final
@@ -21,21 +21,22 @@ depends on its batch, so a sweep's rows depend only on the config and the
 master seed.  The CSV schema is one row per (sweep point, realization,
 scheme) with linear and dB min-SINR, and no wall time.
 
-A run's work units are (sweep group, realization chunk) pairs, where a
-group is the configs that share a scenario and a chunk is
-``pso.realizations_per_call`` realizations at the group's distinct points,
-the rule by which ``pso.search`` cuts its lockstep calls, so a unit never
-splits a kernel batch.  ``_chunks`` alone cuts the realizations into
-chunks, and a unit draws only its own scenarios.  A unit searches and
-scores its chunk and returns only scores (or, for ``converge``, traces).
-With ``workers`` > 1 and more than one unit, up to that many forked
-processes, no more than the CPUs the run may use, take the units in
-descending order of estimated kernel work, chunk realizations x distinct
-points x K x N x max(O, 1), each the next when idle.  The parent
-alone builds the records, prints progress, refuses the first unreportable
-result in (group, realization, scheme) order and leaves the writing to its
-caller, so the output does not depend on the worker count.  With one
-worker or one unit the units run in this process, one after another.
+Sweeps and ``converge`` are one study, run by ``_study``: its work units are
+(group, realization chunk) pairs, where a group is the configs that share a
+scenario (one for ``converge``) and a chunk is ``pso.realizations_per_call``
+realizations at the group's distinct points, the rule by which
+``pso.search`` cuts its lockstep calls, so a unit never splits a kernel
+batch.  ``_chunks`` alone cuts the realizations into chunks, and a unit
+(``_unit``) draws only its own scenarios.  A unit searches its chunk and
+returns only each realization's scores (or, for ``converge``, traces).  With
+``workers`` > 1 and more than one unit, up to that many forked processes, no
+more than the CPUs the run may use, take the units in descending order of
+estimated kernel work, chunk realizations x distinct points x K x N x
+max(O, 1), each the next when idle.  The parent alone builds the records,
+prints progress, refuses the first unreportable result in (group,
+realization, scheme) order and leaves the writing to its caller, so the
+output does not depend on the worker count.  With one worker or one unit
+the units run in this process, one after another.
 """
 
 import contextlib
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, pso
-from .config import SCORE_MODES, ConfigError, ExperimentSettings, PsoParams, SystemConfig
+from .config import (SCORE_MODES, SWEEPS, ConfigError, ExperimentSettings, PsoParams,
+                     SystemConfig)
 from .kernels import apply_csi_error, robust_gains
 from .scenario import Scenario, generate_scenario, stream, uniform_layout
 
@@ -177,13 +179,15 @@ def _candidate(scheme, found, config: SystemConfig, seed):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _scores(scenario: Scenario, seed, cases, score_mode):
-    """Score each (scheme, found, config) case of ``cases`` on one realization
-    in one ``score_candidates`` call.  The configs differ at most in the
-    error bound."""
-    picks = [_candidate(scheme, found, config, seed) for scheme, found, config in cases]
+def _scores(scenario: Scenario, seed, found, configs, score_mode, schemes=SCHEMES):
+    """The scores of each scheme of ``schemes`` under each config of
+    ``configs``, config by config, on one realization in one
+    ``score_candidates`` call; a PSO scheme's candidate is its result in
+    ``found``.  The configs differ at most in the error bound."""
+    cases = [(scheme, config) for config in configs for scheme in schemes]
+    picks = [_candidate(scheme, found, config, seed) for scheme, config in cases]
     return score_candidates([x for x, _ in picks], [a for _, a in picks], scenario,
-                            cases[0][2], [config.csi_eps for _, _, config in cases], seed,
+                            configs[0], [config.csi_eps for _, config in cases], seed,
                             score_mode)
 
 
@@ -212,7 +216,7 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
         robust = scheme == "RobustPSO"
         found[pso.search_point(config, robust)] = pso.optimize(
             scenario, config, pso_params, seed, robust=robust)
-    gmins = _scores(scenario, seed, [(scheme, found, config)], score_mode)
+    gmins = _scores(scenario, seed, found, [config], score_mode, (scheme,))
     return _records(sweep_var, seed, [(scheme, sweep_value)], gmins)[0]
 
 
@@ -221,18 +225,8 @@ def _search_points(configs):
             for config in configs for scheme in _SEARCH_SCHEMES]
 
 
-def _searches(configs, seeds, pso_params: PsoParams):
-    """The PSO searches of ``configs``, which share each realization's
-    scenario and differ at most in the error bound, for every seed of
-    ``seeds``: the one search step of sweeps and ``converge``.  Returns each
-    realization's scenario and ``{RobustGains: PsoResult}``, in seed order."""
-    scenarios = [generate_scenario(configs[0], seed) for seed in seeds]
-    return zip(scenarios, pso.search(scenarios, seeds, _search_points(configs), configs[0],
-                                     pso_params))
-
-
 def _chunks(configs, seeds, pso_params: PsoParams):
-    """The (seeds, work) of each work unit of ``_searches(configs, seeds)``:
+    """The (seeds, work) of each work unit of ``configs`` over ``seeds``:
     consecutive seeds, ``pso.realizations_per_call`` at the distinct search
     points, so that ``pso.search`` takes a unit's realizations in one
     lockstep call (or one realization in slices of its points), and their
@@ -244,72 +238,73 @@ def _chunks(configs, seeds, pso_params: PsoParams):
             for j in range(0, len(seeds), step)]
 
 
+def _unit(per_realization, configs, seeds, pso_params: PsoParams, *args):
+    """One work unit: ``per_realization(scenario, seed, found, configs, *args)``
+    on each seed of ``seeds`` in order, ``found`` mapping ``RobustGains`` to
+    ``PsoResult`` from one ``pso.search`` of ``configs``, which share each
+    scenario and differ at most in the error bound."""
+    scenarios = [generate_scenario(configs[0], seed) for seed in seeds]
+    found = pso.search(scenarios, seeds, _search_points(configs), configs[0], pso_params)
+    return [per_realization(*case, configs, *args) for case in zip(scenarios, seeds, found)]
+
+
 @contextlib.contextmanager
-def _unit_results(run_unit, units, workers):
-    """An iterator over ``run_unit(*args)`` for each (args, work) unit of
-    ``units``, in order.
+def _study(groups, seeds, pso_params: PsoParams, workers, per_realization, *args):
+    """An iterator over ``per_realization``'s result on each seed of
+    ``seeds`` of each group of ``groups`` (configs that share a scenario), in
+    (group, seed) order, from the ``_chunks`` units of ``_unit``.
 
     With more than one worker and unit, a pool of up to ``workers`` forked
     processes, and no more than the CPUs this process may run on (its
     affinity set, or ``os.cpu_count()`` where the platform reports none),
     runs the units, submitted in descending order of work.  Otherwise each
-    unit runs here as the iterator reaches it.  The workers are forked, not spawned: a
-    spawned one would import numpy and the package again (0.2 s), and the
-    pool forks all of them before it starts its own thread.  Leaving the block cancels the units
-    not yet started and waits for the running ones, so no worker outlives
-    it.
+    unit runs here as the iterator reaches it.  The workers are forked, not
+    spawned: a spawned one would import numpy and the package again (0.2 s),
+    and the pool forks all of them before it starts its own thread.  Leaving
+    the block cancels the units not yet started and waits for the running
+    ones, so no worker outlives it.
     """
-    workers = min(workers, len(units))
-    if workers > 1:
-        if hasattr(os, "sched_getaffinity"):
-            workers = min(workers, len(os.sched_getaffinity(0)))
-        else:  # macOS and Windows
-            workers = min(workers, os.cpu_count() or 1)
+    units = [((per_realization, configs, chunk, pso_params, *args), work)
+             for configs in groups for chunk, work in _chunks(configs, seeds, pso_params)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)  # macOS and Windows have no affinity call
+    workers = min(workers, len(units), cpus)
     if workers <= 1:
-        yield (run_unit(*args) for args, _ in units)
+        yield itertools.chain.from_iterable(_unit(*unit) for unit, _ in units)
         return
     import multiprocessing  # imported here: they add 20-40 ms to the package's import
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {}
         for i in sorted(range(len(units)), key=lambda i: -units[i][1]):
-            futures[i] = pool.submit(run_unit, *units[i][0])
+            futures[i] = pool.submit(_unit, *units[i][0])
         try:
-            yield (futures[i].result() for i in range(len(units)))
+            yield itertools.chain.from_iterable(futures[i].result()
+                                                for i in range(len(units)))
         finally:
             pool.shutdown(cancel_futures=True)
 
 
-def _sweep_unit(configs, seeds, pso_params: PsoParams, score_mode):
-    """One work unit of a sweep: for each seed of ``seeds``, the scores of
-    every (config, scheme) case of ``configs``, config by config."""
-    return [_scores(scenario, seed, [(scheme, found, config) for config in configs
-                                     for scheme in SCHEMES], score_mode)
-            for seed, (scenario, found) in zip(seeds, _searches(configs, seeds, pso_params))]
-
-
-def _sweep(pso_params: PsoParams, sweep_var, grid, make_config, master_seed,
-           settings: ExperimentSettings, progress=None, workers=1):
-    """Records in (grid point, realization, scheme) order.
+def _sweep(config: SystemConfig, pso_params: PsoParams, settings: ExperimentSettings,
+           grid_name, master_seed, progress, workers):
+    """Records in (grid point, realization, scheme) order over the grid
+    ``grid_name``, each point setting the field ``SWEEPS`` names.
 
     Grid points whose configs differ only in the error bound share each
     realization's scenario, so they form one group, whose PSO schemes run as
-    one ``_searches`` step and whose records on a realization are scored
-    together.  ``workers`` is the most worker processes the units may use.
+    one search step and whose records on a realization are scored together.
+    ``workers`` is the most worker processes the units may use.
     """
+    sweep_var, grid = SWEEPS[grid_name], getattr(settings, grid_name)
+    kind = SystemConfig.__dataclass_fields__[sweep_var].type
+    configs = [dataclasses.replace(config, **{sweep_var: kind(value)}) for value in grid]
     seeds = realization_seeds(master_seed, settings.realizations)
-    configs = [make_config(value) for value in grid]
     groups = {}
     for i, point_config in enumerate(configs):
         groups.setdefault(dataclasses.replace(point_config, csi_eps=0.0), []).append(i)
-    units = []
-    for members in groups.values():
-        group = [configs[i] for i in members]
-        units += [((group, chunk, pso_params, settings.score_mode), work)
-                  for chunk, work in _chunks(group, seeds, pso_params)]
     rows = {}
-    with _unit_results(_sweep_unit, units, workers) as results:
-        scores = itertools.chain.from_iterable(results)  # one item per (group, seed)
+    with _study([[configs[i] for i in members] for members in groups.values()], seeds,
+                pso_params, workers, _scores, settings.score_mode) as scores:
         for members in groups.values():
             cases = [(i, scheme) for i in members for scheme in SCHEMES]
             for j, seed in enumerate(seeds):
@@ -332,37 +327,28 @@ def sweep_epsilon(config: SystemConfig, pso_params: PsoParams,
     realization index reuses the same geometry at every grid point (paired
     comparison).
     """
-    return _sweep(pso_params, "csi_eps", settings.eps_grid,
-                  lambda e: dataclasses.replace(config, csi_eps=float(e)),
-                  master_seed, settings, progress, workers)
+    return _sweep(config, pso_params, settings, "eps_grid", master_seed, progress, workers)
 
 
 def sweep_users(config: SystemConfig, pso_params: PsoParams,
                 settings: ExperimentSettings, master_seed, progress=None, workers=1):
     """All schemes across the user-count grid."""
-    return _sweep(pso_params, "num_users", settings.k_grid,
-                  lambda k: dataclasses.replace(config, num_users=int(k)),
-                  master_seed, settings, progress, workers)
+    return _sweep(config, pso_params, settings, "k_grid", master_seed, progress, workers)
 
 
-def _converge_unit(config: SystemConfig, seeds, pso_params: PsoParams):
-    """One work unit of ``convergence_trace``: for each seed of ``seeds``,
-    each search scheme's (fitness trace, re-scored min-SINR trace).
-    ``score_candidates`` re-scores only the rows where a global best moved;
-    the others repeat."""
-    points = _search_points([config])
-    out = []
-    for seed, (scenario, found) in zip(seeds, _searches([config], seeds, pso_params)):
-        gbests = np.stack([found[point].gbest_thetas for point in points])
-        moved = np.ones(gbests.shape[:2], dtype=bool)  # (scheme, iteration)
-        moved[:, 1:] = np.any(gbests[:, 1:] != gbests[:, :-1], axis=-1)
-        xs, alphas = pso.split_theta(gbests[moved], config.num_pas)
-        scores = score_candidates(xs, alphas, scenario, config, [config.csi_eps] * len(xs),
-                                  seed)
-        # each row takes the score of the last row at or before it that moved
-        rescored = np.array(scores)[np.cumsum(moved).reshape(moved.shape) - 1]
-        out.append([(found[point].trace, trace) for point, trace in zip(points, rescored)])
-    return out
+def _converge_traces(scenario: Scenario, seed, found, configs):
+    """Each search scheme's (fitness trace, re-scored min-SINR trace) on one
+    realization of ``convergence_trace``.  ``score_candidates`` re-scores
+    only the rows where a global best moved; the others repeat."""
+    config, points = configs[0], _search_points(configs)
+    gbests = np.stack([found[point].gbest_thetas for point in points])
+    moved = np.ones(gbests.shape[:2], dtype=bool)  # (scheme, iteration)
+    moved[:, 1:] = np.any(gbests[:, 1:] != gbests[:, :-1], axis=-1)
+    xs, alphas = pso.split_theta(gbests[moved], config.num_pas)
+    scores = score_candidates(xs, alphas, scenario, config, [config.csi_eps] * len(xs), seed)
+    # each row takes the score of the last row at or before it that moved
+    rescored = np.array(scores)[np.cumsum(moved).reshape(moved.shape) - 1]
+    return [(found[point].trace, trace) for point, trace in zip(points, rescored)]
 
 
 def convergence_trace(config: SystemConfig, pso_params: PsoParams,
@@ -380,10 +366,8 @@ def convergence_trace(config: SystemConfig, pso_params: PsoParams,
     seeds = realization_seeds(master_seed, num_realizations)
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}
-    units = [((config, chunk, pso_params), work)
-             for chunk, work in _chunks([config], seeds, pso_params)]
-    with _unit_results(_converge_unit, units, workers) as results:
-        for r, found in enumerate(itertools.chain.from_iterable(results)):
+    with _study([[config]], seeds, pso_params, workers, _converge_traces) as results:
+        for r, found in enumerate(results):
             for scheme, (fitness, trace) in zip(schemes, found):
                 # a degenerate config shows in the first realization: stop there
                 _require_reportable_traces(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pinchsim import ExperimentSettings, PsoParams, SystemConfig, experiments, pso
 from pinchsim.cli import _build_parser, main
+from pinchsim.config import ConfigError, run_config_from_dict
 
 FAST_SECTIONS = {
     "pso": {"num_particles": 8, "max_iters": 10},
@@ -51,13 +52,36 @@ def test_validate_config_accepts_sizes_within_bound(tmp_path, capsys, doc):
     # beyond the interpreter's 4,300-digit limit on int parsing
     ('{"num_users": 1' + "0" * 5000 + "}", "malformed JSON in "),
     (json.dumps({"": 3}), 'unknown system config key(s): ""'),
-], ids=["num_users=10**30", "nested_100000", "num_users=10**5000", "empty_key"])
+    # a blank key shows quoted, not as blank space
+    (json.dumps({" ": 3}), 'unknown system config key(s): " "\n'),
+    (json.dumps({"\t": 3}), 'unknown system config key(s): "\\t"\n'),
+], ids=["num_users=10**30", "nested_100000", "num_users=10**5000", "empty_key",
+        "space_key", "tab_key"])
 def test_validate_config_refuses_unbuildable_file(tmp_path, capsys, text, reason):
     path = tmp_path / "config.json"
     path.write_text(text)
     assert main(["validate-config", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and reason in err
+
+
+BIG = 10 ** 5000  # more digits than the interpreter's int-to-str limit of 4,300
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: SystemConfig(num_users=-BIG), "num_users"),
+    (lambda: run_config_from_dict({"num_users": BIG}), "num_users"),
+    (lambda: SystemConfig(obstacle_radius_range=(BIG, 1)), "obstacle_radius_range"),
+    (lambda: ExperimentSettings(k_grid=[0, BIG]), "k_grid"),
+    (lambda: SystemConfig(tx_power=BIG), "tx_power"),
+    (lambda: PsoParams(inertia=BIG), "inertia"),
+], ids=["num_users=-big", "sizes_num_users=big", "radius_range", "k_grid", "tx_power",
+        "inertia"])
+def test_huge_integer_is_refused_by_name(build, field):
+    # JSON input cannot carry such an integer; Python callers can
+    with pytest.raises(ConfigError) as refused:
+        build()
+    assert str(refused.value).startswith(field)
 
 
 def test_validate_config_infeasible_spacing(tmp_path, capsys):
@@ -216,14 +240,13 @@ def units(tmp_path, monkeypatch):
     monkeypatch.setattr(pso, "LOCKSTEP_BUDGET", 2 ** 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     log = tmp_path / "unit_pids.txt"
-    for name in ("_sweep_unit", "_converge_unit"):
-        # wraps() keeps the unit's name, under which the pool pickles it
-        @functools.wraps(getattr(experiments, name))
-        def logged(*args, unit=getattr(experiments, name)):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return unit(*args)
-        monkeypatch.setattr(experiments, name, logged)
+    # wraps() keeps the unit's name, under which the pool pickles it
+    @functools.wraps(experiments._unit)
+    def logged(*args, unit=experiments._unit):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return unit(*args)
+    monkeypatch.setattr(experiments, "_unit", logged)
 
     def pids():
         found = [int(pid) for pid in log.read_text().split()] if log.exists() else []

@@ -4,25 +4,29 @@
 # Usage: tools/byte_identity.sh <rev>
 #
 # Exports <rev> with `git archive` into a temporary directory, runs the same
-# command matrix with the package of each tree (seed 7, the working tree's
-# config files on both sides), and compares every CSV, config sidecar, stdout
-# and stderr file with `diff -r`; in stderr, each run's output directory reads
-# <out> in the `wrote` line.  Exits 0 when all are identical and 1 on any
-# difference.  The matrix covers every subcommand that writes a CSV, both
-# score modes, a mixed error-bound grid with repeats and a zero bound (with
-# and without leakage, and in true_sampled mode, whose scoring calls mix the
-# rows' error bounds), a zero-bound converge (where both PSO schemes are one
-# search), a one-user grid point, 8-realization sweep-users and converge
-# runs, whose realizations are searched in more than one stacked chunk (at
-# K = 5, and in converge), user counts of 8 and 9 on 9 antennas, where
-# numpy's sums over a power block switch from one term after another to
-# pairwise, a converge and a 40-point sweep-eps at K = 8, N = 16, O = 8,
-# whose row bound of 64 splits their scoring into several kernel calls, and
-# a 36-point sweep-eps of 2-particle swarms at that shape, where each
-# realization's 36 searches take lockstep calls of 32 and 4 swarms, and a
-# sweep-eps on a packed guide (N = 5, min_spacing 2.5 on L = 10, so
-# (N - 1) * min_spacing = L exactly), where every projected layout is fully
-# packed and Uniform's gaps are exactly min_spacing.
+# command matrix with the package of each tree (seed 7 and an --out in the
+# run's output directory for every subcommand that takes them, the working
+# tree's config files on both sides), and compares every CSV, config
+# sidecar, stdout (with the exit code) and stderr file with `diff -r`; in
+# stderr, each run's output directory reads <out> in the `wrote` line.
+# Exits 0 when all are identical and 1 on any difference.  The matrix covers
+# every subcommand of the CLI's dispatch table: validate-config on a file
+# that validates and on one that does not, a usage error (--threads 0), and
+# every subcommand that writes a CSV, both score modes, a mixed error-bound
+# grid with repeats and a zero bound (with and without leakage, and in
+# true_sampled mode, whose scoring calls mix the rows' error bounds), a
+# zero-bound converge (where both PSO schemes are one search), a one-user
+# grid point, 8-realization sweep-users and converge runs, whose
+# realizations are searched in more than one stacked chunk (at K = 5, and in
+# converge), user counts of 8 and 9 on 9 antennas, where numpy's sums over a
+# power block switch from one term after another to pairwise, a converge and
+# a 40-point sweep-eps at K = 8, N = 16, O = 8, whose row bound of 64 splits
+# their scoring into several kernel calls, and a 36-point sweep-eps of
+# 2-particle swarms at that shape, where each realization's 36 searches take
+# lockstep calls of 32 and 4 swarms, and a sweep-eps on a packed guide
+# (N = 5, min_spacing 2.5 on L = 10, so (N - 1) * min_spacing = L exactly),
+# where every projected layout is fully packed and Uniform's gaps are
+# exactly min_spacing.
 #
 # Rows whose names end in _t2 or _t3 pass --threads 2 or 3 to the working
 # tree and split into several work units (realization chunks of one lockstep
@@ -36,7 +40,10 @@
 # Rows whose names start with refuse_ pass one bad override to optimize, which
 # exits 2 with one config error on stderr: one row per kind of message (a type,
 # each kind of domain end, each grid's entries, area_y and pso.social, and
-# every cross-field rule, size and key check).
+# every cross-field rule, size and key check).  Two more refuse rows run with
+# --threads 2: a sweep-users whose first point, K = 1, overflows, refused
+# before any progress line, and a converge whose mean min-SINR underflows to
+# 0, refused after both realizations' progress lines.
 set -euo pipefail
 set -f  # the matrix's arguments are split into words but never globbed
 
@@ -58,14 +65,19 @@ cat > "$small" <<'EOF'
 {"pso": {"num_particles": 8, "max_iters": 10},
  "experiments": {"realizations": 2, "eps_grid": [0.0, 0.1], "k_grid": [1, 2, 3]}}
 EOF
+bad="$work/bad.json"       # refused by validate-config: csi_eps must be in [0, 1)
+echo '{"csi_eps": 1}' > "$bad"
 # K = 8, N = 16, O = 8 (64 rows to a kernel call), and the grids 0.00, 0.02, ..., 0.78
 # and 0.00, 0.01, ..., 0.35
 wide="--override num_users=8 --override num_pas=16 --override obstacle_count=8"
 grid40="[$(LC_ALL=C seq -s, -f '%.2f' 0 0.02 0.78)]"
 grid36="[$(LC_ALL=C seq -s, -f '%.2f' 0 0.01 0.35)]"
 
-# name | subcommand and arguments (the seed and --out are added)
+# name | subcommand and arguments (the seed and --out are added where taken)
 matrix=(
+    "validate_ok|validate-config --config $small"
+    "validate_refused|validate-config --config $bad"
+    "usage_threads|sweep-eps --config $small --threads 0"
     "example_sweep_eps|sweep-eps --config $example --realizations 10"
     "example_sweep_users_sampled|sweep-users --config $example --realizations 4 --override experiments.score_mode=true_sampled"
     "example_optimize|optimize --config $example --realizations 2"
@@ -114,16 +126,23 @@ matrix=(
     "refuse_size|optimize --config $small --override pso.max_iters=16777217"
     "refuse_unknown_key|optimize --config $small --override num_userz=3"
     "refuse_empty_key|optimize --config $small --override =3"
+    "refuse_sweep_users_t2|sweep-users --config $small --override tx_power=1e306 --threads 2"
+    "refuse_converge_mean_t2|converge --config $small --override tx_power=1e-320 --threads 2"
 )
 
 run_tree() {  # run_tree <tree> <output directory>
     mkdir -p "$2"
     for entry in "${matrix[@]}"; do
         name=${entry%%|*}
+        args=${entry#*|}
+        output=(--seed 7 --out "$2/$name.csv")
+        if [ "${args%% *}" = validate-config ]; then
+            output=()
+        fi
         status=0
         # shellcheck disable=SC2086  # the arguments are split on purpose
-        PYTHONPATH="$1/src" python3 -m pinchsim.cli ${entry#*|} --seed 7 \
-            --out "$2/$name.csv" > "$2/$name.stdout" 2> "$work/stderr" || status=$?
+        PYTHONPATH="$1/src" python3 -m pinchsim.cli $args ${output[@]+"${output[@]}"} \
+            > "$2/$name.stdout" 2> "$work/stderr" || status=$?
         echo "exit=$status" >> "$2/$name.stdout"
         sed "/^wrote /s|$2/|<out>/|" "$work/stderr" > "$2/$name.stderr"
     done
