@@ -14,6 +14,7 @@ import math
 import numbers
 import os
 import reprlib
+import sys
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -21,6 +22,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Most elements (128 MiB of doubles) of any array a run sizes from its config,
 # and the largest size field or grid length a config may hold.
 MAX_ELEMENTS = 2 ** 24
+
+# The largest eta_i whose (1 + eta_i)**2, which bounds every interference weight, is finite.
+ETA_I_MAX = math.sqrt(sys.float_info.max)
 
 # How a run scores each scheme's final candidate (``ExperimentSettings.score_mode``).
 SCORE_MODES = ("conservative", "true_sampled")
@@ -131,8 +135,8 @@ class SystemConfig:
     magnitudes; everything is overridable.
     """
 
-    num_users: int = _in(3, at_least(1))
-    num_pas: int = _in(5, at_least(1))              # antennas clamped onto the waveguide
+    num_users: int = _in(3, Interval(1, MAX_ELEMENTS))
+    num_pas: int = _in(5, Interval(1, MAX_ELEMENTS))  # antennas clamped onto the waveguide
     waveguide_len: float = _in(10.0, above(0))      # m, guide spans [0, L] on the x axis
     pa_height: float = _in(3.0, above(0))           # m, antennas sit at z = H
     min_spacing: float = _in(0.5, at_least(0))      # m, minimum gap between adjacent antennas
@@ -146,10 +150,10 @@ class SystemConfig:
     blockage_beta: float = _in(0.1, Interval(0, 1, open_lo=True))  # residual if fully blocked
     blockage_alpha: float = _in(2.0, above(0))      # 1/m, clearance rate of soft blockage
     csi_eps: float = _in(0.1, Interval(0, 1, open_hi=True))  # relative CSI error bound
-    eta_i: float = _in(0.5, above(0))               # interference inflation level
+    eta_i: float = _in(0.5, Interval(0, ETA_I_MAX, open_lo=True))  # interference level
     eta_r: float = _in(0.2, at_least(0))            # residual cancellation leakage level
     penalty_mu: float = _in(1.0, above(0))          # weight of the order-violation penalty
-    obstacle_count: int = _in(3, at_least(0))
+    obstacle_count: int = _in(3, Interval(0, MAX_ELEMENTS))
     obstacle_radius_range: tuple = (0.3, 0.8)       # m
 
     def __post_init__(self):
@@ -160,7 +164,7 @@ class SystemConfig:
         if (self.num_pas - 1) * self.min_spacing > self.waveguide_len:
             raise ConfigError(
                 "antenna spacing infeasible: (num_pas - 1) * min_spacing = "
-                f"{_shown((self.num_pas - 1) * self.min_spacing)} exceeds waveguide_len = "
+                f"{(self.num_pas - 1) * self.min_spacing} exceeds waveguide_len = "
                 f"{self.waveguide_len}")
         wavelengths = (self.wavelength, self.guide_wavelength)
         if not all(math.isfinite(w) and w > 0 for w in wavelengths):
@@ -168,11 +172,6 @@ class SystemConfig:
                 f"carrier_freq = {self.carrier_freq} with guide_index = {self.guide_index} "
                 "must give a finite positive wavelength and guide wavelength, got "
                 f"{wavelengths[0]} and {wavelengths[1]}")
-        try:  # bounds the interference weight (1 + eta_i * eps)**2, as eps < 1
-            (1.0 + self.eta_i) ** 2
-        except OverflowError:
-            raise ConfigError("eta_i must keep (1 + eta_i)**2 a finite float, "
-                              f"got {self.eta_i}") from None
         radii = self.obstacle_radius_range
         if (not isinstance(radii, tuple) or len(radii) != 2
                 or not all(_is_finite_number(r) for r in radii)):
@@ -198,8 +197,8 @@ class SystemConfig:
 class PsoParams:
     """Swarm-optimizer hyperparameters (constriction-equivalent defaults)."""
 
-    num_particles: int = _in(60, at_least(1))
-    max_iters: int = _in(200, at_least(1))
+    num_particles: int = _in(60, Interval(1, MAX_ELEMENTS))
+    max_iters: int = _in(200, Interval(1, MAX_ELEMENTS))
     inertia: float = _in(0.729, Interval(0, 1))
     cognitive: float = _in(1.494, at_least(0))
     social: float = _in(1.494, at_least(0))
@@ -219,7 +218,7 @@ class ExperimentSettings:
     master seed is byte-identical on re-run.
     """
 
-    realizations: int = _in(50, at_least(1))
+    realizations: int = _in(50, Interval(1, MAX_ELEMENTS))
     eps_grid: tuple = (0.0, 0.05, 0.10, 0.15, 0.20)
     k_grid: tuple = (2, 3, 4, 5)
     score_mode: str = "conservative"
@@ -250,27 +249,19 @@ class RunConfig:
 
 
 def _check_sizes(run: RunConfig):
-    """Refuse a run whose size fields or grid lengths, or the arrays it sizes
-    from them, exceed ``MAX_ELEMENTS``.  The arrays are the realization
-    seeds, the fitness kernel's obstacle block at the largest user count,
-    the multiplier block and one realization's search trajectories (up to
-    one search per error bound, plus the non-robust one).  The obstacle
-    block bounds every kernel call, as calls stack within ``LOCKSTEP_BUDGET``;
-    a call's slot block, over the kept (user, block, obstacle) slots, is at
-    most the obstacle block it bounds, and so is each slice of the kernel
-    plan's grid, at most 2^16 (point, slot) pairs or one point's slots.
-    The seeds are the only one of these that grows with ``realizations``:
-    a run draws the scenarios and particles of one work unit at a time,
-    only as many realizations as one lockstep call steps
-    (``experiments._chunks``)."""
+    """Refuse a run whose grid lengths, or the arrays it sizes from several
+    fields, exceed ``MAX_ELEMENTS``, which each size field's domain caps on
+    its own.  The arrays are the fitness kernel's obstacle block at the
+    largest user count, which bounds every kernel call (calls stack within
+    ``LOCKSTEP_BUDGET``) and so each call's slot block and each slice of its
+    plan's grid; the multiplier block; and one realization's search
+    trajectories (up to one search per error bound, plus the non-robust one).
+    A run draws one work unit's scenarios and particles at a time
+    (``experiments._chunks``), so only the seeds grow with ``realizations``."""
     system, pso, exp = run.system, run.pso, run.experiments
     users = max(system.num_users, *exp.k_grid)
     sizes = {
-        "num_users": system.num_users, "num_pas": system.num_pas,
-        "obstacle_count": system.obstacle_count, "num_particles": pso.num_particles,
-        "max_iters": pso.max_iters, "realizations": exp.realizations,
-        "max(k_grid)": max(exp.k_grid), "len(eps_grid)": len(exp.eps_grid),
-        "len(k_grid)": len(exp.k_grid),
+        "len(eps_grid)": len(exp.eps_grid), "len(k_grid)": len(exp.k_grid),
         "num_particles * max(num_users, k_grid) * num_pas * max(obstacle_count, 1)":
             pso.num_particles * users * system.num_pas * max(system.obstacle_count, 1),
         "num_particles * max_iters * 2": pso.num_particles * pso.max_iters * 2,
@@ -335,9 +326,12 @@ def apply_overrides(doc, overrides):
     Bare keys address system fields; dotted keys ("pso.max_iters=50",
     "experiments.realizations=10") address the sections.  Values are parsed
     as JSON where possible, else kept as strings.  Unknown keys surface as
-    ConfigError when the updated dict is re-validated.
+    ConfigError when the updated dict is re-validated.  Returns a new dict;
+    ``doc`` and its sections are left as they were.
     """
-    doc = json.loads(json.dumps(doc))  # deep copy, JSON-typed
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    doc = dict(doc)  # each section an override writes is copied in its turn
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
@@ -353,11 +347,11 @@ def apply_overrides(doc, overrides):
             section, field = key.split(".", 1)
             if section not in ("pso", "experiments"):
                 raise ConfigError(f"unknown override section {section!r} in {item!r}")
-            section_doc = doc.setdefault(section, {})
-            if not isinstance(section_doc, dict):  # replaced by an earlier override
+            section_doc = doc.get(section, {})
+            if not isinstance(section_doc, dict):  # as given, or as an earlier override set it
                 raise ConfigError(f"'{section}' config section must be a JSON object "
                                   f"to take {item!r}, got {_shown(section_doc, True)}")
-            section_doc[field] = value
+            doc[section] = {**section_doc, field: value}
         else:
             doc[key] = value
     return doc

@@ -21,15 +21,15 @@ them by the cognitive and social weights once, in place.
 A swarm is one (scenario, seed, evaluation point).  Because the streams
 depend only on the seed, swarms of one seed at different evaluation points
 (``kernels.RobustGains``) start from the same particles and use the same
-multipliers.  ``search`` only cuts the realizations it is handed into
-lockstep calls, each of which draws its realizations' particles and makes
-one projection call and one kernel call per iteration.  One rule cuts the
-calls: a call holds ``realizations_per_call`` whole realizations, each at
+multipliers.  ``search`` cuts the realizations it is handed into chunks,
+drawing each chunk's particles once, and each chunk into lockstep calls,
+each of which makes one projection call and one kernel call per
+iteration.  One rule cuts the calls: a call holds ``realizations_per_call`` whole realizations, each at
 all of its points, so kernel block r is realization r, its swarms adjacent;
 a realization with more points than ``swarms_per_call`` takes calls of its
-own, its points in slices of ``swarms_per_call``, and draws its particles in
-each.  ``experiments`` cuts its work units by the same rule, so a unit is
-one call of ``search``.  ``optimize`` is its one-realization, one-point
+own, its points in slices of ``swarms_per_call``, all from its one draw.
+``experiments`` cuts its work units by the same rule, so a unit is one
+call of ``search``.  ``optimize`` is its one-realization, one-point
 case.  A lockstep call's scenario, row gains and batch shape are fixed for
 all of its iterations, so it builds its row gains and one ``kernels.Plan``
 once and hands both to each kernel call.
@@ -224,18 +224,20 @@ def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     obstacle counts.  Returns per realization, in order, a dict from each
     distinct point to its ``PsoResult``, each bit-identical to a separate
     search.  A swarm is one (scenario, seed, point), its particles and
-    multipliers drawn from its seed alone.  ``search`` only cuts: a lockstep
+    multipliers drawn from its seed alone.  ``search`` cuts: a lockstep
     call steps up to ``realizations_per_call`` whole realizations at all
     points, or one realization's points in slices of ``swarms_per_call``
-    when it has more; each call draws its realizations' particles.
+    when it has more; each chunk of realizations draws its particles once,
+    just before its first call.
     """
     points = list(dict.fromkeys(points))
     step = realizations_per_call(config, params, len(points))
     per_call = swarms_per_call(config, params)
     found = []
     for i in range(0, len(scenarios), step):
+        particles = _particles(config, params, seeds[i:i + step])
         for j in range(0, len(points), per_call):  # one slice unless step is 1
-            found += _lockstep(config, params, scenarios[i:i + step], seeds[i:i + step],
+            found += _lockstep(config, params, scenarios[i:i + step], particles,
                                points[j:j + per_call])
     return [dict(zip(points, found[i:i + len(points)]))
             for i in range(0, len(found), len(points))]
@@ -269,16 +271,16 @@ def _particles(config, params, seeds):
     return theta.reshape(len(theta), -1, p), pulls.reshape(params.max_iters, 2, -1, p)
 
 
-def _lockstep(config, params, scenarios, seeds, points):
+def _lockstep(config, params, scenarios, particles, points):
     """Search each realization r of ``scenarios`` at each of ``points``,
-    from the particles and multipliers it draws for ``seeds[r]``; returns
-    the results in (realization, point) order.
+    from block r of ``particles`` (the ``_particles`` of the realizations'
+    seeds, only read); returns the results in (realization, point) order.
 
     Kernel block r is realization r, its Q swarms adjacent.  The state is
     held batch-last, as (D, S, P) arrays with S = R' Q, whose (D, S * P)
     views are the kernel's and the projection's layout."""
     n = config.num_pas
-    theta0, pulls = _particles(config, params, seeds)   # (D, R', P), (T, 2, R', P)
+    theta0, pulls = particles                          # (D, R', P), (T, 2, R', P)
     scenario = stack_scenarios(scenarios)
     theta = np.repeat(theta0, len(points), axis=1)     # (D, S, P)
     d, s, p = theta.shape

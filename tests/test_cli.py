@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pinchsim import ExperimentSettings, PsoParams, SystemConfig, experiments, pso
 from pinchsim.cli import _build_parser, main
-from pinchsim.config import ConfigError, run_config_from_dict
+from pinchsim.config import ConfigError, apply_overrides, run_config_from_dict
 
 FAST_SECTIONS = {
     "pso": {"num_particles": 8, "max_iters": 10},
@@ -47,7 +47,8 @@ def test_validate_config_accepts_sizes_within_bound(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("text,reason", [
-    (json.dumps({"num_users": 10 ** 30}), f"num_users = {10 ** 30} exceeds 16777216"),
+    (json.dumps({"num_users": 10 ** 30}),
+     f"num_users must be in [1, 16777216], got {10 ** 30}"),
     ("[" * 100_000 + "]" * 100_000, "is nested too deeply to parse"),
     # beyond the interpreter's 4,300-digit limit on int parsing
     ('{"num_users": 1' + "0" * 5000 + "}", "malformed JSON in "),
@@ -55,8 +56,12 @@ def test_validate_config_accepts_sizes_within_bound(tmp_path, capsys, doc):
     # a blank key shows quoted, not as blank space
     (json.dumps({" ": 3}), 'unknown system config key(s): " "\n'),
     (json.dumps({"\t": 3}), 'unknown system config key(s): "\\t"\n'),
+    # beyond the float range, so the spacing rule could not compute with it
+    ('{"num_pas": 1' + "0" * 400 + "}", "num_pas must be in [1, 16777216], got 1000"),
+    ('{"num_pas": 1' + "0" * 400 + ', "min_spacing": 0}',
+     "num_pas must be in [1, 16777216], got 1000"),
 ], ids=["num_users=10**30", "nested_100000", "num_users=10**5000", "empty_key",
-        "space_key", "tab_key"])
+        "space_key", "tab_key", "num_pas=10**400", "num_pas=10**400,min_spacing=0"])
 def test_validate_config_refuses_unbuildable_file(tmp_path, capsys, text, reason):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -82,6 +87,28 @@ def test_huge_integer_is_refused_by_name(build, field):
     with pytest.raises(ConfigError) as refused:
         build()
     assert str(refused.value).startswith(field)
+
+
+@pytest.mark.parametrize("doc,overrides,reason", [
+    ({"pso": BIG}, ["pso.x=1"], "'pso' config section must be a JSON object to take "
+                                "'pso.x=1', got a 16610-bit integer"),
+    ({"pso": {1, 2}}, ["pso.x=1"], "'pso' config section must be a JSON object to take "
+                                   "'pso.x=1', got {1, 2}"),
+    ([("num_users", 3)], ["num_users=4"], "config document must be a JSON object"),
+], ids=["huge_section", "set_section", "list_document"])
+def test_apply_overrides_refuses_with_config_error(doc, overrides, reason):
+    with pytest.raises(ConfigError) as refused:
+        apply_overrides(doc, overrides)
+    assert str(refused.value) == reason
+
+
+def test_apply_overrides_leaves_its_document_and_passes_on_non_json_values():
+    doc = {"pso": {"max_iters": 3}, "experiments": {"eps_grid": {0.1}}}
+    updated = apply_overrides(doc, ["pso.max_iters=4", "experiments.realizations=2"])
+    assert doc == {"pso": {"max_iters": 3}, "experiments": {"eps_grid": {0.1}}}
+    assert updated["pso"] == {"max_iters": 4}
+    with pytest.raises(ConfigError, match=r"^eps_grid must be a non-empty list"):
+        run_config_from_dict(updated)   # the set is refused where it is validated
 
 
 def test_validate_config_infeasible_spacing(tmp_path, capsys):
@@ -139,7 +166,8 @@ def test_overrides_apply_to_a_file_that_validates_on_its_own(tmp_path, capsys, f
     cfg = write_config(tmp_path, {"experiments": {"realizations": 0}})
     out = tmp_path / "out.csv"
     assert main(["sweep-eps", "--config", cfg, "--out", str(out), *flag]) == 2
-    assert capsys.readouterr().err == "config error: realizations must be >= 1, got 0\n"
+    assert capsys.readouterr().err == ("config error: realizations must be in [1, 16777216], "
+                                       "got 0\n")
     assert not out.exists()
 
 
@@ -457,12 +485,18 @@ def test_largest_seed_accepted(tmp_path):
     # an empty key shows as "", not as nothing
     pytest.param("=3", 'unknown system config key(s): ""', id="empty_key=3"),
     pytest.param("pso.=3", 'unknown pso config key(s): ""', id="pso.empty_key=3"),
-    # sizes beyond 2**24 elements, as a field or as an array the run sizes from them
-    pytest.param(f"num_users={10 ** 30}", f"num_users = {10 ** 30} exceeds",
+    # sizes beyond 2**24 elements, as a field (refused by its domain) or as an
+    # array the run sizes from several fields
+    pytest.param(f"num_users={10 ** 30}", f"num_users must be in [1, 16777216], got {10 ** 30}",
                  id="num_users=10**30"),
-    ("pso.max_iters=16777217", "max_iters = 16777217 exceeds"),
-    ("experiments.realizations=16777217", "realizations = 16777217 exceeds"),
-    ("experiments.k_grid=[2,16777217]", "max(k_grid) = 16777217 exceeds"),
+    pytest.param("pso.max_iters=16777217", "max_iters must be in [1, 16777216], got 16777217",
+                 id="pso.max_iters=16777217"),
+    pytest.param("experiments.realizations=16777217",
+                 "realizations must be in [1, 16777216], got 16777217",
+                 id="experiments.realizations=16777217"),
+    pytest.param("experiments.k_grid=[2,16777217]",
+                 "k_grid values must be in [1, 16777216], got (2, 16777217)",
+                 id="experiments.k_grid=[2,16777217]"),
     ("num_users=1000000", "num_particles * max(num_users, k_grid) * num_pas * "
                           "max(obstacle_count, 1) = 120000000 exceeds"),
     ("experiments.k_grid=[2,1000000]", "num_particles * max(num_users, k_grid)"),
@@ -628,4 +662,42 @@ def test_config_file_fuzz_exits_cleanly(doc):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["validate-config", "--config", cfg])
     assert code in (0, 2), (doc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# Integers of 20 to 4,000 digits, either sign, in every int field of the three
+# sections and in a k_grid entry: each is refused by its field's domain, by
+# config file and by override alike, before any rule computes with it.
+INT_KEYS = ([(f"{prefix}{f.name}", f.name)
+             for cls, prefix in ((SystemConfig, ""), (PsoParams, "pso."),
+                                 (ExperimentSettings, "experiments."))
+             for f in dataclasses.fields(cls) if f.type is int]
+            + [("experiments.k_grid", "k_grid")])
+HUGE_INTEGERS = st.builds(lambda digits, lead, low, sign: sign * (lead * 10 ** (digits - 1) + low),
+                          st.integers(20, 4000), st.integers(1, 9), st.integers(0, 10 ** 6),
+                          st.sampled_from([1, -1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(INT_KEYS), HUGE_INTEGERS, st.booleans())
+def test_huge_integer_in_any_int_field_exits_cleanly(key, value, by_override):
+    path, name = key
+    value = [2, value] if name == "k_grid" else value
+    section, _, field = path.rpartition(".")
+    doc = {"pso": {"num_particles": 4, "max_iters": 2}, "experiments": {"realizations": 1}}
+    argv = ["validate-config"]
+    if by_override:
+        argv = ["optimize", "--override", f"{path}={json.dumps(value)}"]
+    else:
+        (doc[section] if section else doc)[field] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/config.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if by_override:
+            argv += ["--out", f"{tmp}/out.csv"]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--config", f"{tmp}/config.json"])
+    assert code == 2, (path, err.getvalue()[:200])
+    assert err.getvalue().startswith(f"config error: {name} "), err.getvalue()[:200]
     assert "Traceback" not in err.getvalue()

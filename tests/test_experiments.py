@@ -130,9 +130,9 @@ def recorded_calls(monkeypatch, budget):
     calls = []
     lockstep = pso._lockstep
 
-    def recording(config, params, scenarios, seeds, points):
+    def recording(config, params, scenarios, particles, points):
         calls.append(len(scenarios) * len(points))
-        return lockstep(config, params, scenarios, seeds, points)
+        return lockstep(config, params, scenarios, particles, points)
 
     monkeypatch.setattr(pso, "_lockstep", recording)
     return calls

@@ -267,12 +267,9 @@ def test_particles_return_scaled_multipliers():
             assert (params.social * draws[:, 1]).tobytes() == pulls[:, 1, r, i].tobytes()
 
 
-def test_each_lockstep_call_draws_its_own_particles(monkeypatch):
-    # search draws nothing up front: each call creates its own seeds'
-    # particle streams, after the previous call's kernel calls
-    params = PsoParams(num_particles=4, max_iters=3)
-    seeds = [1, 2, 3, 4, 5]
-    scenarios = [generate_scenario(CFG, seed) for seed in seeds]
+def _stream_and_kernel_events(monkeypatch, params):
+    """Budget 2 swarms of ``params`` a lockstep call, and record each stream
+    created (by seed) and each kernel call, in order."""
     events = []
 
     def streaming(seed, *args):
@@ -283,18 +280,49 @@ def test_each_lockstep_call_draws_its_own_particles(monkeypatch):
         events.append(("kernel", None))
         return swarm_fitness(*args, **kwargs)
 
-    # 2 swarms of 4 particles a call, so 2 one-point realizations
     monkeypatch.setattr(pso, "LOCKSTEP_BUDGET",
                         2 * params.num_particles * CFG.num_users * CFG.num_pas
                         * CFG.obstacle_count)
     monkeypatch.setattr(pso, "stream", streaming)
     monkeypatch.setattr(kernels, "swarm_fitness", kernel)
+    return events
+
+
+def test_each_lockstep_call_draws_its_own_particles(monkeypatch):
+    # search draws nothing up front: each chunk of realizations, here one
+    # call of 2 one-point realizations, creates its own seeds' particle
+    # streams, after the previous call's kernel calls
+    params = PsoParams(num_particles=4, max_iters=3)
+    seeds = [1, 2, 3, 4, 5]
+    scenarios = [generate_scenario(CFG, seed) for seed in seeds]
+    events = _stream_and_kernel_events(monkeypatch, params)
     search(scenarios, seeds, [robust_gains(0.1, CFG.eta_i, CFG.eta_r)], CFG, params)
     want = []
     for call in ([1, 2], [3, 4], [5]):
         want += [("stream", seed) for seed in call for _ in range(params.num_particles)]
         want += [("kernel", None)] * (params.max_iters + 1)
     assert events == want
+
+
+def test_a_realization_split_over_calls_draws_its_particles_once(monkeypatch):
+    # 3 points and 2 swarms a call: each realization takes calls of 2 and 1
+    # swarms, both from the one draw of its seed's streams
+    params = PsoParams(num_particles=4, max_iters=3)
+    seeds = [6, 7]
+    scenarios = [generate_scenario(CFG, seed) for seed in seeds]
+    points = [robust_gains(e, CFG.eta_i, CFG.eta_r) for e in (0.0, 0.1, 0.2)]
+    events = _stream_and_kernel_events(monkeypatch, params)
+    found = search(scenarios, seeds, points, CFG, params)
+    want = []
+    for seed in seeds:
+        want += [("stream", seed)] * params.num_particles
+        want += [("kernel", None)] * (2 * (params.max_iters + 1))
+    assert events == want
+    monkeypatch.undo()
+    for scenario, seed, results in zip(scenarios, seeds, found):
+        for point in points:  # each as a search of its own
+            alone = search([scenario], [seed], [point], CFG, params)[0][point]
+            assert alone.gbest_thetas.tobytes() == results[point].gbest_thetas.tobytes()
 
 
 def test_search_point_of_each_mode():

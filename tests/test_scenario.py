@@ -82,6 +82,8 @@ def test_uniform_layout_keeps_the_spacing_of_every_config_that_builds(n, d, abov
 TINY = math.nextafter(0.0, 1.0)        # the least positive float
 BELOW_ONE = math.nextafter(1.0, 0.0)
 ABOVE_ONE = math.nextafter(1.0, 2.0)
+ETA_I_MAX = 1.3407807929942596e+154  # the largest eta_i with (1 + eta_i)**2 finite
+CAP = 2 ** 24                          # MAX_ELEMENTS, every size field's upper end
 
 
 def _bound(cls, field, value, inside, must, then=None, **others):
@@ -96,8 +98,10 @@ def _bound(cls, field, value, inside, must, then=None, **others):
 # read from the field metadata, so that a wrong domain entry fails the test.
 # Open float bounds are approached by their nearest floats.
 @pytest.mark.parametrize("cls,field,value,inside,must,then,others", [
-    _bound(SystemConfig, "num_users", 0, 1, "must be >= 1"),
-    _bound(SystemConfig, "num_pas", 0, 1, "must be >= 1"),
+    _bound(SystemConfig, "num_users", 0, 1, "must be in [1, 16777216]"),
+    _bound(SystemConfig, "num_users", CAP + 1, CAP, "must be in [1, 16777216]"),
+    _bound(SystemConfig, "num_pas", 0, 1, "must be in [1, 16777216]"),
+    _bound(SystemConfig, "num_pas", CAP + 1, CAP, "must be in [1, 16777216]", min_spacing=0.0),
     _bound(SystemConfig, "waveguide_len", 0.0, TINY, "must be > 0", num_pas=1),
     _bound(SystemConfig, "pa_height", 0.0, TINY, "must be > 0"),
     _bound(SystemConfig, "min_spacing", -TINY, 0.0, "must be >= 0"),
@@ -119,23 +123,31 @@ def _bound(cls, field, value, inside, must, then=None, **others):
     _bound(SystemConfig, "csi_eps", -TINY, 0.0, "must be in [0, 1)"),
     _bound(SystemConfig, "csi_eps", -0.1, 0.0, "must be in [0, 1)"),
     _bound(SystemConfig, "csi_eps", 1.0, BELOW_ONE, "must be in [0, 1)"),
-    _bound(SystemConfig, "eta_i", 0.0, TINY, "must be > 0"),
+    _bound(SystemConfig, "eta_i", 0.0, TINY, "must be in (0, 1.3407807929942596e+154]"),
+    _bound(SystemConfig, "eta_i", math.nextafter(ETA_I_MAX, math.inf), ETA_I_MAX,
+           "must be in (0, 1.3407807929942596e+154]"),
     _bound(SystemConfig, "eta_r", -TINY, 0.0, "must be >= 0"),
     _bound(SystemConfig, "eta_r", -1.0, 0.0, "must be >= 0"),
     _bound(SystemConfig, "penalty_mu", 0.0, TINY, "must be > 0"),
-    _bound(SystemConfig, "obstacle_count", -1, 0, "must be >= 0"),
-    _bound(PsoParams, "num_particles", 0, 1, "must be >= 1"),
-    _bound(PsoParams, "max_iters", 0, 1, "must be >= 1"),
+    _bound(SystemConfig, "obstacle_count", -1, 0, "must be in [0, 16777216]"),
+    _bound(SystemConfig, "obstacle_count", CAP + 1, CAP, "must be in [0, 16777216]"),
+    _bound(PsoParams, "num_particles", 0, 1, "must be in [1, 16777216]"),
+    _bound(PsoParams, "num_particles", CAP + 1, CAP, "must be in [1, 16777216]"),
+    _bound(PsoParams, "max_iters", 0, 1, "must be in [1, 16777216]"),
+    _bound(PsoParams, "max_iters", CAP + 1, CAP, "must be in [1, 16777216]"),
     _bound(PsoParams, "inertia", -TINY, 0.0, "must be in [0, 1]"),
     _bound(PsoParams, "inertia", ABOVE_ONE, 1.0, "must be in [0, 1]"),
     _bound(PsoParams, "cognitive", -TINY, 0.0, "must be >= 0"),
     _bound(PsoParams, "social", -TINY, 0.0, "must be >= 0"),
     _bound(PsoParams, "velocity_clamp", 0.0, TINY, "must be > 0"),
-    _bound(ExperimentSettings, "realizations", 0, 1, "must be >= 1"),
+    _bound(ExperimentSettings, "realizations", 0, 1, "must be in [1, 16777216]"),
+    _bound(ExperimentSettings, "realizations", CAP + 1, CAP, "must be in [1, 16777216]"),
     _bound(ExperimentSettings, "eps_grid", [0.1, -TINY], [0.1, 0.0],
            "values must be in [0, 1)"),
     _bound(ExperimentSettings, "eps_grid", [1.0], [BELOW_ONE], "values must be in [0, 1)"),
-    _bound(ExperimentSettings, "k_grid", [2, 0], [2, 1], "values must be >= 1"),
+    _bound(ExperimentSettings, "k_grid", [2, 0], [2, 1], "values must be in [1, 16777216]"),
+    _bound(ExperimentSettings, "k_grid", [2, CAP + 1], [2, CAP],
+           "values must be in [1, 16777216]"),
 ])
 def test_invalid_config_rejected(cls, field, value, inside, must, then, others):
     with pytest.raises(ConfigError) as refused:
@@ -148,6 +160,12 @@ def test_invalid_config_rejected(cls, field, value, inside, must, then, others):
         with pytest.raises(ConfigError) as refused:
             cls(**{field: inside}, **others)
         assert str(refused.value) == then
+
+
+def test_eta_i_bound_is_the_last_with_a_finite_interference_bound():
+    assert math.isfinite((1.0 + ETA_I_MAX) ** 2)
+    with pytest.raises(OverflowError):
+        (1.0 + math.nextafter(ETA_I_MAX, math.inf)) ** 2
 
 
 def test_config_error_names_the_invariant():

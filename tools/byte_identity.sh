@@ -40,7 +40,10 @@
 # Rows whose names start with refuse_ pass one bad override to optimize, which
 # exits 2 with one config error on stderr: one row per kind of message (a type,
 # each kind of domain end, each grid's entries, area_y and pso.social, and
-# every cross-field rule, size and key check).  Two more refuse rows run with
+# every cross-field rule, size cap, array size and key check), plus a
+# 401-digit num_pas, beyond the float range, with the default spacing and with
+# min_spacing 0, and eta_i one float above its domain's end.  Two more refuse
+# rows run with
 # --threads 2: a sweep-users whose first point, K = 1, overflows, refused
 # before any progress line, and a converge whose mean min-SINR underflows to
 # 0, refused after both realizations' progress lines.
@@ -72,6 +75,7 @@ echo '{"csi_eps": 1}' > "$bad"
 wide="--override num_users=8 --override num_pas=16 --override obstacle_count=8"
 grid40="[$(LC_ALL=C seq -s, -f '%.2f' 0 0.02 0.78)]"
 grid36="[$(LC_ALL=C seq -s, -f '%.2f' 0 0.01 0.35)]"
+big401="1$(printf '%0400d' 0)"   # 10**400
 
 # name | subcommand and arguments (the seed and --out are added where taken)
 matrix=(
@@ -122,8 +126,12 @@ matrix=(
     "refuse_spacing|optimize --config $small --override min_spacing=3"
     "refuse_wavelength|optimize --config $small --override carrier_freq=1e-300"
     "refuse_eta_i|optimize --config $small --override eta_i=1e308"
+    "refuse_eta_i_next_above|optimize --config $small --override eta_i=1.3407807929942597e+154"
     "refuse_radius_range|optimize --config $small --override obstacle_radius_range=[0.8,0.3]"
     "refuse_size|optimize --config $small --override pso.max_iters=16777217"
+    "refuse_size_product|optimize --config $small --override pso.max_iters=2000000"
+    "refuse_num_pas_401_digits|optimize --config $small --override num_pas=$big401"
+    "refuse_num_pas_401_digits_no_spacing|optimize --config $small --override num_pas=$big401 --override min_spacing=0"
     "refuse_unknown_key|optimize --config $small --override num_userz=3"
     "refuse_empty_key|optimize --config $small --override =3"
     "refuse_sweep_users_t2|sweep-users --config $small --override tx_power=1e306 --threads 2"
