@@ -7,11 +7,11 @@ candidate is scored with the same evaluation so curves are comparable; by
 default that is the worst-case (conservative) min-SINR at the configured
 error bound.
 
-A PSO scheme searches at ``pso.search_point``: the configured bound for
-RobustPSO, the perfect-estimate bound 0 for NonRobustPSO; a RobustPSO at a
-zero bound has the same gains.  The scenario does not depend on the bound,
-so ``_unit``, the one search step, searches each distinct point of the
-configs sharing a scenario once per realization.
+``_SEARCH_POINTS`` maps each PSO scheme to its search point: the config's
+own for RobustPSO, ``kernels.NOMINAL`` for NonRobustPSO, which is
+RobustPSO's at a zero bound.  The scenario does not depend on the bound, so
+``_unit``, the one search step, searches each distinct point of the configs
+sharing a scenario once per realization, by ``pso.search`` as ``run_scheme``.
 
 ``pso.search`` searches the realizations of one work unit together and
 hands back their results in seed order; each realization's final
@@ -55,7 +55,8 @@ from .kernels import apply_csi_error, robust_gains
 from .scenario import Scenario, generate_scenario, stream, uniform_layout
 
 SCHEMES = ("RobustPSO", "NonRobustPSO", "Random", "Uniform")
-_SEARCH_SCHEMES = SCHEMES[:2]
+_SEARCH_POINTS = {"RobustPSO": lambda c: robust_gains(c.csi_eps, c.eta_i, c.eta_r),
+                  "NonRobustPSO": lambda c: kernels.NOMINAL}  # point under config c
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,seed,min_sinr_linear,min_sinr_db"
 
@@ -123,6 +124,8 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
     if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}, "
                          f"expected {' or '.join(map(repr, SCORE_MODES))}")
+    if len(eps) != len(xs):
+        raise ValueError(f"{len(eps)} error bounds for {len(xs)} rows")
     step = pso.kernel_rows(config)
     if len(xs) > step:  # no row depends on its batch, so each call is exact
         return [score for i in range(0, len(xs), step)
@@ -138,7 +141,7 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
     h_hat = apply_csi_error(h, eps, stream(seed, "csi_sample"))
     order = np.argsort(np.abs(h_hat), axis=0, kind="stable")
     gather = order * len(xs) + np.arange(len(xs))
-    nominal = kernels.row_gains([robust_gains(0.0, 1.0, 0.0)], len(xs))[1:]
+    nominal = kernels.row_gains([kernels.NOMINAL], len(xs))[1:]
     return kernels.ordered_min_sinr(np.abs(h) ** 2, gather, alphas, nominal,
                                     config).tolist()
 
@@ -167,9 +170,9 @@ def _require_reportable_traces(where, prefix, fitness, min_sinr, positive):
 
 def _candidate(scheme, found, config: SystemConfig, seed):
     """(x_pos, alpha) of one scheme; a PSO scheme's is the result in ``found``
-    (``RobustGains`` -> ``PsoResult``) at its ``pso.search_point``."""
-    if scheme in _SEARCH_SCHEMES:
-        search = found[pso.search_point(config, scheme == "RobustPSO")]
+    (``RobustGains`` -> ``PsoResult``) at its ``_SEARCH_POINTS`` point."""
+    if scheme in _SEARCH_POINTS:
+        search = found[_SEARCH_POINTS[scheme](config)]
         return search.best_x, search.best_alpha
     if scheme == "Random":
         theta = pso.draw_theta(config, stream(seed, "random_scheme"))
@@ -211,18 +214,14 @@ def run_scheme(scheme, scenario: Scenario, config: SystemConfig,
     """Run one scheme on one realization, its own search included, and score it."""
     if sweep_value is None:
         sweep_value = config.csi_eps
-    found = {}
-    if scheme in _SEARCH_SCHEMES:
-        robust = scheme == "RobustPSO"
-        found[pso.search_point(config, robust)] = pso.optimize(
-            scenario, config, pso_params, seed, robust=robust)
+    points = [_SEARCH_POINTS[scheme](config)] if scheme in _SEARCH_POINTS else []
+    [found] = pso.search([scenario], [seed], points, config, pso_params)
     gmins = _scores(scenario, seed, found, [config], score_mode, (scheme,))
     return _records(sweep_var, seed, [(scheme, sweep_value)], gmins)[0]
 
 
 def _search_points(configs):
-    return [pso.search_point(config, scheme == "RobustPSO")
-            for config in configs for scheme in _SEARCH_SCHEMES]
+    return [point(config) for config in configs for point in _SEARCH_POINTS.values()]
 
 
 def _chunks(configs, seeds, pso_params: PsoParams):
@@ -354,15 +353,15 @@ def _converge_traces(scenario: Scenario, seed, found, configs):
 def convergence_trace(config: SystemConfig, pso_params: PsoParams,
                       num_realizations, master_seed,
                       progress=None, workers=1) -> ConvergenceTraces:
-    """Mean optimizer traces for the robust and non-robust search modes.
+    """Mean optimizer traces of each PSO scheme at its ``_SEARCH_POINTS`` point.
 
     Both the internal fitness trace and the worst-case re-scored min-SINR of
     the running global best are aggregated; the latter is what makes the two
-    modes comparable at the configured error bound.  That re-scoring is
+    schemes comparable at the configured error bound.  That re-scoring is
     always conservative at ``csi_eps``, whatever ``experiments.score_mode``
     says.  ``workers`` is the most worker processes the units may use.
     """
-    schemes = _SEARCH_SCHEMES
+    schemes = list(_SEARCH_POINTS)
     seeds = realization_seeds(master_seed, num_realizations)
     traces = {scheme: [] for scheme in schemes}
     rescored_traces = {scheme: [] for scheme in schemes}

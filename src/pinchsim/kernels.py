@@ -82,11 +82,14 @@ class RobustGains:
 
 
 def robust_gains(eps, eta_i, eta_r) -> RobustGains:
-    """The one definition of a point's gains; (1, 1, 1, 0) at eps = 0 for any eta_r."""
+    """The one definition of a point's gains; ``NOMINAL`` at eps = 0 for any eta_i, eta_r."""
     return RobustGains(order_ratio=(1.0 + eps) / (1.0 - eps),
                        signal_scale=(1.0 - eps) ** 2,
                        interference_scale=(1.0 + eta_i * eps) ** 2,
                        leakage_scale=eta_r * eps)
+
+
+NOMINAL = RobustGains(1.0, 1.0, 1.0, 0.0)  # the perfect-estimate point
 
 
 def apply_csi_error(h, eps, rng):
@@ -160,12 +163,14 @@ class Plan:
     antenna outside [0, L] by more than margin / 4, or at NaN: such a call
     uses the full slot set, built by the same code.
 
-    rows is the batch's row count P.  The buffers hold memory, never
-    values: the kernel writes each element before it reads it in the same
-    call and returns no view of one.  A plan is bound to the ``scenario``
-    and ``config`` objects it was built from; a kernel call with others
-    raises ValueError.  Their arrays must not be written to while the plan
-    is in use.
+    rows is the batch's row count P, a positive multiple of the scenario's
+    block count B; a plan refuses any other with ValueError.  The buffers
+    hold memory, never values: the kernel writes each element before it
+    reads it in the same call and returns no view of one.  A plan is bound
+    to the ``scenario`` and ``config`` objects it was built from and to its
+    row count; a kernel call with other objects or another row count raises
+    ValueError.  Their arrays must not be written to while the plan is in
+    use.
     """
 
     @np.errstate(all="ignore")  # as in swarm_fitness: overflows give non-finite values
@@ -175,6 +180,9 @@ class Plan:
         antenna_plane = [0.0, 0.0, config.pa_height]
         users = scenario.users.reshape(k, -1, 3) - antenna_plane        # (K, B, 3)
         blocks = users.shape[1]
+        if rows <= 0 or rows % blocks:
+            raise ValueError(f"a kernel batch of {rows} rows is not a positive multiple "
+                             f"of the scenario's block count {blocks}")
         rows //= blocks
         self.shape = k, o, blocks, rows
         ux, uy, uz = users[..., 0, None], users[..., 1, None], users[..., 2, None]  # (K, B, 1)
@@ -354,13 +362,16 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
     """The channel stage of ``swarm_fitness``: the (K, P) complex effective
     channels of each row's layout, with the model's phase sign,
     exp(-j 2 pi (r / lambda + x / lambda_g)) per link.  plan is a ``Plan``
-    of (scenario, config), whose buffers hold the link and slot blocks;
-    None builds one.  parts=True returns the real and imaginary parts as two
-    (K, P) arrays instead.  The results are new arrays."""
+    of (scenario, config) for P rows, whose buffers hold the link and slot
+    blocks; None builds one.  parts=True returns the real and imaginary
+    parts as two (K, P) arrays instead.  The results are new arrays."""
     if plan is None:
         plan = Plan(scenario, config, len(xs))
     elif scenario is not plan.scenario or config is not plan.config:
         raise ValueError("the kernel plan was built for another scenario or config")
+    elif len(xs) != len(plan.base):
+        raise ValueError(f"a kernel batch of {len(xs)} rows for a plan of "
+                         f"{len(plan.base)} rows")
     k, o, blocks, rows = plan.shape
     x = np.ascontiguousarray(np.transpose(xs), dtype=np.float64)
     x = x.reshape(x.shape[0], blocks, rows)        # (N, B, P/B)

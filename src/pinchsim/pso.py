@@ -18,21 +18,22 @@ would, so a run is reproducible regardless of evaluation schedule.  A
 lockstep call stores its R' realizations' blocks as (T, 2, R', P) and scales
 them by the cognitive and social weights once, in place.
 
-A swarm is one (scenario, seed, evaluation point).  Because the streams
-depend only on the seed, swarms of one seed at different evaluation points
-(``kernels.RobustGains``) start from the same particles and use the same
-multipliers.  ``search`` cuts the realizations it is handed into chunks,
-drawing each chunk's particles once, and each chunk into lockstep calls,
-each of which makes one projection call and one kernel call per
-iteration.  One rule cuts the calls: a call holds ``realizations_per_call`` whole realizations, each at
-all of its points, so kernel block r is realization r, its swarms adjacent;
-a realization with more points than ``swarms_per_call`` takes calls of its
-own, its points in slices of ``swarms_per_call``, all from its one draw.
-``experiments`` cuts its work units by the same rule, so a unit is one
-call of ``search``.  ``optimize`` is its one-realization, one-point
-case.  A lockstep call's scenario, row gains and batch shape are fixed for
-all of its iterations, so it builds its row gains and one ``kernels.Plan``
-once and hands both to each kernel call.
+A swarm is one (scenario, seed, evaluation point), a point being any
+``kernels.RobustGains``; ``experiments`` picks each scheme's.  The streams
+depend only on the seed, so swarms of one seed at different points start
+from the same particles and use the same multipliers.  ``search`` cuts the
+realizations it is handed into chunks, drawing each chunk's particles once,
+and each chunk into lockstep calls, each of which makes one projection call
+and one kernel call per iteration.  One rule cuts the calls: a call holds
+``realizations_per_call`` whole realizations, each at all of its points, so
+kernel block r is realization r, its swarms adjacent; a realization with
+more points than ``swarms_per_call`` takes calls of its own, its points in
+slices of ``swarms_per_call``, all from its one draw.  ``experiments`` cuts
+its work units by the same rule, so a unit is one call of ``search``.
+``optimize`` is its one-realization case at the config's own point.  A
+lockstep call's scenario, row gains and batch shape are fixed for all of
+its iterations, so it builds its row gains and one ``kernels.Plan`` once
+and hands both to each kernel call.
 
 The lockstep state (positions, velocities, personal bests) is held
 batch-last, as C-contiguous (D, S, P) arrays: each dimension of theta is
@@ -56,33 +57,18 @@ import numpy as np
 
 from . import kernels
 from .config import MAX_ELEMENTS, PsoParams, SystemConfig
-from .kernels import RobustGains, robust_gains
+from .kernels import robust_gains
 from .scenario import Scenario, stack_scenarios, stream
 
 # Kernel batch, in rows x users x antennas x max(obstacles, 1), up to which
-# lockstep calls stack swarms and scoring calls candidates (``kernel_rows``);
-# stacking saves per-call overhead on small swarms.
-# Measured on stacked realizations, with reused kernel work buffers (default
-# geometry, 60 particles, 100 iterations, 24 realizations of 2 searches;
-# numpy, 2 CPUs; medians of 5 runs, which spread by up to 30%): the searches
-# took 1.37 / 0.64 / 0.58 / 0.59 s at 2^13 / 2^15 / 2^16 / 2^17 with 3 users
-# and 2.92 / 1.08 / 1.16 / 0.95 s with 5, and the process peaked at 39.9 /
-# 39.9 / 41.5 / 45.3 MB and 40.0 / 40.0 / 41.2 / 44.7 MB.  From 2^15 on the
-# times are within their noise, but for 2^17 at 5 users, which is 18% faster
-# than 2^16 and peaks 3.5 MB (8%) higher; a 240 x 8 x 16 x 8 swarm (about
-# 2^18) gains nothing from stacking.  At 2^16 the benchmark's peak_rss_mb is
-# 40.3 MB on eps_desk and 39.9 MB on users_sampled_t2, against 39.3 and
-# 39.0 MB unstacked (BENCH_9.json).  Re-measured with ``kernels.Plan``, whose
-# geometry expanded over the rows adds 2 (O K + O + K) doubles per row to the
-# work buffers' 5 N K + 2 O N + 3 O N K (at K/N/O = 3/5/3, 30 to 240): a
-# 24-realization one-column sweep-users, three runs per budget, took
-# 0.73-1.03 / 0.80-0.98 s at 2^16 / 2^17 with 3 users and 1.36-1.50 /
-# 1.38-1.43 s with 5, peaking at 43 / 48 and 41 / 45 MB.  So 2^17 is no
-# faster and costs 4-5 MB more; the CSVs were identical.  Since the plan
-# keeps only the obstacle slots that can be a link's nearest, M <= O K of a
-# row's block, these are 2 K + 4 M doubles of geometry and 5 N K + 4 N M of
-# work buffers per row: 26 and 175 at 3/5/3 with the 5 slots a block keeps
-# on average on eps_desk, and at most 2 K + 4 O K and 5 N K + 4 O N K.
+# lockstep calls stack swarms and scoring calls candidates (``kernel_rows``):
+# stacking saves per-call overhead on small swarms, and 2^17 is no faster
+# than 2^16 (a 24-realization sweep-users took 0.73-1.03 / 0.80-0.98 s at
+# 3 users and 1.36-1.50 / 1.38-1.43 s at 5) but peaks 4-5 MB higher.  A row
+# holds 2 K + 4 M doubles of plan geometry and 5 N K + 4 N M of work
+# buffers, M <= O K the obstacle slots its block keeps: 26 and 175 at
+# K/N/O = 3/5/3 with the 5 slots a block keeps on average on eps_desk.
+# The measurements are in CHANGES.md and BENCH_9/13/26.json.
 LOCKSTEP_BUDGET = 2 ** 16
 
 
@@ -192,27 +178,17 @@ class PsoResult:
     gbest_thetas: np.ndarray = field(repr=False)  # (T+1, N+K)
 
 
-def search_point(config: SystemConfig, robust: bool) -> RobustGains:
-    """The evaluation point at which a search scores its fitness.
-
-    A robust search uses the configured bound; a non-robust one the
-    perfect-estimate bound 0, whose gains (1, 1, 1, 0) do not depend on the
-    leakage level, so it coincides with a robust search at a zero bound.
-    """
-    return robust_gains(config.csi_eps if robust else 0.0, config.eta_i, config.eta_r)
-
-
 def optimize(scenario: Scenario, config: SystemConfig, params: PsoParams,
-             seed: int, robust: bool = True) -> PsoResult:
+             seed: int) -> PsoResult:
     """Joint search over antenna positions and power fractions.
 
-    robust=True evaluates fitness at the configured estimate-error bound;
-    robust=False evaluates at a zero bound (perfect estimates, no leakage).
-    ``best_fitness`` is the objective at the search's own point;
-    ``experiments.score_candidate`` scores a solution on the scale that all
-    schemes share.  Deterministic given (scenario, config, params, seed).
+    Fitness is evaluated at the config's own point; under perfect estimates
+    that is the zero-bound config's, ``kernels.NOMINAL``.  ``best_fitness``
+    is the objective at that point; ``experiments.score_candidate`` scores
+    a solution on the scale that all schemes share.  Deterministic given
+    (scenario, config, params, seed).
     """
-    point = search_point(config, robust)
+    point = robust_gains(config.csi_eps, config.eta_i, config.eta_r)
     return search([scenario], [seed], [point], config, params)[0][point]
 
 
@@ -228,9 +204,12 @@ def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     call steps up to ``realizations_per_call`` whole realizations at all
     points, or one realization's points in slices of ``swarms_per_call``
     when it has more; each chunk of realizations draws its particles once,
-    just before its first call.
+    just before its first call.  With no points, it draws nothing and
+    returns an empty dict per realization.
     """
     points = list(dict.fromkeys(points))
+    if not points:
+        return [{} for _ in scenarios]
     step = realizations_per_call(config, params, len(points))
     per_call = swarms_per_call(config, params)
     found = []

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pinchsim import experiments, kernels, pso
-from pinchsim import (ExperimentSettings, PsoParams, SCHEMES, SystemConfig,
+from pinchsim import (ExperimentSettings, PsoParams, RobustGains, SCHEMES, SystemConfig,
                       aggregate_mean_db, apply_csi_error, convergence_trace,
                       draw_theta, generate_scenario, optimize, robust_gains,
                       run_scheme, score_candidate, split_theta, swarm_fitness,
@@ -64,6 +64,17 @@ def test_unknown_score_mode_rejected_before_any_kernel_call(monkeypatch):
     with pytest.raises(ValueError, match=match):
         score_candidates([x] * rows, [alpha] * rows, scenario, CFG, [0.1] * rows, 1,
                          mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["conservative", "true_sampled"])
+def test_score_candidates_refuses_a_bound_count_other_than_rows(monkeypatch, mode):
+    scenario = generate_scenario(CFG, 1)
+    x, alpha = uniform_layout(CFG), np.full(CFG.num_users, 1.0 / CFG.num_users)
+    for name in ("swarm_fitness", "effective_channels"):
+        monkeypatch.setattr(kernels, name, lambda *a, **k: pytest.fail("kernel called"))
+    for bounds in ([0.1], [0.1, 0.2], [0.1] * 6):
+        with pytest.raises(ValueError, match=rf"^{len(bounds)} error bounds for 5 rows$"):
+            score_candidates([x] * 5, [alpha] * 5, scenario, CFG, bounds, 1, mode)
 
 
 def test_optimizer_dominates_single_random_draw():
@@ -161,11 +172,13 @@ def test_sweeps_match_one_search_per_scheme(monkeypatch, score_mode):
 def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
     config = dataclasses.replace(CFG, csi_eps=csi_eps)
     want = {}
-    for scheme in ("RobustPSO", "NonRobustPSO"):
+    # NonRobustPSO searches as RobustPSO on the zero-bound config
+    for scheme, search_config in (("RobustPSO", config),
+                                  ("NonRobustPSO", dataclasses.replace(config, csi_eps=0.0))):
         fitness, rescored = [], []
         for seed in realization_seeds(14, 3):
             scenario = generate_scenario(config, seed)
-            res = optimize(scenario, config, FAST_PSO, seed, robust=(scheme == "RobustPSO"))
+            res = optimize(scenario, search_config, FAST_PSO, seed)
             fitness.append(res.trace)
             rescored.append(swarm_fitness(*split_theta(res.gbest_thetas, config.num_pas),
                                           scenario, config)[1])
@@ -173,7 +186,7 @@ def test_convergence_trace_matches_one_search_per_scheme(monkeypatch, csi_eps):
     # the default budget takes all 3 realizations in one lockstep call; a
     # budget of two realizations' searches (one swarm of 450 kernel tests per
     # distinct search point) takes them in calls of 2 and 1
-    points = len({pso.search_point(config, robust) for robust in (True, False)})
+    points = len({robust_gains(e, config.eta_i, config.eta_r) for e in (csi_eps, 0.0)})
     for budget, want_calls in [(None, [3 * points]), (2 * points * 450, [2 * points, points])]:
         with monkeypatch.context() as patch:
             calls = recorded_calls(patch, budget)
@@ -218,8 +231,8 @@ def test_convergence_trace_scores_each_distinct_global_best_once(monkeypatch):
     for seed in realization_seeds(15, 3):
         scenario = generate_scenario(CFG, seed)
         rows = []
-        for robust in (True, False):
-            gbests = optimize(scenario, CFG, FAST_PSO, seed, robust=robust).gbest_thetas
+        for search_config in (CFG, dataclasses.replace(CFG, csi_eps=0.0)):
+            gbests = optimize(scenario, search_config, FAST_PSO, seed).gbest_thetas
             moved = np.r_[True, np.any(gbests[1:] != gbests[:-1], axis=1)]
             rows.append(gbests[moved])
         want.append(np.concatenate(rows))
@@ -368,6 +381,39 @@ def test_true_sampled_takes_one_channel_call_per_scoring_chunk(monkeypatch):
     # 8 rows at K = 3 (two grid points of 4 schemes each) and 4 at K = 2
     assert calls == [4, 2, 6]
     assert scored == [8, 8, 8, 4, 4, 4]
+
+
+def test_search_point_of_each_mode():
+    point = experiments._SEARCH_POINTS
+    assert list(point) == list(SCHEMES[:2])
+    assert point["RobustPSO"](CFG) == robust_gains(CFG.csi_eps, CFG.eta_i, CFG.eta_r)
+    nominal = RobustGains(order_ratio=1.0, signal_scale=1.0, interference_scale=1.0,
+                          leakage_scale=0.0)
+    for eta_r in (0.0, 0.2, 7.0):
+        config = dataclasses.replace(CFG, eta_r=eta_r)
+        assert point["NonRobustPSO"](config) == nominal
+        # at a zero bound the leakage level has no effect, so both schemes coincide
+        assert point["RobustPSO"](dataclasses.replace(config, csi_eps=0.0)) == nominal
+
+
+def test_robust_and_nominal_agree_at_zero_eps(monkeypatch):
+    cfg0 = dataclasses.replace(CFG, csi_eps=0.0, eta_r=0.0)
+    scenario = generate_scenario(cfg0, 7)
+    params = PsoParams(num_particles=12, max_iters=30)
+    results, search = [], pso.search
+
+    def recording(*args):
+        found = search(*args)
+        results.extend(found[0].values())
+        return found
+
+    monkeypatch.setattr(pso, "search", recording)
+    a = run_scheme("RobustPSO", scenario, cfg0, params, 5)
+    b = run_scheme("NonRobustPSO", scenario, cfg0, params, 5)
+    assert dataclasses.replace(a, scheme=b.scheme) == b
+    robust, nominal = results
+    assert np.array_equal(robust.best_theta, nominal.best_theta)
+    assert robust.best_fitness == nominal.best_fitness
 
 
 def test_fixed_candidates_degrade_with_eps():

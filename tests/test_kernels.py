@@ -330,6 +330,23 @@ def test_plan_of_other_objects_is_refused():
         swarm_fitness(xs, alphas, scenario, config)))
 
 
+def test_batch_that_does_not_fit_its_blocks_or_plan_is_refused():
+    config = SystemConfig()
+    scenario = generate_scenario(config, 5)
+    two_blocks = stack_scenarios([scenario, generate_scenario(config, 6)])
+    _, thetas = make_batch(config, 5, n_particles=5)
+    xs, alphas = thetas[:, :config.num_pas], thetas[:, config.num_pas:]
+    with pytest.raises(ValueError, match=r"\b5 rows.*count 2$"):
+        swarm_fitness(xs, alphas, two_blocks, config)
+    with pytest.raises(ValueError, match=r"\b0 rows.*count 1$"):
+        swarm_fitness(xs[:0], alphas[:0], scenario, config)
+    plan = Plan(scenario, config, 5)
+    with pytest.raises(ValueError, match=r"\b3 rows.*\b5 rows"):
+        swarm_fitness(xs[:3], alphas[:3], scenario, config, plan=plan)
+    with pytest.raises(ValueError, match=r"\b3 rows.*\b5 rows"):
+        effective_channels(xs[:3], scenario, config, plan=plan)
+
+
 @st.composite
 def loop_cases(draw):
     """A batch that reaches the kernel's edge cases.

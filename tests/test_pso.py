@@ -6,7 +6,7 @@ import pytest
 from pinchsim import (PsoParams, RobustGains, SystemConfig, generate_scenario,
                       kernels, optimize, robust_gains, swarm_fitness)
 from pinchsim import pso
-from pinchsim.pso import draw_theta, project_theta_batch, search, search_point, split_theta
+from pinchsim.pso import draw_theta, project_theta_batch, search, split_theta
 from pinchsim.scenario import STREAMS, Scenario, stream
 
 CFG = SystemConfig()
@@ -28,19 +28,19 @@ def one_row(theta):
     return split_theta(np.asarray(theta)[None, :], CFG.num_pas)
 
 
-def reference_optimize(scenario, config, params, seed, robust=True):
+def reference_optimize(scenario, config, params, seed):
     """Independent swarm loop: per-iteration scalar multiplier draws.
 
     Each step draws r1 for every particle from its own stream, then r2 for
     every particle, moves the whole swarm against the global best of the
-    previous step, projects, re-evaluates, and keeps personal bests on strict
-    improvement.  Returns the global-best fitness trace and thetas.
+    previous step, projects, re-evaluates at the config's own point, and
+    keeps personal bests on strict improvement.  Returns the global-best
+    fitness trace and thetas.
     """
     n = config.num_pas
     rngs = [np.random.default_rng((seed, STREAMS["particles"], i))
             for i in range(params.num_particles)]
-    eps, eta_r = (config.csi_eps, config.eta_r) if robust else (0.0, 0.0)
-    point = robust_gains(eps, config.eta_i, eta_r)
+    point = robust_gains(config.csi_eps, config.eta_i, config.eta_r)
 
     def evaluate(thetas):
         return swarm_fitness(thetas[:, :n], thetas[:, n:], scenario, config,
@@ -96,8 +96,10 @@ def recorded_swarms(monkeypatch):
 ])
 def test_optimize_matches_reference_loop_bitwise(config, params, seed, robust):
     scenario = generate_scenario(config, seed + 100)
-    trace, gbests = reference_optimize(scenario, config, params, seed, robust)
-    res = optimize(scenario, config, params, seed=seed, robust=robust)
+    if not robust:  # a non-robust search is a search of the zero-bound config
+        config = dataclasses.replace(config, csi_eps=0.0)
+    trace, gbests = reference_optimize(scenario, config, params, seed)
+    res = optimize(scenario, config, params, seed=seed)
     assert np.array_equal(res.trace, trace)
     assert np.array_equal(res.gbest_thetas, gbests)
     assert np.array_equal(res.best_theta, gbests[-1])
@@ -131,7 +133,7 @@ def test_optimize_points_matches_one_search_per_point(monkeypatch, config, param
     for point, res in zip(points, (results[g] for g in gains)):
         alone = optimize(scenario, dataclasses.replace(config, csi_eps=point[0],
                                                        eta_r=point[1]),
-                         params, seed=9, robust=True)
+                         params, seed=9)
         assert np.array_equal(res.trace, alone.trace)
         assert np.array_equal(res.gbest_thetas, alone.gbest_thetas)
         assert np.array_equal(res.best_theta, alone.best_theta)
@@ -325,13 +327,28 @@ def test_a_realization_split_over_calls_draws_its_particles_once(monkeypatch):
             assert alone.gbest_thetas.tobytes() == results[point].gbest_thetas.tobytes()
 
 
-def test_search_point_of_each_mode():
-    assert search_point(CFG, robust=True) == robust_gains(CFG.csi_eps, CFG.eta_i, CFG.eta_r)
-    nominal = RobustGains(order_ratio=1.0, signal_scale=1.0, interference_scale=1.0,
-                          leakage_scale=0.0)
-    assert search_point(CFG, robust=False) == nominal
-    # at a zero bound the leakage level has no effect, so both modes coincide
-    assert search_point(dataclasses.replace(CFG, csi_eps=0.0), robust=True) == nominal
+def test_search_without_points_draws_nothing(monkeypatch):
+    monkeypatch.setattr(pso, "_particles", lambda *args: pytest.fail("particles drawn"))
+    scenarios = [SCENARIO, generate_scenario(CFG, 43)]
+    assert search(scenarios, [1, 2], [], CFG, SMALL) == [{}, {}]
+
+
+def test_search_at_any_point():
+    # the exact worst case of the error disk at eps: signal and interference
+    # (1 - eps)^2, leakage eps^2, which no robust_gains call yields
+    eps = 0.1
+    corner = RobustGains(order_ratio=1.0, signal_scale=(1 - eps) ** 2,
+                         interference_scale=(1 - eps) ** 2, leakage_scale=eps ** 2)
+    robust = robust_gains(eps, CFG.eta_i, CFG.eta_r)
+    [found] = search([SCENARIO], [9], [robust, corner], CFG, SMALL)
+    res = found[corner]
+    assert np.all(np.diff(res.trace) >= 0)
+    f, _, _ = swarm_fitness(*one_row(res.best_theta), SCENARIO, CFG,
+                            gains=kernels.row_gains([corner], 1))
+    assert res.best_fitness == f[0]
+    alone = search([SCENARIO], [9], [corner], CFG, SMALL)[0][corner]
+    assert alone.trace.tobytes() == res.trace.tobytes()
+    assert alone.gbest_thetas.tobytes() == res.gbest_thetas.tobytes()
 
 
 def test_frozen_dynamics_leave_swarm_in_place(monkeypatch):
@@ -392,17 +409,8 @@ def test_result_solution_is_feasible():
     assert res.gbest_thetas.shape == (SMALL.max_iters + 1, CFG.num_pas + CFG.num_users)
 
 
-def test_robust_and_nominal_agree_at_zero_eps():
-    cfg0 = dataclasses.replace(CFG, csi_eps=0.0, eta_r=0.0)
-    scenario = generate_scenario(cfg0, 7)
-    a = optimize(scenario, cfg0, SMALL, seed=5, robust=True)
-    b = optimize(scenario, cfg0, SMALL, seed=5, robust=False)
-    assert np.array_equal(a.best_theta, b.best_theta)
-    assert a.best_fitness == b.best_fitness
-
-
 def test_nonrobust_rescored_under_worst_case():
-    res = optimize(SCENARIO, CFG, SMALL, seed=6, robust=False)
+    res = search([SCENARIO], [6], [kernels.NOMINAL], CFG, SMALL)[0][kernels.NOMINAL]
     # the search's objective is the nominal one
     nominal = kernels.row_gains([robust_gains(0.0, CFG.eta_i, 0.0)], 1)
     f_nominal, _, _ = swarm_fitness(*one_row(res.best_theta), SCENARIO, CFG, gains=nominal)

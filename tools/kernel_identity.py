@@ -35,7 +35,13 @@ one-antenna guide, 3 realizations at 3 points under a budget of 4 swarms
 a call, which holds one realization, 2 realizations at 5 points under
 a budget of 2 swarms a call, which takes each realization's points in
 slices of 2, 2 and 1, and 5 realizations at 2 points under a budget of 4
-swarms a call, which takes calls of 2, 2 and 1 realizations.
+swarms a call, which takes calls of 2, 2 and 1 realizations.  The
+``optimize`` and ``run_scheme`` entries are dumped too, on four of those
+shapes and a wide one (70 particles, K = N = 8, O = 1), each at one or two
+error bounds, zero included, on one realization: ``optimize``'s
+``trace``, ``gbest_thetas`` and ``best_fitness`` at the config's own
+bound, and each of the four schemes' ``run_scheme`` record (linear and dB
+min-SINR) in both score modes.
 
 Revisions from a9eed02 on are supported: there ``Plan`` takes (scenario,
 config, rows), ``score_candidates`` scores one realization and
@@ -70,6 +76,10 @@ SEARCHES = [(3, 5, 3, 8, 12, 2, (0.1, 0.0, 0.2), None),
             (5, 9, 2, 6, 8, 3, (0.0, 0.05, 0.3), 4 * 6 * 5 * 9 * 2),
             (2, 4, 1, 4, 6, 2, (0.0, 0.05, 0.1, 0.2, 0.3), 2 * 4 * 2 * 4 * 1),
             (3, 5, 3, 6, 8, 5, (0.1, 0.0), 4 * 6 * 3 * 5 * 3)]
+# (K, N, O, particles, iterations, error bounds) of the optimize and run_scheme cases
+SCHEME_RUNS = [(3, 5, 3, 8, 12, (0.1, 0.0)), (1, 1, 0, 1, 10, (0.1,)),
+               (5, 9, 2, 6, 8, (0.0, 0.3)), (2, 4, 1, 4, 6, (0.05,)),
+               (8, 8, 1, 70, 4, (0.2,))]
 
 
 def cases():
@@ -173,6 +183,19 @@ def searches():
                config, PsoParams(num_particles=particles, max_iters=iters), budget)
 
 
+def scheme_runs():
+    """Yield (name, scenario, seed, config, params) for each shape and error
+    bound of ``SCHEME_RUNS``, in order."""
+    from pinchsim import PsoParams, SystemConfig, generate_scenario
+
+    for k, n, o, particles, iters, bounds in SCHEME_RUNS:
+        seed = 900 + k
+        for eps in bounds:
+            config = SystemConfig(num_users=k, num_pas=n, obstacle_count=o, csi_eps=eps)
+            yield (f"K{k}N{n}O{o}/eps{eps}", generate_scenario(config, seed), seed, config,
+                   PsoParams(num_particles=particles, max_iters=iters))
+
+
 @np.errstate(all="ignore")  # the overflow configs overflow
 def dump(out_path):
     """Evaluate every case with the importable pinchsim; save inputs and outputs."""
@@ -213,6 +236,16 @@ def dump(out_path):
                 arrays[f"{key}/gbest_thetas"] = results[point].gbest_thetas
                 arrays[f"{key}/best_fitness"] = np.array(results[point].best_fitness)
     pso.LOCKSTEP_BUDGET = default_budget
+    for name, scenario, seed, config, params in scheme_runs():
+        res = pso.optimize(scenario, config, params, seed)
+        for out in ("trace", "gbest_thetas", "best_fitness"):
+            arrays[f"optimize/{name}/{out}"] = np.asarray(getattr(res, out))
+        for scheme in experiments.SCHEMES:
+            for mode in ("conservative", "true_sampled"):
+                record = experiments.run_scheme(scheme, scenario, config, params, seed,
+                                                score_mode=mode)
+                arrays[f"run_scheme/{name}/{scheme}/{mode}"] = np.array(
+                    [record.min_sinr_linear, record.min_sinr_db])
     np.savez(out_path, **arrays)
 
 
@@ -249,15 +282,19 @@ def main(argv):
             scores = sum("/score/" in key for key in new.files)
             draw_count = len({key.rsplit("/", 2)[0] for key in new.files if "/fresh/" in key})
             projections = sum(key.endswith("/projected") for key in new.files)
-            swarms = sum(key.endswith("/gbest_thetas") for key in new.files)
+            swarms = sum(key.endswith("/gbest_thetas") and key.startswith("search/")
+                         for key in new.files)
+            optimized = sum(key.startswith("optimize/") for key in new.files)
+            schemes = sum(key.startswith("run_scheme/") for key in new.files)
     if differ:
         print(f"outputs differ from {rev} in {len(differ)} arrays:", file=sys.stderr)
         for key in differ[:20]:
             print(f"  {key}", file=sys.stderr)
         return 1
     print(f"identical: {outputs} output arrays of {draw_count} draws, {scores} "
-          f"score_candidates outputs, {projections} projected batches and {swarms} "
-          f"searched swarms against {rev}")
+          f"score_candidates outputs, {projections} projected batches, {swarms} "
+          f"searched swarms, {optimized} optimize outputs and {schemes} run_scheme "
+          f"records against {rev}")
     return 0
 
 
