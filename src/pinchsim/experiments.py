@@ -126,17 +126,21 @@ def score_candidates(xs, alphas, scenario: Scenario, config: SystemConfig, eps, 
                          f"expected {' or '.join(map(repr, SCORE_MODES))}")
     if len(eps) != len(xs):
         raise ValueError(f"{len(eps)} error bounds for {len(xs)} rows")
+    if len(alphas) != len(xs):
+        raise ValueError(f"{len(alphas)} power splits for {len(xs)} rows")
     step = pso.kernel_rows(config)
     if len(xs) > step:  # no row depends on its batch, so each call is exact
         return [score for i in range(0, len(xs), step)
                 for score in score_candidates(xs[i:i + step], alphas[i:i + step], scenario,
                                               config, eps[i:i + step], seed, mode)]
     xs, alphas = np.asarray(xs), np.asarray(alphas)
-    if mode == "conservative":
+    if mode == "conservative":  # robust_gains refuses a bound outside kernels.ERROR_BOUNDS
         gains = kernels.row_gains([robust_gains(e, config.eta_i, config.eta_r)
                                    for e in eps], 1)
         _, gmin, _ = kernels.swarm_fitness(xs, alphas, scenario, config, gains=gains)
         return gmin.tolist()
+    for e in eps:
+        kernels.require_error_bound(e)
     h = kernels.effective_channels(xs, scenario, config)
     h_hat = apply_csi_error(h, eps, stream(seed, "csi_sample"))
     order = np.argsort(np.abs(h_hat), axis=0, kind="stable")

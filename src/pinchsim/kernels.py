@@ -18,10 +18,11 @@ case B = 1.
 The kernel is broadcast numpy.  The rows come last in memory, as B blocks
 of P/B, and the link block is (N, K, B, P/B), so the sum over antennas is
 an elementwise pass over contiguous planes, not a strided reduction over a
-short last axis.  Obstacle clearances are evaluated only on the plan's
-slots: the (user, block, obstacle) triples whose obstacle can be the
-link's nearest for an antenna on the guide, about half of the O K B on the
-example config.  They form one (N, M, P/B) block, M <= O K B, which
+short last axis, and every elementwise operation runs one inner loop over
+the whole batch, not K-long ones.  Obstacle clearances are evaluated only
+on the plan's slots: the (user, block, obstacle) triples whose obstacle can
+be the link's nearest for an antenna on the guide, about half of the O K B
+on the example config.  They form one (N, M, P/B) block, M <= O K B, which
 gathers each slot's antenna x and link offsets by its block and link, and
 each link takes the minimum over its slots, one rank of slots at a time.
 Every dropped clearance exceeds a kept one, so each minimum, and so every
@@ -81,8 +82,20 @@ class RobustGains:
     leakage_scale: float       # eta_r * eps, residual power of cancelled signals
 
 
+# The error bounds a point may have: the domain of ``SystemConfig.csi_eps``.
+ERROR_BOUNDS = SystemConfig.__dataclass_fields__["csi_eps"].metadata["domain"]
+
+
+def require_error_bound(eps):
+    """Refuse an error bound outside ``ERROR_BOUNDS``, NaN included, with ValueError."""
+    if eps not in ERROR_BOUNDS:
+        raise ValueError(f"error bound must be {ERROR_BOUNDS}, got {eps}")
+
+
 def robust_gains(eps, eta_i, eta_r) -> RobustGains:
-    """The one definition of a point's gains; ``NOMINAL`` at eps = 0 for any eta_i, eta_r."""
+    """The one definition of a point's gains; ``NOMINAL`` at eps = 0 for any eta_i, eta_r.
+    An error bound outside ``ERROR_BOUNDS`` raises ValueError."""
+    require_error_bound(eps)
     return RobustGains(order_ratio=(1.0 + eps) / (1.0 - eps),
                        signal_scale=(1.0 - eps) ** 2,
                        interference_scale=(1.0 + eta_i * eps) ** 2,
@@ -111,7 +124,9 @@ def apply_csi_error(h, eps, rng):
 def row_gains(points, rows_per_point):
     """The (order_ratio, signal_scale, interference_scale, leakage_scale) of
     each ``RobustGains`` in ``points``, repeated over its rows, as four
-    contiguous (P,) arrays: the ``gains`` of ``swarm_fitness``."""
+    contiguous (P,) arrays: the ``gains`` of ``swarm_fitness``.  Each row
+    holds its point's own floats, copied, so no row's result depends on
+    the rest of its batch, bit for bit."""
     table = np.array([(g.order_ratio, g.signal_scale, g.interference_scale,
                        g.leakage_scale) for g in points], dtype=np.float64)
     return tuple(np.ascontiguousarray(np.repeat(table, rows_per_point, axis=0).T))
@@ -119,7 +134,9 @@ def row_gains(points, rows_per_point):
 
 # The grid on which a plan bounds each obstacle's clearance: GRID_CELLS + 1
 # evenly spaced points over [0, L], taken in slices of at most GRID_ELEMENTS
-# (point, slot) pairs, or one point when a point has more slots than that.
+# (point, slot) pairs, or one point when a point has more slots than that,
+# so a slice's temporaries stay within the size cap ``config.MAX_ELEMENTS``
+# that bounds the kernel's own obstacle block.
 GRID_CELLS = 128
 GRID_ELEMENTS = 2 ** 16
 
@@ -158,10 +175,15 @@ class Plan:
     on areas up to 3 km.  ``margin`` is 2^10 sqrt(eps) E, over 100 times
     that, so every dropped clearance a call could compute exceeds a kept
     one, and the minimum over the kept slots is the minimum over all of
-    them, bit for bit.  A (k, b) with a non-finite clearance at any grid
-    point keeps every obstacle, and so does every (k, b) of a call with an
-    antenna outside [0, L] by more than margin / 4, or at NaN: such a call
-    uses the full slot set, built by the same code.
+    them, bit for bit.  A scene without obstacles has no slots, and a lone
+    obstacle is always its link's nearest, so only two or more can be
+    dropped.  A (k, b) with a non-finite clearance at any grid point keeps
+    every obstacle, so a config that overflows still gives the non-finite
+    results the harness refuses.  So does every (k, b) of a call with an
+    antenna outside [0, L] by more than margin / 4, or at NaN, which the
+    library's ``score_candidate`` accepts: such a call uses the full slot
+    set, built by the same code.  The projection's few-ulp overshoots on a
+    packed guide stay within margin / 4, so a search keeps the culled set.
 
     rows is the batch's row count P, a positive multiple of the scenario's
     block count B; a plan refuses any other with ValueError.  The buffers
@@ -234,7 +256,9 @@ class Plan:
 class _Slots:
     """The (user, block, obstacle) slots a kernel call evaluates, rank-major:
     the first kept slot of each link group k B + b in group order, then
-    each group's second, and so on.
+    each group's second, and so on.  A group with fewer kept slots than a
+    rank repeats its first there: ``minimum`` returns one of its inputs, so
+    the repeat leaves the group's minimum as it is.
 
     ``block`` and ``link`` are each slot's block and link group, the
     indices that gather its antenna x and link offsets; ``geometry`` is its
@@ -295,6 +319,8 @@ def _clearances(x, vx, rsq, geometry, wx=None, w_sq=None):
     wv = np.multiply(wx, vx, out=wx)
     wv += c_ko
     t = np.divide(wv, rsq, out=vx)
+    # one np.clip, not the search's two ufunc calls: on the slot block one
+    # pass is the faster
     np.clip(t, 0.0, 1.0, out=t)
     gap = np.multiply(t, rsq, out=rsq)
     wv *= 2.0                                      # not read again
@@ -327,6 +353,9 @@ def swarm_fitness(xs, alphas, scenario: Scenario, config: SystemConfig, gains=No
         plan = Plan(scenario, config, len(xs))
     if gains is None:
         gains = row_gains([robust_gains(config.csi_eps, config.eta_i, config.eta_r)], len(xs))
+    for g in gains:
+        if len(g) != len(xs):
+            raise ValueError(f"{len(g)} rows of gains for a kernel batch of {len(xs)} rows")
     ratio, *weights = gains
     h_sq, im = effective_channels(xs, scenario, config, plan, True)  # parts, not complex h
     h_sq *= h_sq                                   # |h|^2 = re re + im im
@@ -441,7 +470,10 @@ def ordered_min_sinr(h_sq, gather, alphas, weights, config: SystemConfig):
     decoded weakest first.  h_sq is the (K, P) |h|^2, gather the decoding
     order as flat indices into (K, P) arrays, order * P + arange(P) for a
     (K, P) order, alphas (P, K), and weights the last three ``row_gains``
-    arrays."""
+    arrays.  alphas of another shape than (P, K) raises ValueError."""
+    if np.shape(alphas) != h_sq.shape[::-1]:
+        raise ValueError(f"power fractions of shape {np.shape(alphas)} for {h_sq.shape[1]} "
+                         f"rows of {h_sq.shape[0]} users")
     g_s, g_i, g_r = weights
     h_ord = h_sq.take(gather)
     h_ord *= config.tx_power

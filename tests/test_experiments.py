@@ -77,6 +77,22 @@ def test_score_candidates_refuses_a_bound_count_other_than_rows(monkeypatch, mod
             score_candidates([x] * 5, [alpha] * 5, scenario, CFG, bounds, 1, mode)
 
 
+@pytest.mark.parametrize("mode", ["conservative", "true_sampled"])
+@pytest.mark.parametrize("powers, eps, match", [
+    (4, 0.1, r"^4 power splits for 5 rows$"),
+    (6, 0.1, r"^6 power splits for 5 rows$"),
+    *[(5, eps, rf"^error bound must be in \[0, 1\), got {eps}$")
+      for eps in (1.0, 1.5, -0.5, float("nan"))]])
+def test_score_candidates_refuses_powers_or_bounds_that_do_not_fit(monkeypatch, mode, powers,
+                                                                   eps, match):
+    scenario = generate_scenario(CFG, 1)
+    x, alpha = uniform_layout(CFG), np.full(CFG.num_users, 1.0 / CFG.num_users)
+    for name in ("swarm_fitness", "effective_channels"):
+        monkeypatch.setattr(kernels, name, lambda *a, **k: pytest.fail("kernel called"))
+    with pytest.raises(ValueError, match=match):
+        score_candidates([x] * 5, [alpha] * powers, scenario, CFG, [0.1] * 4 + [eps], 1, mode)
+
+
 def test_optimizer_dominates_single_random_draw():
     # over 50 paired realizations the search beats one random candidate >= 90%
     params = PsoParams(num_particles=16, max_iters=40)

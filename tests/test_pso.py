@@ -409,6 +409,16 @@ def test_result_solution_is_feasible():
     assert res.gbest_thetas.shape == (SMALL.max_iters + 1, CFG.num_pas + CFG.num_users)
 
 
+def test_search_refuses_realizations_that_do_not_fit():
+    with pytest.raises(ValueError, match=r"^2 scenarios for 1 seeds$"):
+        search([SCENARIO, SCENARIO], [1], [kernels.NOMINAL], CFG, SMALL)
+    with pytest.raises(ValueError, match=r"^1 scenarios for 2 seeds$"):
+        search([SCENARIO], [1, 2], [], CFG, SMALL)
+    four = generate_scenario(dataclasses.replace(CFG, num_users=4), 1)
+    with pytest.raises(ValueError, match=r"^a scenario of 4 users for a config of 3 users$"):
+        search([SCENARIO, four], [1, 2], [kernels.NOMINAL], CFG, SMALL)
+
+
 def test_nonrobust_rescored_under_worst_case():
     res = search([SCENARIO], [6], [kernels.NOMINAL], CFG, SMALL)[0][kernels.NOMINAL]
     # the search's objective is the nominal one
