@@ -393,7 +393,11 @@ def effective_channels(xs, scenario: Scenario, config: SystemConfig, plan=None,
     exp(-j 2 pi (r / lambda + x / lambda_g)) per link.  plan is a ``Plan``
     of (scenario, config) for P rows, whose buffers hold the link and slot
     blocks; None builds one.  parts=True returns the real and imaginary
-    parts as two (K, P) arrays instead.  The results are new arrays."""
+    parts as two (K, P) arrays instead.  The results are new arrays.  An xs
+    of other than ``config.num_pas`` columns raises ValueError."""
+    if np.shape(xs)[-1] != config.num_pas:
+        raise ValueError(f"a kernel batch of {np.shape(xs)[-1]} antenna columns for a config "
+                         f"of {config.num_pas} antennas")
     if plan is None:
         plan = Plan(scenario, config, len(xs))
     elif scenario is not plan.scenario or config is not plan.config:

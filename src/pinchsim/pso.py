@@ -208,8 +208,8 @@ def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
     when it has more; each chunk of realizations draws its particles once,
     just before its first call.  With no points, it draws nothing and
     returns an empty dict per realization.  ``scenarios`` and ``seeds`` of
-    different lengths, or a scenario of another user count than the
-    config's, raise ValueError.
+    different lengths, a scenario of another user count than the config's,
+    or scenarios of different obstacle counts raise ValueError.
     """
     if len(scenarios) != len(seeds):
         raise ValueError(f"{len(scenarios)} scenarios for {len(seeds)} seeds")
@@ -217,6 +217,9 @@ def search(scenarios, seeds, points, config: SystemConfig, params: PsoParams):
         if len(scenario.users) != config.num_users:
             raise ValueError(f"a scenario of {len(scenario.users)} users for a config of "
                              f"{config.num_users} users")
+        if len(scenario.obstacle_radii) != len(scenarios[0].obstacle_radii):
+            raise ValueError(f"a scenario of {len(scenario.obstacle_radii)} obstacles beside "
+                             f"one of {len(scenarios[0].obstacle_radii)} obstacles")
     points = list(dict.fromkeys(points))
     if not points:
         return [{} for _ in scenarios]

@@ -349,6 +349,13 @@ def test_batch_that_does_not_fit_its_blocks_or_plan_is_refused():
         swarm_fitness(xs[:3], alphas[:3], scenario, config, plan=plan)
     with pytest.raises(ValueError, match=r"\b3 rows.*\b5 rows"):
         effective_channels(xs[:3], scenario, config, plan=plan)
+    for other in (xs[:, :4], np.hstack([xs, xs[:, :1]])):  # not the config's 5 antennas
+        message = (rf"^a kernel batch of {other.shape[1]} antenna columns for a config "
+                   r"of 5 antennas$")
+        with pytest.raises(ValueError, match=message):
+            effective_channels(other, scenario, config)
+        with pytest.raises(ValueError, match=message):
+            swarm_fitness(other, alphas, scenario, config)
 
 
 def test_gains_or_powers_that_do_not_fit_the_batch_are_refused():

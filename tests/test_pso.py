@@ -417,6 +417,10 @@ def test_search_refuses_realizations_that_do_not_fit():
     four = generate_scenario(dataclasses.replace(CFG, num_users=4), 1)
     with pytest.raises(ValueError, match=r"^a scenario of 4 users for a config of 3 users$"):
         search([SCENARIO, four], [1, 2], [kernels.NOMINAL], CFG, SMALL)
+    other = generate_scenario(dataclasses.replace(CFG, obstacle_count=CFG.obstacle_count + 1), 2)
+    with pytest.raises(ValueError, match=rf"^a scenario of {CFG.obstacle_count + 1} obstacles "
+                                         rf"beside one of {CFG.obstacle_count} obstacles$"):
+        search([SCENARIO, other], [1, 2], [kernels.NOMINAL], CFG, SMALL)
 
 
 def test_nonrobust_rescored_under_worst_case():

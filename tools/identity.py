@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
-"""Bitwise identity of the fitness kernel, the feasibility projection, the
-swarm search and final scoring of the working tree against a revision.
+"""Bitwise identity of the working tree's outputs against a revision: every
+command-line case of ``golden.CASES``, and the fitness kernel, the
+feasibility projection, the swarm search and final scoring.
 
-Usage: python3 tools/kernel_identity.py <rev>
+Usage: python3 tools/identity.py <rev>
 
-Exports <rev> with `git archive` into a temporary directory, then runs this
-script once per tree in a separate process, each importing that tree's
-``pinchsim``.  Each process builds the same fixed case matrix with its own
-package (scenarios, particles and row gains from fixed seeds) and saves the
+Exports <rev> with `git archive` into a temporary directory.  For each
+tree, a new interpreter that imports that tree's ``pinchsim`` and the
+working tree's tools writes every case's ``golden.run`` outputs (on the
+working tree's config files); a second one, as the dump rebinds
+``pso.LOCKSTEP_BUDGET``, writes the kernel arrays below to kernels.npz.
+It compares every file's bytes and each array's dtype, shape and bytes,
+and checks that every case of each tree exits with
+``golden.expected_exit``.  It prints one summary line and exits 0 when all
+hold, or exits 1 listing up to 20 differences.  The CSVs keep 9
+significant digits; the kernel arrays show last-bit changes.
+
+The kernel dump builds a fixed case matrix with its tree's package
+(scenarios, particles and row gains from fixed seeds) and saves the
 bytes of every ``effective_channels`` and ``swarm_fitness`` output, and of
 ``experiments.score_candidates`` in both score modes on every
 single-realization case, its rows at mixed error bounds.  The matrix covers
@@ -24,30 +34,22 @@ with several draws of particles.  Every draw is evaluated twice: with
 ``plan=None``, and with one ``Plan`` of its case reused over all of the
 case's draws.
 
-It also saves the bytes of ``pso.project_theta_batch`` on fixed raw
-batches at K = 1, 2, 3, 5 and 9 users (positions with ties, zeros, -0.0
-and both guide ends; power columns over budget, under it, summing to
-within a few ulps of 1, with tied largest entries, and with exact zeros
-and -0.0), and the ``trace``, ``gbest_thetas`` and ``best_fitness`` of
-every swarm of ``pso.search`` at five small shapes: one lockstep call of
-2 realizations at 3 points, one swarm of one particle on a one-user,
-one-antenna guide, 3 realizations at 3 points under a budget of 4 swarms
-a call, which holds one realization, 2 realizations at 5 points under
-a budget of 2 swarms a call, which takes each realization's points in
-slices of 2, 2 and 1, and 5 realizations at 2 points under a budget of 4
-swarms a call, which takes calls of 2, 2 and 1 realizations.  The
-``optimize`` and ``run_scheme`` entries are dumped too, on four of those
-shapes and a wide one (70 particles, K = N = 8, O = 1), each at one or two
-error bounds, zero included, on one realization: ``optimize``'s
-``trace``, ``gbest_thetas`` and ``best_fitness`` at the config's own
-bound, and each of the four schemes' ``run_scheme`` record (linear and dB
-min-SINR) in both score modes.
+It also saves ``pso.project_theta_batch`` on fixed raw batches at K = 1,
+2, 3, 5 and 9 (positions with ties, zeros, -0.0 and both guide ends; power
+columns over budget, under it, within a few ulps of 1, with tied largest
+entries, zeros and -0.0), and the ``trace``, ``gbest_thetas`` and
+``best_fitness`` of every swarm of ``pso.search`` at five small shapes: one
+lockstep call of 2 realizations at 3 points; one one-particle swarm on a
+one-user, one-antenna guide; and, under budgets of a few swarms a call,
+one realization a call, a realization's points in slices of 2, 2 and 1,
+and calls of 2, 2 and 1 realizations.  On four of those shapes and a wide
+one (70 particles, K = N = 8, O = 1), at one or two error bounds, zero
+included, it saves ``optimize``'s result and each scheme's ``run_scheme``
+record (linear and dB min-SINR) in both score modes.
 
 Revisions from a9eed02 on are supported: there ``Plan`` takes (scenario,
 config, rows), ``score_candidates`` scores one realization and
-``pso.search`` exists.  Exits 0 when every input and output is
-byte-identical and 1 on any difference; `tools/byte_identity.sh` cannot
-see last-bit changes, as the CSVs keep 9 significant digits.
+``pso.search`` exists.
 """
 
 import dataclasses
@@ -55,8 +57,13 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
+
+import golden
+
+TOOLS = pathlib.Path(__file__).resolve().parent
 
 # (K, N, O) shapes: the default, wide guides, no obstacles, one of each,
 # one user on 8 or more antennas, whose one-row antenna sum numpy's reduce
@@ -197,7 +204,7 @@ def scheme_runs():
 
 
 @np.errstate(all="ignore")  # the overflow configs overflow
-def dump(out_path):
+def dump_kernels(out_path):
     """Evaluate every case with the importable pinchsim; save inputs and outputs."""
     from pinchsim import experiments, kernels, pso
 
@@ -249,12 +256,72 @@ def dump(out_path):
     np.savez(out_path, **arrays)
 
 
-def run_tree(src, out_path):
-    """Run ``dump`` in a new interpreter that imports pinchsim from ``src``."""
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-            f"sys.path.insert(1, {str(pathlib.Path(__file__).resolve().parent)!r}); "
-            f"import kernel_identity; kernel_identity.dump({str(out_path)!r})")
-    subprocess.run([sys.executable, "-c", code], check=True)
+def dump_cases(directory):
+    """Write every case's outputs, run with the importable pinchsim, into
+    ``directory``.  Every warning shows, as in a process per case."""
+    warnings.simplefilter("always")
+    for name in golden.CASES:
+        for suffix, text in golden.run(name, directory).items():
+            pathlib.Path(directory, name + suffix).write_text(text)
+
+
+def run_tree(src, directory):
+    """Dump the cases and the kernel arrays of the pinchsim under ``src``
+    into ``directory``, each in a new interpreter."""
+    directory.mkdir()
+    for call in (f"dump_cases({str(directory)!r})",
+                 f"dump_kernels({str(directory / 'kernels.npz')!r})"):
+        code = (f"import sys; sys.path[:0] = [{str(src)!r}, {str(TOOLS)!r}]; "
+                f"import identity; identity.{call}")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def wrong_exits(directory):
+    """One line per case whose stdout in ``directory`` ends in an exit code
+    other than its ``golden.expected_exit``."""
+    found = []
+    for name in golden.CASES:
+        code = golden.exit_code((directory / f"{name}.stdout").read_text())
+        if code != golden.expected_exit(name):
+            found.append(f"{name} exited {code} in {directory.name}, "
+                         f"expected {golden.expected_exit(name)}")
+    return found
+
+
+def _arrays(path):
+    """Each array of npz file ``path`` as its (dtype, shape, bytes), by name."""
+    with np.load(path) as arrays:
+        return {key: (a.dtype, a.shape, a.tobytes()) for key, a in arrays.items()}
+
+
+def differences(old, new):
+    """One line per file, or array of an npz file, that directories ``old``
+    and ``new`` do not both hold with the same bytes (and dtype and shape)."""
+    found = []
+    for name in sorted({path.name for path in [*old.iterdir(), *new.iterdir()]}):
+        a, b = old / name, new / name
+        if not (a.exists() and b.exists()):
+            found.append(f"{name} only in {(old if a.exists() else new).name}")
+        elif name.endswith(".npz"):
+            x, y = _arrays(a), _arrays(b)
+            found += [f"{name}: {key}" for key in sorted(x.keys() | y.keys())
+                      if x.get(key) != y.get(key)]
+        elif a.read_bytes() != b.read_bytes():
+            found.append(name)
+    return found
+
+
+def kernel_counts(keys):
+    """What the kernel dump's array names ``keys`` cover, in words."""
+    def n(test):
+        return sum(map(test, keys))
+    draws = len({key.rsplit("/", 2)[0] for key in keys if "/fresh/" in key})
+    return (f"{n(lambda k: '/fresh/' in k or '/reused/' in k)} output arrays of {draws} draws, "
+            f"{n(lambda k: '/score/' in k)} score_candidates outputs, "
+            f"{n(lambda k: k.endswith('/projected'))} projected batches, "
+            f"{n(lambda k: k.startswith('search/') and k.endswith('/gbest_thetas'))} searched "
+            f"swarms, {n(lambda k: k.startswith('optimize/'))} optimize outputs and "
+            f"{n(lambda k: k.startswith('run_scheme/'))} run_scheme records")
 
 
 def main(argv):
@@ -262,39 +329,25 @@ def main(argv):
         print(f"usage: {sys.argv[0]} <rev>", file=sys.stderr)
         return 2
     rev = argv[0]
-    repo = pathlib.Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory() as work:
         work = pathlib.Path(work)
-        base = work / "base"
-        base.mkdir()
-        archive = subprocess.run(["git", "-C", str(repo), "archive", rev],
+        (work / "tree").mkdir()
+        archive = subprocess.run(["git", "-C", str(TOOLS.parent), "archive", rev],
                                  check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-        run_tree(base / "src", work / "base.npz")
-        run_tree(repo / "src", work / "change.npz")
-        with np.load(work / "base.npz") as old, np.load(work / "change.npz") as new:
-            differ = sorted(set(old.files) ^ set(new.files))
-            differ += [key for key in sorted(set(old.files) & set(new.files))
-                       if old[key].dtype != new[key].dtype
-                       or old[key].shape != new[key].shape
-                       or old[key].tobytes() != new[key].tobytes()]
-            outputs = sum(key.count("/fresh/") + key.count("/reused/") for key in new.files)
-            scores = sum("/score/" in key for key in new.files)
-            draw_count = len({key.rsplit("/", 2)[0] for key in new.files if "/fresh/" in key})
-            projections = sum(key.endswith("/projected") for key in new.files)
-            swarms = sum(key.endswith("/gbest_thetas") and key.startswith("search/")
-                         for key in new.files)
-            optimized = sum(key.startswith("optimize/") for key in new.files)
-            schemes = sum(key.startswith("run_scheme/") for key in new.files)
-    if differ:
-        print(f"outputs differ from {rev} in {len(differ)} arrays:", file=sys.stderr)
-        for key in differ[:20]:
-            print(f"  {key}", file=sys.stderr)
+        subprocess.run(["tar", "-x", "-C", str(work / "tree")], input=archive, check=True)
+        old, new = work / "base", work / "change"
+        run_tree(work / "tree" / "src", old)
+        run_tree(TOOLS.parent / "src", new)
+        found = wrong_exits(old) + wrong_exits(new) + differences(old, new)
+        files = sum(path.suffix != ".npz" for path in new.iterdir())
+        with np.load(new / "kernels.npz") as arrays:
+            counts = kernel_counts(arrays.files)
+    if found:
+        print(f"{len(found)} differences from {rev}:", file=sys.stderr)
+        for line in found[:20]:
+            print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"identical: {outputs} output arrays of {draw_count} draws, {scores} "
-          f"score_candidates outputs, {projections} projected batches, {swarms} "
-          f"searched swarms, {optimized} optimize outputs and {schemes} run_scheme "
-          f"records against {rev}")
+    print(f"identical: {files} files of {len(golden.CASES)} cases, and {counts}, against {rev}")
     return 0
 
 
